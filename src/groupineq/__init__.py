@@ -25,6 +25,6 @@ from .perm_core import (
 from .ineq_dsl import InequalitySpec, SymmetryGroup, parse, pretty_print, group_form, symmetry_group, builtin, BUILTIN_IDS
 from .entropy_eval import EntropyVector, ExactVerdict, GroupRational, entropy_vector, evaluate, gi, valuation
 from .catalog import GroupDef, CatalogIndex, cyclic, dihedral, symmetric, alternating, direct_product, semidirect_cyclic, load_catalog, paper_tuple, realize
-from .search_engine import SearchConfig, Witness, PruneReport, scan_group, prune_applicable, order_class, check_simultaneous, survey
+from .search_engine import SearchConfig, Witness, PruneReport, scan_group, order_class, check_simultaneous, survey
 
 __version__ = "0.1.0"

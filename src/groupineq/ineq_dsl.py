@@ -36,7 +36,6 @@ __all__ = [
     "builtin",
     "BUILTIN_IDS",
     "DFZ_IDS",
-    "COMMON_INFO_IMPLIED_IDS",
 ]
 
 MAX_VARS = 5
@@ -392,12 +391,10 @@ _BUILTIN_TEXTS: Dict[str, str] = {
 }
 
 BUILTIN_IDS: Tuple[str, ...] = ("ingleton",) + tuple(f"dfz{i}" for i in range(1, 11))
-DFZ_IDS: Tuple[str, ...] = tuple(f"dfz{i}" for i in range(1, 11))
-
 # The ten five-variable inequalities are exactly the ones implied by the
 # existence of a common information for (X1, X2); the search engine's
 # theory prunes are licensed only for these.
-COMMON_INFO_IMPLIED_IDS: FrozenSet[str] = frozenset(DFZ_IDS)
+DFZ_IDS: Tuple[str, ...] = tuple(f"dfz{i}" for i in range(1, 11))
 
 _BUILTIN_CACHE: Dict[str, InequalitySpec] = {}
 

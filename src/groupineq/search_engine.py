@@ -23,16 +23,20 @@ prune rules cut the space:
   ineq_symmetry       per inequality, evaluate only tuples least in their
                       orbit under the inequality's variable symmetries.
 
-The last two positions of a tuple are evaluated as a vectorized grid;
-subset orders are 64-bit safe because every side product is at most
-|G|^8 < 2^63 for |G| <= 120.
+Every intersection of subgroups is itself a subgroup, so a subset order
+|G_A| is a chain of lookups in a meet table (the lattice index of
+Gi ∩ Gj) followed by one order lookup. The last two positions of a tuple
+are evaluated as a vectorized grid. A side of an inequality whose
+exponents sum to d is at most |G|^d; it is multiplied in int64 when
+|G|^d < 2^63 and in Python ints otherwise, so verdicts are exact at every
+order the lattice cap admits.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -41,8 +45,8 @@ import numpy as np
 from .catalog import CatalogIndex
 from .entropy_eval import EntropyVector, entropy_vector, evaluate
 from .ineq_dsl import DFZ_IDS, InequalitySpec, builtin, resolve_ids, symmetry_group
-from .perm_core import (Group, Subgroup, SubgroupLattice, all_subgroups, int_valuation,
-                        is_abelian, is_normal, is_product_subgroup, prime_factors)
+from .perm_core import (Group, Subgroup, SubgroupLattice, all_subgroups, is_abelian,
+                        is_product_subgroup, prime_factors)
 
 __all__ = [
     "PRUNE_RULES",
@@ -52,7 +56,6 @@ __all__ = [
     "OrderClass",
     "SurveyEntry",
     "scan_group",
-    "prune_applicable",
     "order_class",
     "check_simultaneous",
     "survey",
@@ -211,27 +214,6 @@ def _sylow_count(g: Group, p: int, lattice: Optional[SubgroupLattice]) -> int:
     return len(lattice.sylow_index[p])
 
 
-def prune_applicable(g: Group, pos1: Subgroup, pos2: Subgroup) -> Optional[str]:
-    """First reason, if any, that the product pos1*pos2 must be a subgroup.
-
-    Any hit means the ten five-variable inequalities hold on every tuple
-    with this (G1, G2) pair, whatever occupies the other positions.
-    """
-    if pos1.parent is not g or pos2.parent is not g:
-        raise ValueError("subgroups do not belong to the given group")
-    if is_abelian(g):
-        return "abelian"
-    inter = pos1.mask & pos2.mask
-    if inter == pos1.mask or inter == pos2.mask:
-        return "nested"
-    full = g.full_subgroup()
-    if is_normal(pos1, full) or is_normal(pos2, full):
-        return "normal"
-    if is_product_subgroup(pos1, pos2):
-        return "product_subgroup"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Scan internals
 
@@ -243,6 +225,7 @@ class _SpecPlan:
     pos_terms: Tuple[Tuple[int, int], ...]   # (position bitmask, exponent)
     neg_terms: Tuple[Tuple[int, int], ...]
     balance: int
+    degree: int   # larger side's exponent sum: each side is at most |G|**degree
     # each symmetry as source indices: coordinate j of the permuted tuple
     # is coordinate src[j] of the original (identity omitted)
     sym_sources: Tuple[Tuple[int, ...], ...]
@@ -263,8 +246,10 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
         src = tuple(ext.index(j + 1) for j in range(arity))
         if src != tuple(range(arity)):
             sources.append(src)
+    degree = max(sum(e for _, e in pos) + max(0, -balance),
+                 sum(e for _, e in neg) + max(0, balance))
     return _SpecPlan(spec_id=spec.id, pos_terms=tuple(pos), neg_terms=tuple(neg),
-                     balance=balance, sym_sources=tuple(sources))
+                     balance=balance, degree=degree, sym_sources=tuple(sources))
 
 
 class _ScanState:
@@ -272,7 +257,7 @@ class _ScanState:
 
     def __init__(self, g: Group, lattice: SubgroupLattice, cfg: SearchConfig,
                  domains: List[np.ndarray], pair_prunable: Optional[np.ndarray],
-                 restricted_order: Optional[int], simultaneous: bool) -> None:
+                 restricted_order: Optional[int]) -> None:
         self.group = g
         self.lattice = lattice
         self.cfg = cfg
@@ -285,32 +270,28 @@ class _ScanState:
                       for d in range(n)]
         self.pair_prunable = pair_prunable
         self.restricted_order = restricted_order
-        self.simultaneous = simultaneous
         self.conj_on = "conjugacy" in cfg.prune_flags
         self.sym_on = "ineq_symmetry" in cfg.prune_flags
-        m = len(lattice.subgroups)
-        w = (g.order + 63) // 64
-        packed = np.zeros((m, w), dtype=np.uint64)
-        for i, sub in enumerate(lattice.subgroups):
-            mask = sub.mask
-            for word in range(w):
-                packed[i, word] = (mask >> (64 * word)) & 0xFFFFFFFFFFFFFFFF
-        self.packed = packed
+        masks = [s.mask for s in lattice.subgroups]
+        index = {mask: i for i, mask in enumerate(masks)}
+        # meet[i, j]: lattice index of Gi ∩ Gj; the last subgroup is G itself
+        self.meet = np.array([[index[x & y] for y in masks] for x in masks],
+                             dtype=np.intp)
+        self.top = len(masks) - 1
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
+        # plans whose sides can reach 2**63 multiply Python ints instead
+        self.exact = [g.order ** p.degree >= 2 ** 63 for p in self.plans]
+        self.exact_orders = self.orders.astype(object)
         self.conj_table = lattice.conjugation_table() if self.conj_on else None
 
 
 _FORK_STATE: Optional[_ScanState] = None
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr).sum(axis=-1, dtype=np.int64)
-
-
 def _scan_chunk(chunk: np.ndarray) -> Tuple[List[tuple], Dict[str, int], int, int, int]:
     """Scan all tuples whose first position lies in `chunk`.
 
-    Returns raw violation cells (spec_id or None, index tuple), the prune
+    Returns raw violation cells (spec_id, index tuple), the prune
     counters, evaluated count, violation count and equality count.
     """
     st = _FORK_STATE
@@ -323,7 +304,9 @@ def _scan_chunk(chunk: np.ndarray) -> Tuple[List[tuple], Dict[str, int], int, in
     all_elements = np.arange(st.group.order, dtype=np.int64)
 
     def descend(depth: int, chosen: List[int], cand: np.ndarray,
-                pmasks: Dict[int, np.ndarray]) -> None:
+                prefix: np.ndarray) -> None:
+        # prefix[pm] is the lattice index of the intersection of the chosen
+        # subgroups at the positions in bitmask pm (pm = 0 gives G)
         domain = chunk if depth == 0 else st.domains[depth]
         for s in domain:
             s = int(s)
@@ -339,27 +322,21 @@ def _scan_chunk(chunk: np.ndarray) -> Tuple[List[tuple], Dict[str, int], int, in
                 tied = cand[vals == s]
             else:
                 tied = cand
-            new_masks = dict(pmasks)
-            row = st.packed[s]
-            new_masks[1 << depth] = row
-            for pm, mrow in pmasks.items():
-                new_masks[pm | (1 << depth)] = mrow & row
+            ext = np.concatenate((prefix, st.meet[prefix, s]))
             if depth == n - 3:
-                _grid_stage(st, chosen + [s], tied, new_masks, counters, cells, stats)
+                _grid_stage(st, chosen + [s], tied, ext, counters, cells, stats)
             else:
-                descend(depth + 1, chosen + [s], tied, new_masks)
+                descend(depth + 1, chosen + [s], tied, ext)
 
-    empty: Dict[int, np.ndarray] = {}
-    descend(0, [], all_elements, empty)
+    descend(0, [], all_elements, np.array([st.top], dtype=np.intp))
     return cells, counters, stats["evaluated"], stats["violations"], stats["equalities"]
 
 
 def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
-                pmasks: Dict[int, np.ndarray], counters: Dict[str, int],
+                prefix: np.ndarray, counters: Dict[str, int],
                 cells: List[tuple], stats: Dict[str, int]) -> None:
     """Vectorized evaluation over the last two tuple positions."""
     n = st.cfg.tuple_arity
-    bit_a, bit_b = 1 << (n - 2), 1 << (n - 1)
     dom_a, dom_b = st.domains[n - 2], st.domains[n - 1]
     da, db = len(dom_a), len(dom_b)
     if da == 0 or db == 0:
@@ -382,54 +359,30 @@ def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
     if not alive.any():
         return
 
-    # subset orders: scalars for prefix subsets, vectors for one varying
-    # position, grids when both vary
-    rows_a = st.packed[dom_a]                      # (da, w)
-    rows_b = st.packed[dom_b]                      # (db, w)
-    grid_ab = rows_a[:, None, :] & rows_b[None, :, :]
-    lookup: Dict[int, object] = {}
-    for pm, mrow in pmasks.items():
-        lookup[pm] = int(_popcount(mrow))
-    lookup[bit_a] = _popcount(rows_a)
-    lookup[bit_b] = _popcount(rows_b)
-    lookup[bit_a | bit_b] = _popcount(grid_ab)
-    for pm, mrow in pmasks.items():
-        lookup[pm | bit_a] = _popcount(rows_a & mrow)
-        lookup[pm | bit_b] = _popcount(rows_b & mrow)
-        lookup[pm | bit_a | bit_b] = _popcount(grid_ab & mrow)
-
-    def as_grid(pm: int):
-        v = lookup[pm]
-        if isinstance(v, int):
-            return v
-        if v.ndim == 2:
-            return v
-        return v[:, None] if pm & bit_a else v[None, :]
-
-    coord_arrays = []
-    for j in range(n):
-        if j < n - 2:
-            coord_arrays.append(chosen[j])
-        elif j == n - 2:
-            coord_arrays.append(dom_a[:, None])
-        else:
-            coord_arrays.append(dom_b[None, :])
+    # lattice indices of every subset's intersection, by subset bitmask:
+    # the prefix subsets, then each joined with position a, with b, and
+    # with both; broadcasting gives scalars, columns, rows and grids
+    a, b = dom_a[:, None], dom_b[None, :]
+    rows = st.meet[prefix]
+    parts = (prefix, rows[:, a], rows[:, b], rows[:, st.meet[a, b]])
+    subset_orders = [o for part in parts for o in st.orders[part]]
+    exact_orders = ([o for part in parts for o in st.exact_orders[part]]
+                    if any(st.exact) else None)
+    coord_arrays = list(chosen) + [a, b]
 
     parent_order = st.group.order
-    viol_by_spec = []
-    canon_by_spec = []
     eval_any = np.zeros((da, db), dtype=bool)
-    for plan in st.plans:
-        lhs = np.ones((da, db), dtype=np.int64)
-        rhs = np.ones((da, db), dtype=np.int64)
+    for plan, exact in zip(st.plans, st.exact):
+        orders = exact_orders if exact else subset_orders
+        lhs = rhs = 1
         for pm, e in plan.pos_terms:
-            lhs = lhs * (as_grid(pm) ** e)
+            lhs = lhs * orders[pm] ** e
         for pm, e in plan.neg_terms:
-            rhs = rhs * (as_grid(pm) ** e)
+            rhs = rhs * orders[pm] ** e
         if plan.balance > 0:
-            rhs = rhs * (parent_order ** plan.balance)
+            rhs = rhs * parent_order ** plan.balance
         elif plan.balance < 0:
-            lhs = lhs * (parent_order ** (-plan.balance))
+            lhs = lhs * parent_order ** (-plan.balance)
 
         canon = alive.copy()
         if st.sym_on and plan.sym_sources:
@@ -445,35 +398,21 @@ def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
                         in_region = in_region & (
                             st.orders[coord_arrays[j]] == st.restricted_order)
                 for j in range(n):
-                    a = coord_arrays[src[j]]
-                    b = coord_arrays[j]
-                    lt = lt | (eq & (a < b))
-                    eq = eq & (a == b)
+                    x = coord_arrays[src[j]]
+                    y = coord_arrays[j]
+                    lt = lt | (eq & (x < y))
+                    eq = eq & (x == y)
                 canon &= ~(lt & in_region)
-        canon_by_spec.append(canon)
         eval_any |= canon
-        viol = (lhs > rhs) & canon
-        viol_by_spec.append(viol)
         stats["equalities"] += int(((lhs == rhs) & canon).sum())
+        for ia, ib in zip(*np.nonzero((lhs > rhs) & canon)):
+            idx = tuple(chosen) + (int(dom_a[ia]), int(dom_b[ib]))
+            cells.append((plan.spec_id, idx))
+            stats["violations"] += 1
 
     evaluated_here = int(eval_any.sum())
     stats["evaluated"] += evaluated_here
     counters["ineq_symmetry"] += int(alive.sum()) - evaluated_here
-
-    if st.simultaneous:
-        both = viol_by_spec[0]
-        for v in viol_by_spec[1:]:
-            both = both & v
-        for ia, ib in zip(*np.nonzero(both)):
-            idx = tuple(chosen) + (int(dom_a[ia]), int(dom_b[ib]))
-            cells.append((None, idx))
-            stats["violations"] += 1
-    else:
-        for plan, viol in zip(st.plans, viol_by_spec):
-            for ia, ib in zip(*np.nonzero(viol)):
-                idx = tuple(chosen) + (int(dom_a[ia]), int(dom_b[ib]))
-                cells.append((plan.spec_id, idx))
-                stats["violations"] += 1
 
 
 def _run_chunks(state: _ScanState, chunks: List[np.ndarray]):
@@ -489,8 +428,7 @@ def _run_chunks(state: _ScanState, chunks: List[np.ndarray]):
         _FORK_STATE = None
 
 
-def _prepare(g: Group, cfg: SearchConfig, lattice: Optional[SubgroupLattice],
-             simultaneous: bool):
+def _prepare(g: Group, cfg: SearchConfig, lattice: Optional[SubgroupLattice]):
     """Shared setup for scan_group and check_simultaneous."""
     if lattice is None:
         lattice = all_subgroups(g)
@@ -519,12 +457,18 @@ def _prepare(g: Group, cfg: SearchConfig, lattice: Optional[SubgroupLattice],
 
     restricted = cls.pair_order if ("order_class" in cfg.prune_flags
                                     and theory_armed) else None
-    state = _ScanState(g, lattice, cfg, domains, pair, restricted, simultaneous)
+    state = _ScanState(g, lattice, cfg, domains, pair, restricted)
     return lattice, cls, counters, total, state
 
 
 def _pair_prunable_matrix(g: Group, lattice: SubgroupLattice) -> np.ndarray:
-    """pairwise prune_applicable, using the lattice's cached normal flags."""
+    """[i, j] is True when the product Gi Gj must be a subgroup.
+
+    Nested, either normal (from the lattice's cached flags), an abelian
+    ambient group, or an explicit product check. The ten five-variable
+    inequalities hold on every tuple with such a (G1, G2) pair, whatever
+    occupies the other positions.
+    """
     subs = lattice.subgroups
     m = len(subs)
     out = np.zeros((m, m), dtype=bool)
@@ -575,7 +519,7 @@ def scan_group(g: Group, cfg: SearchConfig,
     bitsets) so output does not depend on worker_count.
     """
     t0 = time.perf_counter()
-    lattice, cls, counters, total, state = _prepare(g, cfg, lattice, False)
+    lattice, cls, counters, total, state = _prepare(g, cfg, lattice)
 
     witnesses: List[Witness] = []
     evaluated = violations = equalities = 0
@@ -633,13 +577,15 @@ def check_simultaneous(g: Group, pair: Tuple[InequalitySpec, InequalitySpec],
         flags |= {"theory_common_info", "order_class"}
     cfg = SearchConfig(inequality_ids=ids, prune_flags=frozenset(flags),
                        worker_count=1, tuple_arity=arity)
-    lattice, _, _, _, state = _prepare(g, cfg, lattice, True)
+    lattice, _, _, _, state = _prepare(g, cfg, lattice)
     if state is None:
         return []
-    out: List[Tuple[Subgroup, ...]] = []
+    hits: Dict[str, set] = {i: set() for i in ids}
     for cells, _, _, _, _ in _run_chunks(state, [state.domains[0]]):
-        for _, idx in cells:
-            out.append(tuple(lattice.subgroups[i] for i in idx))
+        for spec_id, idx in cells:
+            hits[spec_id].add(idx)
+    out = [tuple(lattice.subgroups[i] for i in idx)
+           for idx in hits[ids[0]] & hits[ids[1]]]
     out.sort(key=lambda subs: tuple(s.mask for s in subs))
     return out
 
@@ -649,8 +595,10 @@ def survey(cat: CatalogIndex, orders: Iterable[int], cfg: SearchConfig,
     """scan_group over every catalog entry in the order range.
 
     A failure inside one group is recorded on its entry and the survey
-    moves on. `lattice_for(g)`, when given, supplies subgroup lattices
-    (letting callers plug in a cache); by default each scan builds its own.
+    moves on; an AssertionError (a broken internal consistency check, such
+    as a witness that does not re-evaluate) propagates. `lattice_for(g)`,
+    when given, supplies subgroup lattices (letting callers plug in a
+    cache); by default each scan builds its own.
     """
     results: Dict[str, SurveyEntry] = {}
     for order in sorted(set(orders)):
@@ -663,6 +611,8 @@ def survey(cat: CatalogIndex, orders: Iterable[int], cfg: SearchConfig,
                 results[name] = SurveyEntry(group_name=name, order=order,
                                             witness_count=len(witnesses),
                                             violated_ids=violated, report=report)
+            except AssertionError:
+                raise  # an internal consistency check failed: not a bad input
             except Exception as e:  # noqa: BLE001 - survey must keep going
                 results[name] = SurveyEntry(group_name=name, order=order,
                                             witness_count=0, violated_ids=(),

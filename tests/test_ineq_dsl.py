@@ -7,7 +7,6 @@ import oracles
 from groupineq.ineq_dsl import (
     BUILTIN_IDS,
     DFZ_IDS,
-    COMMON_INFO_IMPLIED_IDS,
     InequalitySpec,
     ParseError,
     builtin,
@@ -57,7 +56,6 @@ def test_builtin_shapes():
     assert builtin("ingleton").n_vars == 4
     for iid in DFZ_IDS:
         assert builtin(iid).n_vars == 5
-    assert set(DFZ_IDS) == COMMON_INFO_IMPLIED_IDS
     assert "ingleton" not in DFZ_IDS
     # every builtin mixes signs and is balanced (coefficients sum to zero)
     for iid in BUILTIN_IDS:

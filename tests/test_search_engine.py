@@ -1,25 +1,21 @@
+import itertools
 import random
 
 import pytest
 
-from groupineq.catalog import load_catalog, realize_paper_tuple
+from groupineq.catalog import (cyclic, direct_product, load_catalog, realize,
+                               realize_paper_tuple)
 from groupineq.entropy_eval import entropy_vector, evaluate
 from groupineq.ineq_dsl import DFZ_IDS, builtin
-from groupineq.perm_core import (
-    all_subgroups,
-    closure,
-    conjugate_tuple,
-    is_normal,
-    is_product_subgroup,
-)
+from groupineq.perm_core import all_subgroups, conjugate_tuple
 from groupineq.search_engine import (
     PRUNE_RULES,
     OrderClass,
     SearchConfig,
+    _pair_prunable_matrix,
     canonical_tuple_key,
     check_simultaneous,
     order_class,
-    prune_applicable,
     scan_group,
     survey,
 )
@@ -102,55 +98,20 @@ def test_order_class_q_is_the_normal_sylow(cat):
         assert lat.normal_flags[i], name
 
 
-def test_prune_applicable_reasons(cat):
-    g = cat.realize("S4")
-    lat = all_subgroups(g)
-
-    def by_gens(*cycles):
-        from groupineq.perm_core import Permutation
-        return closure(g, [g.element_index(Permutation.from_cycles(c, 4)) for c in cycles])
-
-    a4 = by_gens("(1,2,3)", "(2,3,4)")
-    s3 = by_gens("(1,2)", "(1,2,3)")
-    c2 = by_gens("(1,2)")
-    c2b = by_gens("(3,4)")
-    d8 = by_gens("(1,2)(3,4)", "(1,3)")
-    d8b = by_gens("(1,2)(3,4)", "(1,4)(2,3)", "(1,2)")
-    assert prune_applicable(g, a4, s3) == "normal"
-    assert prune_applicable(g, c2, s3) == "nested"
-    assert prune_applicable(g, s3, c2) == "nested"
-    assert prune_applicable(g, c2, c2b) == "product_subgroup"
-    assert prune_applicable(g, c2, by_gens("(2,3)")) is None
-
-    ab = cat.realize("C12")
-    lat_ab = all_subgroups(ab)
-    assert prune_applicable(ab, lat_ab.subgroups[1], lat_ab.subgroups[2]) == "abelian"
-
-    with pytest.raises(ValueError):
-        prune_applicable(g, c2, closure(cat.realize("A4"), [1]))
-    assert d8.order == 8 and d8b.order == 8
-
-
 def test_prune_applicable_matches_oracle(cat):
+    # the pair-prune rule fires exactly when the product set is a subgroup
     g = cat.realize("S4")
     lat = all_subgroups(g)
     elems = [tuple(p.images) for p in g.elements]
-    rng = random.Random(31)
-    full = g.full_subgroup()
-    for _ in range(150):
-        h, k = rng.choice(lat.subgroups), rng.choice(lat.subgroups)
-        reason = prune_applicable(g, h, k)
-        hs = {elems[i] for i in h.member_indices()}
-        ks = {elems[i] for i in k.member_indices()}
-        closed = oracles.is_closed_under_mul(oracles.product_set(hs, ks))
-        # a reason may only be reported when the product really is a subgroup
-        assert (reason is not None) == closed
-        if reason == "nested":
-            assert hs <= ks or ks <= hs
-        if reason == "normal":
-            assert is_normal(h, full) or is_normal(k, full)
-        if reason == "product_subgroup":
-            assert is_product_subgroup(h, k)
+    members = [{elems[i] for i in s.member_indices()} for s in lat.subgroups]
+    prunable = _pair_prunable_matrix(g, lat)
+    for i, hs in enumerate(members):
+        for j, ks in enumerate(members):
+            closed = oracles.is_closed_under_mul(oracles.product_set(hs, ks))
+            assert prunable[i, j] == closed, (i, j)
+
+    ab = cat.realize("C12")
+    assert _pair_prunable_matrix(ab, all_subgroups(ab)).all()
 
 
 def test_scan_s4_finds_reference_witnesses(cat, lattice_for):
@@ -221,6 +182,36 @@ def test_scan_a4_exhaustive_no_pruning(cat, lattice_for):
     assert report.tuples_evaluated == report.tuples_total
     assert all(v == 0 for v in report.tuples_pruned_by_rule.values())
     report.check_invariant()
+
+
+@pytest.mark.parametrize("name, ineqs", [("S3", "dfz"), ("A4", "ingleton")])
+def test_scan_counts_match_evaluate(cat, lattice_for, name, ineqs):
+    # the grid kernel's per-tuple verdicts against the reference evaluator
+    g = cat.realize(name)
+    lat = lattice_for(name)
+    cfg = SearchConfig.make(ineqs=ineqs, prune="none")
+    _, report = scan_group(g, cfg, lat)
+    specs = [builtin(i) for i in cfg.inequality_ids]
+    violations = equalities = 0
+    for subs in itertools.product(lat.subgroups, repeat=cfg.tuple_arity):
+        ev = entropy_vector(g, subs)
+        for spec in specs:
+            v = evaluate(spec, ev)
+            violations += not v.holds
+            equalities += v.lhs_product == v.rhs_product
+    assert report.tuples_evaluated == len(lat.subgroups) ** cfg.tuple_arity
+    assert (report.violations_found, report.equality_cases) == (violations, equalities)
+
+
+def test_scan_exact_above_int64():
+    # order 280: dfz10's sides have degree 9 and 280**9 > 2**63, so int64
+    # products would wrap; abelian groups satisfy every dfz inequality
+    g = realize(direct_product(direct_product(cyclic(5), cyclic(7)), cyclic(8)))
+    assert g.order ** 9 >= 2 ** 63
+    witnesses, report = scan_group(g, SearchConfig.make(ineqs="dfz10", prune="none"))
+    assert witnesses == []
+    assert report.violations_found == 0
+    assert report.tuples_evaluated == report.tuples_total == 16 ** 5
 
 
 def test_scan_order_class_skips_everything(cat, lattice_for):
@@ -328,6 +319,18 @@ def test_survey_records_errors():
     assert results["ok"].error is None
     assert "deliberately unbuildable" in results["broken"].error
     assert results["broken"].report is None
+
+
+def test_survey_propagates_assertion_errors():
+    # an internal consistency failure is a bug, not a bad catalog entry
+    class Inconsistent:
+        by_order = {6: ("broken",)}
+
+        def realize(self, name):
+            raise AssertionError("deliberately inconsistent")
+
+    with pytest.raises(AssertionError, match="deliberately inconsistent"):
+        survey(Inconsistent(), [6], SearchConfig.make(ineqs="dfz"))
 
 
 def test_prune_report_invariant_violation():
