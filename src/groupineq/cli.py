@@ -9,6 +9,9 @@ Reports print as markdown or JSON; large integers (side products, subgroup
 bitmasks) are emitted as decimal strings in JSON so nothing is rounded on
 the consumer side. Subgroup lattices are cached on disk per group, keyed by
 a hash of the full element table.
+
+Exit codes: 0 clean, 1 violation found, 2 error (bad input, unknown name),
+3 internal error (a consistency check inside groupineq failed).
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from .catalog import (CatalogError, CatalogIndex, load_catalog, paper_tuple,
 from .entropy_eval import EntropyVector, entropy_vector, evaluate, gi
 from .ineq_dsl import (BUILTIN_IDS, ParseError, builtin, group_form, parse,
                        pretty_print, resolve_ids, symmetry_group)
-from .perm_core import (LATTICE_ORDER_CAP, Group, Permutation, Subgroup,
-                        SubgroupLattice, all_subgroups, closure)
+from .perm_core import (LATTICE_ORDER_CAP, Group, Subgroup, SubgroupLattice,
+                        _permutation_from_cycles, _tokenize_cycles, all_subgroups,
+                        closure)
 from .search_engine import (PruneReport, SearchConfig, Witness,
                             check_simultaneous, scan_group, survey)
 
@@ -139,57 +143,18 @@ def resolve_cache_dir(flag_value: Optional[str]) -> Path:
 _LABEL_RE = re.compile(r"^\s*[Gg](\d+)\s*=\s*")
 
 
-def _split_generators(body: str, position: int) -> List[str]:
-    """Split one position's cycle text into generator strings.
+def _split_generators(body: str) -> List[List[Tuple[int, ...]]]:
+    """Group one position's cycles into generators, each a list of cycles.
 
     Cycles are grouped greedily: a cycle joins the current generator while
     it is disjoint from it, and starts a new generator when it overlaps.
     A comma between cycles forces a split. "(3 4)(2 4 3)" is therefore two
     generators, while "(1 2)(3 4)" is a single double transposition.
     """
-    cycles: List[Tuple[Tuple[int, ...], bool]] = []
-    current: List[int] = []
-    number = ""
-    depth = 0
-    forced = False
-    for pos, ch in enumerate(body):
-        if ch == "(":
-            if depth != 0:
-                raise CliError(f"nested '(' in subgroup G{position}: {body.strip()!r}")
-            depth = 1
-            current = []
-        elif ch == ")":
-            if depth != 1:
-                raise CliError(f"unmatched ')' in subgroup G{position}: {body.strip()!r}")
-            if number:
-                current.append(int(number))
-                number = ""
-            depth = 0
-            cycles.append((tuple(current), forced))
-            forced = False
-        elif ch.isdigit():
-            if depth != 1:
-                raise CliError(
-                    f"digit outside parentheses at position {pos} in subgroup "
-                    f"G{position}: {body.strip()!r}")
-            number += ch
-        elif ch in ", \t":
-            if depth == 1:
-                if number:
-                    current.append(int(number))
-                    number = ""
-            elif ch == ",":
-                forced = True
-        else:
-            raise CliError(
-                f"unexpected character {ch!r} in subgroup G{position}: {body.strip()!r}")
-    if depth != 0:
-        raise CliError(f"unclosed '(' in subgroup G{position}: {body.strip()!r}")
-
     groups: List[List[Tuple[int, ...]]] = []
     bucket: List[Tuple[int, ...]] = []
     seen: set = set()
-    for points, split_before in cycles:
+    for points, split_before in _tokenize_cycles(body):
         if bucket and (split_before or seen & set(points)):
             groups.append(bucket)
             bucket, seen = [], set()
@@ -198,10 +163,7 @@ def _split_generators(body: str, position: int) -> List[str]:
             seen |= set(points)
     if bucket:
         groups.append(bucket)
-    if not groups:
-        return ["()"]
-    return ["".join("(" + ",".join(str(pt) for pt in c) + ")" for c in grp)
-            for grp in groups]
+    return groups
 
 
 def parse_subgroup_text(g: Group, text: str) -> List[Subgroup]:
@@ -216,16 +178,16 @@ def parse_subgroup_text(g: Group, text: str) -> List[Subgroup]:
     subs: List[Subgroup] = []
     for position, chunk in enumerate(chunks, start=1):
         m = _LABEL_RE.match(chunk)
-        body = chunk[m.end():] if m else chunk
+        body = (chunk[m.end():] if m else chunk).strip()
         if m and int(m.group(1)) != position:
             raise CliError(
                 f"subgroup label G{m.group(1)} appears at position {position}; "
                 f"labels must be in order")
-        gen_strings = _split_generators(body, position)
-        indices = []
-        for s in gen_strings:
-            perm = Permutation.from_cycles(s, degree=g.degree)
-            indices.append(g.element_index(perm))
+        try:
+            indices = [g.element_index(_permutation_from_cycles(cycles, g.degree, body))
+                       for cycles in _split_generators(body)]
+        except ValueError as e:
+            raise CliError(f"subgroup G{position}: {e}") from None
         subs.append(closure(g, indices))
     return subs
 
@@ -823,6 +785,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         msg = e.args[0] if e.args else str(e)
         print(f"gil: error: {msg}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"gil: internal error: {str(e) or 'assertion failed'}", file=sys.stderr)
+        return 3
     sys.stdout.write(report.render(args.format))
     return code
 

@@ -3,8 +3,9 @@
 Permutations act on points 1..d (stored 0-based internally) with d <= 32.
 A Group materializes its full element list plus multiplication and inverse
 tables, so everything downstream is index arithmetic. A Subgroup is a plain
-integer bitmask over the parent's element indices, which makes intersection
-an AND plus a popcount; searches evaluate millions of those.
+integer bitmask over the parent's element indices, so intersection is an AND.
+The subgroup lattice indexes every subgroup; scans read intersection orders
+from a meet table over lattice indices rather than from the masks.
 
 Composition convention: (a * b) applies b first, then a.
 """
@@ -157,56 +158,76 @@ class Permutation:
         disjoint. "()" or an empty string is the identity. When `degree` is
         omitted the largest point mentioned is used.
         """
-        cycles: List[List[int]] = []
-        current: List[int] = []
-        number = ""
-        depth = 0
-        for pos, ch in enumerate(text):
-            if ch == "(":
-                if depth != 0:
-                    raise ValueError(f"nested '(' at position {pos} in {text!r}")
-                depth = 1
-                current = []
-            elif ch == ")":
-                if depth != 1:
-                    raise ValueError(f"unmatched ')' at position {pos} in {text!r}")
-                if number:
-                    current.append(int(number))
-                    number = ""
-                depth = 0
-                if current:
-                    cycles.append(current)
-            elif ch.isdigit():
-                if depth != 1:
-                    raise ValueError(f"digit outside cycle at position {pos} in {text!r}")
-                number += ch
-            elif ch in ", \t":
-                if number:
-                    current.append(int(number))
-                    number = ""
-            else:
-                raise ValueError(f"unexpected character {ch!r} at position {pos} in {text!r}")
-        if depth != 0:
-            raise ValueError(f"unclosed '(' in {text!r}")
-        top = max((pt for cyc in cycles for pt in cyc), default=1)
-        if degree is None:
-            degree = top
-        if top > degree:
-            raise ValueError(f"point {top} exceeds degree {degree} in {text!r}")
-        if degree > MAX_DEGREE:
-            raise ValueError(f"degree {degree} exceeds the supported maximum {MAX_DEGREE}")
-        images = list(range(degree))
-        seen = set()
-        for cyc in cycles:
-            for pt in cyc:
-                if not 1 <= pt <= degree:
-                    raise ValueError(f"point {pt} outside 1..{degree} in {text!r}")
-                if pt in seen:
-                    raise ValueError(f"cycles are not disjoint at point {pt} in {text!r}")
-                seen.add(pt)
-            for i, pt in enumerate(cyc):
-                images[pt - 1] = cyc[(i + 1) % len(cyc)] - 1
-        return Permutation(tuple(images))
+        return _permutation_from_cycles([c for c, _ in _tokenize_cycles(text)], degree, text)
+
+
+def _tokenize_cycles(text: str) -> List[Tuple[Tuple[int, ...], bool]]:
+    """Split cycle notation into its cycles of 1-based points, in order.
+
+    Commas, spaces or tabs separate points inside a cycle; "()" is an empty
+    cycle. Each cycle is paired with a flag that is True when a comma
+    outside parentheses stands between it and the previous cycle.
+    """
+    cycles: List[Tuple[Tuple[int, ...], bool]] = []
+    current: List[int] = []
+    number = ""
+    depth = 0
+    comma = False
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            if depth != 0:
+                raise ValueError(f"nested '(' at position {pos} in {text!r}")
+            depth = 1
+            current = []
+        elif ch == ")":
+            if depth != 1:
+                raise ValueError(f"unmatched ')' at position {pos} in {text!r}")
+            if number:
+                current.append(int(number))
+                number = ""
+            depth = 0
+            cycles.append((tuple(current), comma))
+            comma = False
+        elif ch.isdigit():
+            if depth != 1:
+                raise ValueError(f"digit outside cycle at position {pos} in {text!r}")
+            number += ch
+        elif ch in ", \t":
+            if number:
+                current.append(int(number))
+                number = ""
+            elif depth == 0 and ch == ",":
+                comma = True
+        else:
+            raise ValueError(f"unexpected character {ch!r} at position {pos} in {text!r}")
+    if depth != 0:
+        raise ValueError(f"unclosed '(' in {text!r}")
+    return cycles
+
+
+def _permutation_from_cycles(cycles: Sequence[Sequence[int]], degree: Optional[int],
+                             text: str) -> Permutation:
+    """The product of disjoint cycles of 1-based points; `text` names the
+    input in error messages."""
+    top = max((pt for cyc in cycles for pt in cyc), default=1)
+    if degree is None:
+        degree = top
+    if top > degree:
+        raise ValueError(f"point {top} exceeds degree {degree} in {text!r}")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the supported maximum {MAX_DEGREE}")
+    images = list(range(degree))
+    seen = set()
+    for cyc in cycles:
+        for pt in cyc:
+            if not 1 <= pt <= degree:
+                raise ValueError(f"point {pt} outside 1..{degree} in {text!r}")
+            if pt in seen:
+                raise ValueError(f"cycles are not disjoint at point {pt} in {text!r}")
+            seen.add(pt)
+        for i, pt in enumerate(cyc):
+            images[pt - 1] = cyc[(i + 1) % len(cyc)] - 1
+    return Permutation(tuple(images))
 
 
 class Group:
@@ -227,20 +248,15 @@ class Group:
         self._index: Dict[Tuple[int, ...], int] = {
             p.images: i for i, p in enumerate(self.elements)
         }
-        n = self.order
-        mul = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(self.elements):
-            ai = a.images
-            for j, b in enumerate(self.elements):
-                mul[i, j] = self._index[tuple(ai[x] for x in b.images)]
-        self.mul_table = mul
-        inv = np.empty(n, dtype=np.int32)
-        for i, a in enumerate(self.elements):
-            inv[i] = self._index[a.inverse().images]
-        self.inv_table = inv
+        # Row lists for the pure-Python loops, a numpy copy for vector code.
+        self._mul_rows: List[List[int]] = [
+            [self._index[tuple(a.images[x] for x in b.images)] for b in self.elements]
+            for a in self.elements]
+        self._inv: List[int] = [self._index[a.inverse().images] for a in self.elements]
+        self.mul_table = np.array(self._mul_rows, dtype=np.int32)
         self._element_orders: Optional[Tuple[int, ...]] = None
-        self._conj_perms: Optional[np.ndarray] = None
-        self.full_mask = (1 << n) - 1
+        self._conj_perms: Optional[List[List[int]]] = None
+        self.full_mask = (1 << self.order) - 1
 
     @staticmethod
     def from_generators(name: str, generators: Sequence[Permutation],
@@ -284,10 +300,10 @@ class Group:
         return idx
 
     def mul(self, i: int, j: int) -> int:
-        return int(self.mul_table[i, j])
+        return self._mul_rows[i][j]
 
     def inv(self, i: int) -> int:
-        return int(self.inv_table[i])
+        return self._inv[i]
 
     def element_orders(self) -> Tuple[int, ...]:
         if self._element_orders is None:
@@ -301,14 +317,12 @@ class Group:
             self._element_orders = tuple(orders)
         return self._element_orders
 
-    def conj_perms(self) -> np.ndarray:
+    def conj_perms(self) -> List[List[int]]:
         """Row x is the permutation i -> x i x^-1 of element indices."""
         if self._conj_perms is None:
-            n = self.order
-            out = np.empty((n, n), dtype=np.int32)
-            for x in range(n):
-                out[x] = self.mul_table[self.mul_table[x, :], self.inv_table[x]]
-            self._conj_perms = out
+            mul = self._mul_rows
+            self._conj_perms = [[mul[xi][self._inv[x]] for xi in mul[x]]
+                                for x in range(self.order)]
         return self._conj_perms
 
     def subgroup(self, mask: int) -> "Subgroup":
@@ -383,26 +397,26 @@ def _require_same_parent(h: Subgroup, k: Subgroup, op: str) -> None:
 
 
 def closure(parent: Group, generators: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of `parent` containing the given element indices."""
-    mask = 1
-    members = [0]
-    queue = list(dict.fromkeys(g for g in generators))
-    for g in queue:
+    """Smallest subgroup of `parent` containing the given element indices.
+
+    Breadth-first from the identity, right-multiplying every member found
+    so far by every generator. In a finite group each element of the
+    subgroup is a product of generators, so this reaches all of them.
+    """
+    gens = list(dict.fromkeys(generators))
+    for g in gens:
         if not 0 <= g < parent.order:
             raise ValueError(f"element index {g} outside 0..{parent.order - 1}")
-    mul = parent.mul_table
-    while queue:
-        t = queue.pop()
-        if mask >> t & 1:
-            continue
-        mask |= 1 << t
-        members.append(t)
-        members_arr = np.array(members, dtype=np.int32)
-        prods = np.concatenate([mul[t, members_arr], mul[members_arr, t]])
-        for p in np.unique(prods):
-            p = int(p)
-            if not mask >> p & 1:
-                queue.append(p)
+    mul = parent._mul_rows
+    mask = 1
+    members = [0]
+    for x in members:
+        row = mul[x]
+        for g in gens:
+            y = row[g]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                members.append(y)
     return parent.subgroup(mask)
 
 
@@ -466,15 +480,18 @@ def is_normal(h: Subgroup, ambient: Subgroup) -> bool:
     if h.mask & ~ambient.mask:
         raise ValueError("is_normal expects the first subgroup inside the second")
     conj = h.parent.conj_perms()
-    h_idx = np.array(h.member_indices(), dtype=np.int32)
-    for g in ambient.generator_indices():
-        image = conj[g][h_idx]
-        m = 0
-        for i in image:
-            m |= 1 << int(i)
-        if m != h.mask:
-            return False
-    return True
+    members = h.member_indices()
+    return all(_image_mask(conj[g], members) == h.mask
+               for g in ambient.generator_indices())
+
+
+def _image_mask(perm: Sequence[int], members: Iterable[int]) -> int:
+    """Bitmask of the image of a subgroup's members under one row of
+    `Group.conj_perms`, i.e. of x H x^-1."""
+    m = 0
+    for i in members:
+        m |= 1 << perm[i]
+    return m
 
 
 def is_abelian(g: Group) -> bool:
@@ -518,19 +535,9 @@ class SubgroupLattice:
         cached = getattr(self, "_conj_table", None)
         if cached is not None:
             return cached
-        g = self.group
-        conj = g.conj_perms()
-        n_sub = len(self.subgroups)
-        member_arrays = [np.array(s.member_indices(), dtype=np.int32) for s in self.subgroups]
-        table = np.empty((g.order, n_sub), dtype=np.int32)
-        for x in range(g.order):
-            perm = conj[x]
-            for si, arr in enumerate(member_arrays):
-                image = perm[arr]
-                m = 0
-                for i in image:
-                    m |= 1 << int(i)
-                table[x, si] = self.index_of(m)
+        members = [s.member_indices() for s in self.subgroups]
+        table = np.array([[self.index_of(_image_mask(perm, m)) for m in members]
+                          for perm in self.group.conj_perms()], dtype=np.int32)
         object.__setattr__(self, "_conj_table", table)
         return table
 
@@ -542,38 +549,36 @@ def all_subgroups(g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
     subgroup by one cyclic generator from outside it and closes, until
     fixpoint. This finds everything: any subgroup K is some maximal
     subgroup H < K (found by induction on order) extended by any element
-    of K outside H.
+    of K outside H. Each subgroup keeps the generator list it was found
+    with, so an extension closes that list plus one element.
     """
     if g.order > cap:
         raise ValueError(
             f"group {g.name!r} of order {g.order} exceeds the lattice cap {cap}")
-    by_mask: Dict[int, Subgroup] = {}
+    gens_of: Dict[int, List[int]] = {}
     cyclic_reps: List[Tuple[int, int]] = []  # (mask of <x>, x)
-    seen_cyclic = set()
     for x in range(g.order):
         mask = 1
         y = x
         while y != 0:
             mask |= 1 << y
             y = g.mul(y, x)
-        if mask not in seen_cyclic:
-            seen_cyclic.add(mask)
+        if mask not in gens_of:
+            gens_of[mask] = [x] if x else []
             cyclic_reps.append((mask, x))
-        if mask not in by_mask:
-            by_mask[mask] = g.subgroup(mask)
-    worklist = list(by_mask.values())
+    worklist = list(gens_of)
     while worklist:
-        sub = worklist.pop()
+        mask = worklist.pop()
         for cyc_mask, x in cyclic_reps:
-            if sub.mask >> x & 1 or cyc_mask & sub.mask == cyc_mask:
+            if cyc_mask & mask == cyc_mask:
                 continue
-            bigger = closure(g, sub.generator_indices() + [x])
-            if bigger.mask not in by_mask:
-                by_mask[bigger.mask] = bigger
+            ext = gens_of[mask] + [x]
+            bigger = closure(g, ext).mask
+            if bigger not in gens_of:
+                gens_of[bigger] = ext
                 worklist.append(bigger)
-    subs = tuple(sorted(by_mask.values(), key=lambda s: (s.order, s.mask)))
-    full = g.full_subgroup()
-    normal = tuple(is_normal(s, full) for s in subs)
+    subs = tuple(sorted((g.subgroup(m) for m in gens_of),
+                        key=lambda s: (s.order, s.mask)))
     # Conjugacy classes: orbits under conjugation by group generators.
     index_by_mask = {s.mask: i for i, s in enumerate(subs)}
     conj = g.conj_perms()
@@ -586,13 +591,9 @@ def all_subgroups(g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
         orbit = {i}
         frontier = [i]
         while frontier:
-            j = frontier.pop()
-            arr = np.array(subs[j].member_indices(), dtype=np.int32)
+            members = subs[frontier.pop()].member_indices()
             for x in gens:
-                m = 0
-                for e in conj[x][arr]:
-                    m |= 1 << int(e)
-                t = index_by_mask[m]
+                t = index_by_mask[_image_mask(conj[x], members)]
                 if t not in orbit:
                     orbit.add(t)
                     frontier.append(t)
@@ -600,6 +601,8 @@ def all_subgroups(g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
         for j in cls:
             assigned[j] = len(classes)
         classes.append(cls)
+    # A subgroup is normal exactly when it is alone in its class.
+    normal = tuple(len(classes[assigned[i]]) == 1 for i in range(len(subs)))
     sylow: Dict[int, Tuple[int, ...]] = {}
     for p, e in prime_factors(g.order).items():
         target = p ** e
@@ -623,19 +626,6 @@ def _element_order_histogram(g: Group) -> Dict[int, int]:
     for n in g.element_orders():
         hist[n] = hist.get(n, 0) + 1
     return hist
-
-
-def _minimal_generators(g: Group) -> List[int]:
-    gens: List[int] = []
-    current = 1
-    for i in range(1, g.order):
-        if current >> i & 1:
-            continue
-        gens.append(i)
-        current = closure(g, gens).mask
-        if current == g.full_mask:
-            break
-    return gens
 
 
 def _extend_isomorphism(g: Group, h: Group, gens: List[int], images: List[int]) -> bool:
@@ -688,7 +678,7 @@ def is_isomorphic(g: Group, h: Group) -> bool:
             hist_h[s.order] = hist_h.get(s.order, 0) + 1
         if hist_g != hist_h:
             return False
-    gens = _minimal_generators(g)
+    gens = g.full_subgroup().generator_indices()
     g_orders = g.element_orders()
     h_orders = h.element_orders()
     candidates = [
@@ -715,13 +705,7 @@ def conjugate_tuple(g: Group, subs: Sequence[Subgroup], x: int) -> Tuple[Subgrou
     """Map every subgroup H in the tuple to x H x^-1."""
     if not 0 <= x < g.order:
         raise ValueError(f"element index {x} outside 0..{g.order - 1}")
+    if any(s.parent is not g for s in subs):
+        raise ValueError("conjugate_tuple needs subgroups of the given group")
     perm = g.conj_perms()[x]
-    out = []
-    for s in subs:
-        if s.parent is not g:
-            raise ValueError("conjugate_tuple needs subgroups of the given group")
-        m = 0
-        for i in s.member_indices():
-            m |= 1 << int(perm[i])
-        out.append(g.subgroup(m))
-    return tuple(out)
+    return tuple(g.subgroup(_image_mask(perm, s.member_indices())) for s in subs)

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +196,14 @@ def test_paper_tuples_realize(cat):
     g, subs = realize_paper_tuple("d20-example")
     assert g.order == 20
     assert [s.order for s in subs] == [2, 2, 4]
+
+
+def test_build_catalog_reproduces_shipped_file():
+    # tools/build_catalog.py must regenerate the shipped registry byte for byte
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "build_catalog", root / "tools" / "build_catalog.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    shipped = (root / "src" / "groupineq" / "data" / "catalog.json").read_bytes()
+    assert tool.render(tool.build_defs()).encode("utf-8") == shipped

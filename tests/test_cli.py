@@ -435,3 +435,16 @@ def test_markdown_default_format(capsys, cache_dir):
     code, out, _ = run(["parse", "H(X1|X2) >= 0"], capsys)
     assert code == 0
     assert not out.lstrip().startswith("{")
+
+
+def test_internal_error_exit_code(capsys, tmp_path, monkeypatch):
+    from groupineq import search_engine
+
+    def inconsistent(*args, **kwargs):
+        raise AssertionError("deliberately inconsistent")
+
+    monkeypatch.setattr(search_engine, "scan_group", inconsistent)
+    code, out, err = run(["survey", "6", "--cache-dir", str(tmp_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "gil: internal error: deliberately inconsistent\n"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -310,3 +312,116 @@ def test_prime_factors_and_valuation():
     assert int_valuation(5, 2) == 0
     with pytest.raises(ValueError):
         int_valuation(0, 2)
+
+# sha256 of every catalog lattice: its (order, mask) sequence, normal flags,
+# conjugacy classes and sorted Sylow index, as recorded from the earlier
+# numpy-based closure. Any change to what all_subgroups returns shows here.
+LATTICE_DIGESTS = {
+    'C1': '1a033f083bd4d19dc9a9423261e9f1e91f552bff26481533dd183861cb44b83f',
+    'C2': 'eb2540e1fe21ff8cae79cc38a9db94cb017ed19eeffda11b20a279a5495bd17a',
+    'C3': 'c01e46e8efa477a64203c808ba4d5ac3322efe3aadfceb95699535ed7fd9e7ac',
+    'C2xC2': 'bf0b4b1faa435348f01a0660d434ad460beced35d46af5ae8df592aeaed9e0ca',
+    'C4': '869c1a2f0a1e338c88fdd891bb40e30fec21771fa0e1a40c7a9a8bda8952c1f9',
+    'C5': 'aae0632b8fa5ac904b13f0e6eefb6224ad0ee0014f5949968afc034bf4e1494b',
+    'C6': '5b582a266dd9f33228f4c97e1fe838a77dd5cc5740860e52f018f621f69951c3',
+    'S3': '13c826b977b850d3ebaf0680968317de76ceb6afb62911fac408e5436bae8414',
+    'C7': '8361ccedf0efef88dea74e314866a54b76c7137a5591ae95dca48a74df8fa066',
+    'C2xC2xC2': '5b38399d1665b44c95b8e07d215d7dc1f2f1254d2e965b3a888612e32a39d5f7',
+    'C4xC2': 'ac4d1e5e65fb77476ed9aefa9b34f014c43b91d378c7b4cd408e906c104e8245',
+    'C8': '447f8dd3bcdb3006fc571001d0212c7e818582cbf7a38d0f43d3e0e1da933903',
+    'D8': '8c41a4c145fd063d54481faa234537052e503735e6674718665106edcca81829',
+    'Q8': 'd5732b21df7eeb14e699c61a943384d333f89682c1e184f3dd1d3f3cf2169d8e',
+    'C3xC3': '71b2cfb282164c6eee23a5550a4b58ae7e97a297f4655660ee62da105bf6810b',
+    'C9': '6ed30a8c2d1ca6cf66008a94d0e8fca83677dce06ccc0584432d5aea6862da51',
+    'C10': '173fead0acbae2f0e111911b4578b09af9e509e511f5ebc56e8cc33a776330b7',
+    'D10': '56345e6515cbc1ce226fb3c190e35d22ff2edbe56bf5980841652278541317af',
+    'C11': '233f73278e6f32fd87043ef17a49edbe2859a5c72fd80c992aa34845a3ee7111',
+    'A4': 'cfd61b8122854d515ba19d8e67efd2d0e893a1272ac289ef932544e5ed37ffc8',
+    'C12': '0f97eefb2e6492b46783507ae25df66263130afca87b87c287ac3a3563d28c61',
+    'C6xC2': 'f65b4ce71da23b438f00ce6293ce642529df93b19d4c7c798b3203ba4578e9a8',
+    'D12': '621864a81136563e6b1ac94ab1ed21ba5977f53d9a91a2c428ec2f80b2e29336',
+    'Dic3': 'fb2f4a446dd9897b9f6e2537f3334139a42e0c42e245681ba7b4ae8e83c657f6',
+    'C13': '4d6273fb232e924315599b42bdbd31a21739db513b42b829656b92e3244dbc14',
+    'C14': '45bac4946196cd2699d24cb91a630820546ee93317cf60e7226038acb70b9009',
+    'D14': '1567c76115a86eb8c74c858bf5e3008519155f43a1316161c3583fc714c9d881',
+    'C15': 'cfe767026730939b67c26fc86b4832780e9ab39f0f849a5ee38b645dcb3dc351',
+    'C16': 'ab62b2fa9e53a508149f5a481436e39d4bcfa4bb33e0073efbad6cac1bdb193c',
+    'C2xC2:C4': 'ffdc65b9d3113c9c2316841e57db27700dbd8b5dd5dc825cef0572d8b139c91e',
+    'C2xC2xC2xC2': '1760cdfc37f54dd228f16a9c0cc6c99fc1acf285cd421638349ce8b2fa1d3e72',
+    'C4:C4': '633f9a186554a72605514771cf4563120c168d3b87445f3b0204bc2ce6beadf1',
+    'C4xC2xC2': 'a3fe8a339f1c9c841fc6496d899101d8db525c6c465b6afb17c5c61e78ba42d6',
+    'C4xC4': '097650d9a776de627b1990c9fbf0dabedbc2428eb46b734b4b12cbd703db0a68',
+    'C8xC2': 'edbc7b4e8412370fcbc6b56493476f972d23f5aaddf6be2794cbea345ccc6236',
+    'D16': '4f08b5705043c0f25b44e09e287da2b006de4b5ad15bf4e756fa14a8e73fbe6e',
+    'D8oC4': '4b944835d7468935172d0b231b411247eb0af91e19d625ab095201acd2d9db71',
+    'D8xC2': 'fab2d68244bc18a62b5f0ff54da3325f8e5c66d5985ea91adeaa42f8f079cc66',
+    'M16': '49a461b4e8f3f509d1823d9e25edb15419aa928545d6a4a4df1469ec92f27895',
+    'Q16': '300fff1ba3049b39456aaa27b47d9afc1c26a70e56b02decf7969b096c662216',
+    'Q8xC2': '66d4017dc07ee841a04bc31751c90709e12fe4e51a66b1a1270bb503f3149f53',
+    'SD16': 'cff82777f8d5f6d21db71ded8d251188edac2b380bd639394d8b21c31e33d036',
+    'C17': 'a1f4cae3ec92799540c5987e23ab8f62225277dae71dea60b344e721fb8cb1d8',
+    'C18': 'dc0f83f52540f017a3693f2fad49a66dd4b0d9e232c3150d40bc9f1b295d1f69',
+    'C3xC3:C2': '0637073431974184307e74cf81f25e3e3fcb546e2dde793be689c8ebe0fc926d',
+    'C6xC3': '5efce524fc522f60a2841299ad416019886d20169f52e5da977e731cdc65ae44',
+    'D18': '20f79f2122f91dbca5550b4c98ddf93dfa2846217445ab18e1bedf53e8697497',
+    'S3xC3': '3f54e97b0b070849799e0267dc644a47c5eb6282c288708e3606fd0dbeb58982',
+    'C19': '8607bc5b1fb456365db56ad6de69b2c8795f85018833e32bbeefd05f59afd9ef',
+    'C10xC2': '89878a7d49c3d34ce512700e7102cc0797bf5b48b9bebdda0de1cef576e05e54',
+    'C20': '416796ab0a274268f02cd20f0bc06b20d6c8596969e031db85fca9a2804f77b1',
+    'D20': 'ab8a263bd8a96af86f10cd1bd8538c2a4037a91dda419c15ff7b25105f387e6a',
+    'Dic5': '482d0a515da6505276eeb7e8d37f3a1f7e092fa98f86a5ddd7c650db0b86b033',
+    'F20': '467525d403f08c9deba65780b58438be4d85c0d61ccaedfae85af44ddfe6b3b5',
+    'C21': '228ac869d96c6400ab32b9cf8e12a47a7830c392c63dfab4ad34bb03c83f5413',
+    'C7:C3': '057c4176ba63e83114f439cc4185aad8466b9c28af57447adbe9e3f05445a650',
+    'C22': '341f82bce5b162f308288511b59c8eac6707a84662e1bbc7cf553127543bc65a',
+    'D22': 'eb88012b4add75022bc547411790a215c60336d0d580938e711f068648e67a06',
+    'C23': '64a1d410c9999b6f423cae5080b585070d6c55293705c5a4eb0b23fa0b2a2cc0',
+    'A4xC2': '02983a53f6a9c651926597c919eb3c31acfddcbc7e15bfab4e918699d83e7314',
+    'C12xC2': '6415fa3bbdcf3320a12be7641d01e330ceba95fea33ba0c9b5f016019ba80893',
+    'C24': 'f93285278a18c9a027772d9bf932a6e9528dbb221bc1665e6b590b2789d33d91',
+    'C2xC2xS3': '97078c8307b0cf99a2234e30d79893332de986bddef509de0ae977a712773263',
+    'C2xDic3': '967de2a10992e7e8d5005afd84424305b4b3d2fbdde0df4205000b7f68f01f34',
+    'C3:C8': 'ef5e8d2f4c30d7ffd0de5460215b0ae0da8b100c21507964e2bcf0de7c978069',
+    'C3:D8': 'bc7c23e5ef35afcb97ca6c26f06336dcfc54b1899097da20737a0c9550c857f7',
+    'C3xD8': '551de88ca3f7034e0bade947abb47a5be6a6130e6c8517ceea9631a1d046863d',
+    'C3xQ8': '1233115e157737832f15cda2cf35e7d081fdafb533cbe750d48e8df3b9e3675c',
+    'C4xS3': 'ec813f37ab0d984c59ef49b4686a8d4eac1c64b5d9935b2df58a3a025024f750',
+    'C6xC2xC2': 'abe7ffabab050f3b374487f489832893aa11763acb4ad7fd5fd5dde9dbd1b61c',
+    'D24': '1bfbd6228f84d8c2e862012fd2255b1f5d850c124ce7aae8c0de1c2894a250e2',
+    'Dic6': 'cb54ccb4193875c571cbc3529fcec2f65cf10afa3748a089364049e891b4239f',
+    'S4': 'f389d15fff6a4216886f4093d69d56c32203ec55a8a89b719ba38929917802f8',
+    'SL(2,3)': '67402265f369e603f53ce1a26ba4582dcf71f9ed464d4b19e6b7f33871deec8b',
+    'S5': 'e044e773c0142c8e51b4539f1e94becd779239b56e32c4884637e33209b96c75',
+}
+
+
+def lattice_digest(lat):
+    doc = [[[s.order, s.mask] for s in lat.subgroups],
+           list(lat.normal_flags),
+           [list(c) for c in lat.conjugacy_classes],
+           sorted(lat.sylow_index.items())]
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_lattices_pinned(cat, lattice_for):
+    assert set(LATTICE_DIGESTS) == set(cat.names())
+    for name in cat.names():
+        assert lattice_digest(lattice_for(name)) == LATTICE_DIGESTS[name], name
+
+
+def test_normal_flags_match_is_normal(cat, lattice_for):
+    for name in cat.names():
+        g = cat.realize(name)
+        if g.order >= 120:
+            continue
+        lat = lattice_for(name)
+        full = g.full_subgroup()
+        for i, s in enumerate(lat.subgroups):
+            assert lat.normal_flags[i] == is_normal(s, full), (name, i)
+
+
+def test_s5_lattice_counts(lattice_for):
+    lat = lattice_for("S5")
+    assert len(lat) == 156
+    assert len(lat.conjugacy_classes) == 19
+    assert sum(lat.normal_flags) == 3

@@ -2,10 +2,11 @@
 """Regenerate src/groupineq/data/catalog.json.
 
 Assembles one permutation realization per isomorphism class of order <= 24
-(plus S5), realizes and cross-checks every candidate (advertised order,
-abelian tags, pairwise non-isomorphism within each order, class counts),
-then writes the JSON registry sorted by (order, name). Rerunning must be a
-no-op unless the construction list changed.
+(plus S5) and renders the JSON registry sorted by (order, name) into a
+temporary file. That file must pass `load_catalog`'s validation (advertised
+order, pairwise non-isomorphism within each order, class counts) and the
+abelian-tag check before it replaces the shipped catalog. Rerunning must be
+a no-op unless the construction list changed.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from groupineq import catalog as cat
-from groupineq.catalog import GroupDef
-from groupineq.perm_core import Permutation, is_abelian, is_isomorphic
+from groupineq.catalog import CatalogError, GroupDef, load_catalog
+from groupineq.perm_core import Permutation, is_abelian
 
 OUT_PATH = ROOT / "src" / "groupineq" / "data" / "catalog.json"
 
@@ -153,41 +154,35 @@ def build_defs() -> List[GroupDef]:
     return defs
 
 
-def main() -> int:
-    defs = build_defs()
-    realized = {}
-    for gdef in defs:
-        g = cat.realize(gdef)
-        if g.order != gdef.expected_order:
-            print(f"FAIL {gdef.name}: closes to {g.order}, expected {gdef.expected_order}")
-            return 1
-        if gdef.has_tag("abelian") != is_abelian(g):
-            print(f"FAIL {gdef.name}: abelian tag wrong (is_abelian={is_abelian(g)})")
-            return 1
-        realized[gdef.name] = g
-
-    by_order = {}
-    for gdef in defs:
-        by_order.setdefault(gdef.expected_order, []).append(gdef.name)
-    for order, names in sorted(by_order.items()):
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                if is_isomorphic(realized[names[i]], realized[names[j]]):
-                    print(f"FAIL order {order}: {names[i]} and {names[j]} are isomorphic")
-                    return 1
-    for order, expected in cat.EXPECTED_CLASS_COUNTS.items():
-        got = by_order.get(order, [])
-        if len(got) != expected:
-            print(f"FAIL order {order}: {len(got)} classes ({got}), expected {expected}")
-            return 1
-
+def render(defs: List[GroupDef]) -> str:
+    """The catalog JSON text: one record per definition, sorted by (order, name)."""
     records = [{"name": d.name, "degree": d.degree, "generators": list(d.generators),
                 "expected_order": d.expected_order, "tags": list(d.tags)}
                for d in sorted(defs, key=lambda d: (d.expected_order, d.name))]
+    return json.dumps(records, indent=1) + "\n"
+
+
+def main() -> int:
+    defs = build_defs()
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    OUT_PATH.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} groups to {OUT_PATH}")
-    counts = {o: len(ns) for o, ns in sorted(by_order.items())}
+    tmp = OUT_PATH.with_name(OUT_PATH.name + ".tmp")
+    tmp.write_text(render(defs), encoding="utf-8")
+    try:
+        # the loader's own checks: advertised orders, pairwise
+        # non-isomorphism within each order, class counts per order
+        index = load_catalog(str(tmp))
+        for gdef in defs:
+            if gdef.has_tag("abelian") != is_abelian(index.realize(gdef.name)):
+                print(f"FAIL {gdef.name}: abelian tag wrong")
+                return 1
+        tmp.replace(OUT_PATH)
+    except CatalogError as e:
+        print(f"FAIL {e}")
+        return 1
+    finally:
+        tmp.unlink(missing_ok=True)
+    print(f"wrote {len(defs)} groups to {OUT_PATH}")
+    counts = {o: len(ns) for o, ns in index.by_order.items()}
     print(f"classes per order: {counts}")
     return 0
 
