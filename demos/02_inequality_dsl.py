@@ -24,8 +24,8 @@ def main():
         print(f"    H(X_{label}): {ing.coeffs[subset]:+d}")
 
     sym = symmetry_group(ing)
-    print(f"  coefficient symmetries: {len(sym.perms)} variable permutations")
-    for perm in sym.perms:
+    print(f"  coefficient symmetries: {len(sym)} variable permutations")
+    for perm in sym:
         print("   ", perm)
 
     print("\nthe ten five-variable inequalities:")
@@ -33,7 +33,7 @@ def main():
         if ineq_id == "ingleton":
             continue
         spec = builtin(ineq_id)
-        n_sym = len(symmetry_group(spec).perms)
+        n_sym = len(symmetry_group(spec))
         print(f"  {ineq_id}: {len(spec.coeffs)} terms, symmetry group of size {n_sym}")
     print("  group form of dfz1:")
     print("   ", group_form(builtin("dfz1")))

@@ -34,8 +34,8 @@ from .entropy_eval import EntropyVector, entropy_vector, evaluate, gi
 from .ineq_dsl import (BUILTIN_IDS, ParseError, builtin, group_form, parse,
                        pretty_print, resolve_ids, symmetry_group)
 from .perm_core import (LATTICE_ORDER_CAP, Group, Subgroup, SubgroupLattice,
-                        _permutation_from_cycles, _tokenize_cycles, all_subgroups,
-                        closure)
+                        _permutation_from_cycles, _require_lattice_cap,
+                        _tokenize_cycles, all_subgroups, closure)
 from .search_engine import (PruneReport, SearchConfig, Witness,
                             check_simultaneous, scan_group, survey)
 
@@ -65,7 +65,8 @@ class LatticeCache:
     A hit requires the stored hash to equal the recomputed one and the
     format version to be current; anything else is treated as a miss and
     rebuilt. Masks are stored as decimal strings (they exceed 64 bits as
-    soon as the group order does).
+    soon as the group order does). `get` refuses a group above its cap
+    before it looks in the cache, so a hit never bypasses --max-order.
     """
 
     directory: Path
@@ -117,6 +118,7 @@ class LatticeCache:
         tmp.replace(self.path_for(g))
 
     def get(self, g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
+        _require_lattice_cap(g, cap)
         cached = self.load(g)
         if cached is not None:
             self.hits += 1
@@ -602,7 +604,8 @@ def _claim_d20_gi() -> str:
     g1, g2, g5 = subs
     r12 = gi(g, g1, g2)
     r15 = gi(g, g1, g5)
-    if (r12.num, r12.den) != (5, 1) or (r15.num, r15.den) != (5, 2):
+    if (r12.numerator, r12.denominator) != (5, 1) or \
+            (r15.numerator, r15.denominator) != (5, 2):
         raise AssertionError(f"expected 5 and 5/2, got {r12} and {r15}")
     return "gi(G1,G2) = 5, gi(G1,G5) = 5/2"
 

@@ -21,7 +21,6 @@ from .perm_core import Group, Subgroup, int_valuation, is_prime
 __all__ = [
     "EntropyVector",
     "ExactVerdict",
-    "GroupRational",
     "entropy_vector",
     "evaluate",
     "gi",
@@ -71,26 +70,6 @@ class ExactVerdict:
     @property
     def is_equality(self) -> bool:
         return self.lhs_product == self.rhs_product
-
-
-@dataclass(frozen=True)
-class GroupRational:
-    """A positive rational in lowest terms (num, den > 0, coprime)."""
-
-    num: int
-    den: int
-
-    def __post_init__(self) -> None:
-        if self.num <= 0 or self.den <= 0:
-            raise ValueError(f"GroupRational must be positive, got {self.num}/{self.den}")
-        if gcd(self.num, self.den) != 1:
-            raise ValueError(f"GroupRational {self.num}/{self.den} is not in lowest terms")
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def __str__(self) -> str:
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
 
 def entropy_vector(g: Group, subgroups: Sequence[Subgroup]) -> EntropyVector:
@@ -152,8 +131,9 @@ def evaluate(spec: InequalitySpec, ev: EntropyVector) -> ExactVerdict:
                         ratio_num=lhs // common, ratio_den=rhs // common)
 
 
-def gi(g: Group, a: Subgroup, b: Subgroup, c: Optional[Subgroup] = None) -> GroupRational:
-    """The conditional quantity |G_abc| |G_c| / (|G_ac| |G_bc|), exactly.
+def gi(g: Group, a: Subgroup, b: Subgroup, c: Optional[Subgroup] = None) -> Fraction:
+    """The conditional quantity |G_abc| |G_c| / (|G_ac| |G_bc|), exactly,
+    as a positive Fraction in lowest terms.
 
     With c omitted (or the full group) this is the unconditional case
     |G_ab| |G| / (|G_a| |G_b|).
@@ -166,14 +146,11 @@ def gi(g: Group, a: Subgroup, b: Subgroup, c: Optional[Subgroup] = None) -> Grou
     ac = (a.mask & c.mask).bit_count()
     bc = (b.mask & c.mask).bit_count()
     abc = (a.mask & b.mask & c.mask).bit_count()
-    num = abc * c.order
-    den = ac * bc
-    common = gcd(num, den)
-    return GroupRational(num // common, den // common)
+    return Fraction(abc * c.order, ac * bc)
 
 
-def valuation(x: GroupRational, q: int) -> int:
-    """The q-adic valuation of a GroupRational: v_q(num) - v_q(den)."""
+def valuation(x: Fraction, q: int) -> int:
+    """The q-adic valuation of a positive rational: v_q(num) - v_q(den)."""
     if not is_prime(q):
         raise ValueError(f"valuation requires a prime, got {q}")
-    return int_valuation(x.num, q) - int_valuation(x.den, q)
+    return int_valuation(x.numerator, q) - int_valuation(x.denominator, q)

@@ -28,7 +28,6 @@ __all__ = [
     "MAX_VARS",
     "ParseError",
     "InequalitySpec",
-    "SymmetryGroup",
     "parse",
     "pretty_print",
     "group_form",
@@ -73,20 +72,6 @@ class InequalitySpec:
     def __repr__(self) -> str:
         label = self.id or "adhoc"
         return f"InequalitySpec({label}, n_vars={self.n_vars}, {len(self.coeffs)} terms)"
-
-
-@dataclass(frozen=True)
-class SymmetryGroup:
-    """Variable permutations (1-based image tuples) fixing a coefficient vector."""
-
-    n_vars: int
-    perms: Tuple[Tuple[int, ...], ...]
-
-    def __contains__(self, perm: Tuple[int, ...]) -> bool:
-        return tuple(perm) in self.perms
-
-    def __len__(self) -> int:
-        return len(self.perms)
 
 
 def _subset_key(subset: Subset) -> Tuple[int, Tuple[int, ...]]:
@@ -364,13 +349,12 @@ def _apply_perm(subset: Subset, perm: Tuple[int, ...]) -> Subset:
     return frozenset(perm[i - 1] for i in subset)
 
 
-def symmetry_group(spec: InequalitySpec) -> SymmetryGroup:
-    """All permutations of the variable indices fixing the coefficient vector."""
-    keep: List[Tuple[int, ...]] = []
-    for perm in iter_permutations(range(1, spec.n_vars + 1)):
-        if all(spec.coeffs.get(_apply_perm(s, perm), 0) == c for s, c in spec.coeffs.items()):
-            keep.append(perm)
-    return SymmetryGroup(spec.n_vars, tuple(keep))
+def symmetry_group(spec: InequalitySpec) -> Tuple[Tuple[int, ...], ...]:
+    """All permutations of the variable indices fixing the coefficient vector,
+    as 1-based image tuples, the identity first."""
+    return tuple(perm for perm in iter_permutations(range(1, spec.n_vars + 1))
+                 if all(spec.coeffs.get(_apply_perm(s, perm), 0) == c
+                        for s, c in spec.coeffs.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Permutations act on points 1..d (stored 0-based internally) with d <= 32.
 A Group materializes its full element list plus multiplication and inverse
-tables, so everything downstream is index arithmetic. A Subgroup is a plain
-integer bitmask over the parent's element indices, so intersection is an AND.
+tables as Python lists, so everything downstream is index arithmetic. A
+Subgroup is a plain integer bitmask over the parent's element indices, so
+intersection is an AND.
 The subgroup lattice indexes every subgroup; scans read intersection orders
 from a meet table over lattice indices rather than from the masks.
 
@@ -248,12 +249,10 @@ class Group:
         self._index: Dict[Tuple[int, ...], int] = {
             p.images: i for i, p in enumerate(self.elements)
         }
-        # Row lists for the pure-Python loops, a numpy copy for vector code.
         self._mul_rows: List[List[int]] = [
             [self._index[tuple(a.images[x] for x in b.images)] for b in self.elements]
             for a in self.elements]
         self._inv: List[int] = [self._index[a.inverse().images] for a in self.elements]
-        self.mul_table = np.array(self._mul_rows, dtype=np.int32)
         self._element_orders: Optional[Tuple[int, ...]] = None
         self._conj_perms: Optional[List[List[int]]] = None
         self.full_mask = (1 << self.order) - 1
@@ -435,18 +434,6 @@ def set_product_order(h: Subgroup, k: Subgroup) -> int:
     return num // inter
 
 
-def product_set_mask(h: Subgroup, k: Subgroup) -> int:
-    """Bitmask of the product set {hk : h in H, k in K} (not in general a subgroup)."""
-    _require_same_parent(h, k, "product_set_mask")
-    mul = h.parent.mul_table
-    k_idx = np.array(k.member_indices(), dtype=np.int32)
-    mask = 0
-    for a in h.member_indices():
-        for p in mul[a, k_idx]:
-            mask |= 1 << int(p)
-    return mask
-
-
 def is_product_subgroup(h: Subgroup, k: Subgroup) -> bool:
     """True iff the set product HK is itself a subgroup.
 
@@ -456,18 +443,17 @@ def is_product_subgroup(h: Subgroup, k: Subgroup) -> bool:
     """
     _require_same_parent(h, k, "is_product_subgroup")
     parent = h.parent
-    mask = product_set_mask(h, k)
+    mul = parent._mul_rows
+    k_members = k.member_indices()
+    mask = 0
+    for a in h.member_indices():
+        row = mul[a]
+        for b in k_members:
+            mask |= 1 << row[b]
     if parent.order % mask.bit_count() != 0:
         return False
     members = parent.subgroup(mask).member_indices()
-    mul = parent.mul_table
-    idx = np.array(members, dtype=np.int32)
-    for a in members:
-        row = mul[a, idx]
-        for p in row:
-            if not mask >> int(p) & 1:
-                return False
-    return True
+    return all(mask >> mul[a][b] & 1 for a in members for b in members)
 
 
 def is_normal(h: Subgroup, ambient: Subgroup) -> bool:
@@ -495,7 +481,11 @@ def _image_mask(perm: Sequence[int], members: Iterable[int]) -> int:
 
 
 def is_abelian(g: Group) -> bool:
-    return bool(np.array_equal(g.mul_table, g.mul_table.T))
+    """True iff the generators commute pairwise (all elements when g
+    records no generators)."""
+    gens = g.generator_indices or range(g.order)
+    mul = g._mul_rows
+    return all(mul[a][b] == mul[b][a] for a in gens for b in gens)
 
 
 @dataclass(frozen=True)
@@ -542,6 +532,13 @@ class SubgroupLattice:
         return table
 
 
+def _require_lattice_cap(g: Group, cap: int) -> None:
+    """Raise ValueError when g is too large for a subgroup lattice."""
+    if g.order > cap:
+        raise ValueError(
+            f"group {g.name!r} of order {g.order} exceeds the lattice cap {cap}")
+
+
 def all_subgroups(g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
     """Enumerate the complete subgroup lattice of g.
 
@@ -552,9 +549,7 @@ def all_subgroups(g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
     of K outside H. Each subgroup keeps the generator list it was found
     with, so an extension closes that list plus one element.
     """
-    if g.order > cap:
-        raise ValueError(
-            f"group {g.name!r} of order {g.order} exceeds the lattice cap {cap}")
+    _require_lattice_cap(g, cap)
     gens_of: Dict[int, List[int]] = {}
     cyclic_reps: List[Tuple[int, int]] = []  # (mask of <x>, x)
     for x in range(g.order):

@@ -5,11 +5,10 @@ lattice and evaluates the selected inequalities exactly. Four optional
 prune rules cut the space:
 
   theory_common_info  skip tuples whose (G1, G2) pair makes the product
-                      G1 G2 a subgroup (nested, either normal, abelian
-                      ambient, or explicit product check); the ten
-                      five-variable inequalities hold on all of those, so
-                      the rule only arms when every selected inequality is
-                      one of the ten.
+                      G1 G2 a subgroup, i.e. |G1||G2| = |G1∩G2|·|G1∨G2|;
+                      (X1, X2) then has a common information and the ten
+                      five-variable inequalities hold, so the rule only
+                      arms when every selected inequality is one of the ten.
   order_class         group-level classification: all ten hold on abelian
                       groups and groups of order pq, and on p^2 q / p q^2
                       groups with normal Sylow subgroup they can only fail
@@ -34,9 +33,10 @@ order the lattice cap admits.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,7 +46,7 @@ from .catalog import CatalogIndex
 from .entropy_eval import EntropyVector, entropy_vector, evaluate
 from .ineq_dsl import DFZ_IDS, InequalitySpec, builtin, resolve_ids, symmetry_group
 from .perm_core import (Group, Subgroup, SubgroupLattice, all_subgroups, is_abelian,
-                        is_product_subgroup, prime_factors)
+                        prime_factors)
 
 __all__ = [
     "PRUNE_RULES",
@@ -67,22 +67,23 @@ PRUNE_RULES = ("theory_common_info", "order_class", "conjugacy", "ineq_symmetry"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """What to scan: inequalities, prune rules, parallelism, output cap."""
+    """What to scan: inequalities, prune rules, parallelism, output cap.
+
+    tuple_arity is derived, not set: the largest variable index of the
+    selected inequalities.
+    """
 
     inequality_ids: Tuple[str, ...]
     prune_flags: FrozenSet[str] = frozenset(PRUNE_RULES)
     worker_count: int = 1
-    tuple_arity: int = 5
     emit_limit: Optional[int] = None
+    tuple_arity: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.inequality_ids:
             raise ValueError("at least one inequality id is required")
-        arity = max(builtin(i).n_vars for i in self.inequality_ids)
-        if self.tuple_arity != arity:
-            raise ValueError(
-                f"tuple_arity {self.tuple_arity} does not match the selected "
-                f"inequalities (max variable index {arity})")
+        object.__setattr__(self, "tuple_arity",
+                           max(builtin(i).n_vars for i in self.inequality_ids))
         unknown = set(self.prune_flags) - set(PRUNE_RULES)
         if unknown:
             raise ValueError(f"unknown prune flags: {', '.join(sorted(unknown))}")
@@ -106,10 +107,8 @@ class SearchConfig:
                 flags = frozenset(s.strip() for s in prune.split(",") if s.strip())
         else:
             flags = frozenset(prune)
-        arity = max(builtin(i).n_vars for i in ids)
         return SearchConfig(inequality_ids=ids, prune_flags=flags,
-                            worker_count=jobs, tuple_arity=arity,
-                            emit_limit=emit_limit)
+                            worker_count=jobs, emit_limit=emit_limit)
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,7 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
         balance += c
         (pos if c > 0 else neg).append((pm, abs(c)))
     sources = []
-    for perm in symmetry_group(spec).perms:
+    for perm in symmetry_group(spec):
         ext = tuple(perm) + tuple(range(len(perm) + 1, arity + 1))
         src = tuple(ext.index(j + 1) for j in range(arity))
         if src != tuple(range(arity)):
@@ -253,25 +252,21 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
 
 
 class _ScanState:
-    """Everything a worker needs; built in the parent, inherited via fork."""
+    """Everything a worker needs; built in the parent, inherited via fork.
+
+    `restricted_order` is the subgroup order positions 1 and 2 shrink to
+    under order_class (None when that rule is off or does not apply).
+    """
 
     def __init__(self, g: Group, lattice: SubgroupLattice, cfg: SearchConfig,
-                 domains: List[np.ndarray], pair_prunable: Optional[np.ndarray],
                  restricted_order: Optional[int]) -> None:
         self.group = g
-        self.lattice = lattice
-        self.cfg = cfg
+        self.n = n = cfg.tuple_arity
         self.specs = [builtin(i) for i in cfg.inequality_ids]
-        self.plans = [_compile_spec(s, cfg.tuple_arity) for s in self.specs]
-        self.domains = domains
-        self.sizes = [len(d) for d in domains]
-        n = cfg.tuple_arity
-        self.tails = [int(np.prod(self.sizes[d + 1:], dtype=np.int64))
-                      for d in range(n)]
-        self.pair_prunable = pair_prunable
-        self.restricted_order = restricted_order
+        self.plans = [_compile_spec(s, n) for s in self.specs]
         self.conj_on = "conjugacy" in cfg.prune_flags
         self.sym_on = "ineq_symmetry" in cfg.prune_flags
+        self.restricted_order = restricted_order
         masks = [s.mask for s in lattice.subgroups]
         index = {mask: i for i, mask in enumerate(masks)}
         # meet[i, j]: lattice index of Gi ∩ Gj; the last subgroup is G itself
@@ -283,6 +278,35 @@ class _ScanState:
         self.exact = [g.order ** p.degree >= 2 ** 63 for p in self.plans]
         self.exact_orders = self.orders.astype(object)
         self.conj_table = lattice.conjugation_table() if self.conj_on else None
+        full = np.arange(len(masks), dtype=np.int64)
+        self.domains = [full] * n
+        if restricted_order is not None:
+            sel = np.nonzero(self.orders == restricted_order)[0]
+            self.domains[:2] = [sel, sel]
+        self.sizes = [len(d) for d in self.domains]
+        self.tails = [math.prod(self.sizes[d + 1:]) for d in range(n)]
+        self.pair_prunable = (_pair_prunable_matrix(self.meet, self.orders)
+                              if _theory_armed(cfg, "theory_common_info") else None)
+
+
+def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """[i, j] is True when the product set Gi Gj is a subgroup.
+
+    Gi Gj has |Gi||Gj| / |Gi ∩ Gj| elements and lies inside the join
+    Gi ∨ Gj, so it is a subgroup exactly when |Gi||Gj| = |Gi ∩ Gj|·|Gi ∨ Gj|.
+    The join is the first subgroup of the (order, mask)-sorted lattice
+    that contains both, found one row at a time. The ten five-variable
+    inequalities hold on every tuple with such a (G1, G2) pair, whatever
+    occupies the other positions.
+    """
+    m = len(orders)
+    # contains[j, k]: Gj is a subgroup of Gk
+    contains = meet == np.arange(m)[:, None]
+    out = np.empty((m, m), dtype=bool)
+    for i in range(m):
+        join = np.argmax(contains & contains[i], axis=1)
+        out[i] = orders[i] * orders == orders[meet[i]] * orders[join]
+    return out
 
 
 _FORK_STATE: Optional[_ScanState] = None
@@ -296,7 +320,7 @@ def _scan_chunk(chunk: np.ndarray) -> Tuple[List[tuple], Dict[str, int], int, in
     """
     st = _FORK_STATE
     assert st is not None
-    n = st.cfg.tuple_arity
+    n = st.n
     counters = {rule: 0 for rule in PRUNE_RULES}
     cells: List[tuple] = []
     stats = {"evaluated": 0, "violations": 0, "equalities": 0}
@@ -336,7 +360,7 @@ def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
                 prefix: np.ndarray, counters: Dict[str, int],
                 cells: List[tuple], stats: Dict[str, int]) -> None:
     """Vectorized evaluation over the last two tuple positions."""
-    n = st.cfg.tuple_arity
+    n = st.n
     dom_a, dom_b = st.domains[n - 2], st.domains[n - 1]
     da, db = len(dom_a), len(dom_b)
     if da == 0 or db == 0:
@@ -415,75 +439,23 @@ def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
     counters["ineq_symmetry"] += int(alive.sum()) - evaluated_here
 
 
+def _theory_armed(cfg: SearchConfig, rule: str) -> bool:
+    """Whether a theorem-derived rule is on: selected, and every selected
+    inequality is one of the ten five-variable ones it is proved for."""
+    return rule in cfg.prune_flags and set(cfg.inequality_ids) <= set(DFZ_IDS)
+
+
 def _run_chunks(state: _ScanState, chunks: List[np.ndarray]):
     global _FORK_STATE
     _FORK_STATE = state
     try:
-        if state.cfg.worker_count == 1 or len(chunks) <= 1:
+        if len(chunks) <= 1:
             return [_scan_chunk(c) for c in chunks]
         with ProcessPoolExecutor(max_workers=len(chunks),
                                  mp_context=get_context("fork")) as pool:
             return list(pool.map(_scan_chunk, chunks))
     finally:
         _FORK_STATE = None
-
-
-def _prepare(g: Group, cfg: SearchConfig, lattice: Optional[SubgroupLattice]):
-    """Shared setup for scan_group and check_simultaneous."""
-    if lattice is None:
-        lattice = all_subgroups(g)
-    m = len(lattice.subgroups)
-    n = cfg.tuple_arity
-    total = m ** n
-    counters = {rule: 0 for rule in PRUNE_RULES}
-    theory_armed = set(cfg.inequality_ids) <= set(DFZ_IDS)
-    cls = order_class(g, lattice)
-
-    if "order_class" in cfg.prune_flags and theory_armed and cls.skips_group:
-        counters["order_class"] = total
-        return lattice, cls, counters, total, None
-
-    full = np.arange(m, dtype=np.int64)
-    domains = [full] * n
-    if "order_class" in cfg.prune_flags and theory_armed and cls.pair_order:
-        sel = np.nonzero(np.array([s.order for s in lattice.subgroups])
-                         == cls.pair_order)[0].astype(np.int64)
-        domains = [sel, sel] + [full] * (n - 2)
-        counters["order_class"] = total - len(sel) ** 2 * m ** (n - 2)
-
-    pair = None
-    if "theory_common_info" in cfg.prune_flags and theory_armed:
-        pair = _pair_prunable_matrix(g, lattice)
-
-    restricted = cls.pair_order if ("order_class" in cfg.prune_flags
-                                    and theory_armed) else None
-    state = _ScanState(g, lattice, cfg, domains, pair, restricted)
-    return lattice, cls, counters, total, state
-
-
-def _pair_prunable_matrix(g: Group, lattice: SubgroupLattice) -> np.ndarray:
-    """[i, j] is True when the product Gi Gj must be a subgroup.
-
-    Nested, either normal (from the lattice's cached flags), an abelian
-    ambient group, or an explicit product check. The ten five-variable
-    inequalities hold on every tuple with such a (G1, G2) pair, whatever
-    occupies the other positions.
-    """
-    subs = lattice.subgroups
-    m = len(subs)
-    out = np.zeros((m, m), dtype=bool)
-    if is_abelian(g):
-        out[:] = True
-        return out
-    normal = np.array(lattice.normal_flags, dtype=bool)
-    for i in range(m):
-        for j in range(i, m):
-            inter = subs[i].mask & subs[j].mask
-            hit = (normal[i] or normal[j]
-                   or inter == subs[i].mask or inter == subs[j].mask
-                   or is_product_subgroup(subs[i], subs[j]))
-            out[i, j] = out[j, i] = hit
-    return out
 
 
 def _chunk_domain(domain: np.ndarray, workers: int) -> List[np.ndarray]:
@@ -519,11 +491,20 @@ def scan_group(g: Group, cfg: SearchConfig,
     bitsets) so output does not depend on worker_count.
     """
     t0 = time.perf_counter()
-    lattice, cls, counters, total, state = _prepare(g, cfg, lattice)
+    if lattice is None:
+        lattice = all_subgroups(g)
+    total = len(lattice.subgroups) ** cfg.tuple_arity
+    counters = {rule: 0 for rule in PRUNE_RULES}
+    cls = order_class(g, lattice)
+    by_class = _theory_armed(cfg, "order_class")
 
     witnesses: List[Witness] = []
     evaluated = violations = equalities = 0
-    if state is not None:
+    if by_class and cls.skips_group:
+        counters["order_class"] = total
+    else:
+        state = _ScanState(g, lattice, cfg, cls.pair_order if by_class else None)
+        counters["order_class"] = total - math.prod(state.sizes)
         chunks = _chunk_domain(state.domains[0], cfg.worker_count)
         spec_by_id = {s.id: s for s in state.specs}
         for cells, part_counters, ev_n, viol_n, eq_n in _run_chunks(state, chunks):
@@ -564,30 +545,21 @@ def check_simultaneous(g: Group, pair: Tuple[InequalitySpec, InequalitySpec],
                        ) -> List[Tuple[Subgroup, ...]]:
     """Tuples violating both inequalities at once, up to conjugacy.
 
-    Runs with the verdict-preserving prunes only: per-inequality symmetry
-    reduction is disabled because it is relative to a single inequality,
-    and a tuple is reported only if it violates both.
+    One scan_group call with every prune rule except ineq_symmetry, which
+    is relative to a single inequality; a tuple is reported only if it is
+    a witness for both.
     """
     ids = tuple(s.id for s in pair)
     if any(not i for i in ids):
         raise ValueError("check_simultaneous needs builtin (named) inequalities")
-    arity = max(s.n_vars for s in pair)
-    flags = {"conjugacy"}
-    if set(ids) <= set(DFZ_IDS):
-        flags |= {"theory_common_info", "order_class"}
-    cfg = SearchConfig(inequality_ids=ids, prune_flags=frozenset(flags),
-                       worker_count=1, tuple_arity=arity)
-    lattice, _, _, _, state = _prepare(g, cfg, lattice)
-    if state is None:
-        return []
+    cfg = SearchConfig(inequality_ids=tuple(dict.fromkeys(ids)),
+                       prune_flags=frozenset(PRUNE_RULES) - {"ineq_symmetry"})
+    witnesses, _ = scan_group(g, cfg, lattice)
     hits: Dict[str, set] = {i: set() for i in ids}
-    for cells, _, _, _, _ in _run_chunks(state, [state.domains[0]]):
-        for spec_id, idx in cells:
-            hits[spec_id].add(idx)
-    out = [tuple(lattice.subgroups[i] for i in idx)
-           for idx in hits[ids[0]] & hits[ids[1]]]
-    out.sort(key=lambda subs: tuple(s.mask for s in subs))
-    return out
+    for w in witnesses:
+        hits[w.inequality_id].add(w.masks)
+    return [tuple(g.subgroup(m) for m in masks)
+            for masks in sorted(hits[ids[0]] & hits[ids[1]])]
 
 
 def survey(cat: CatalogIndex, orders: Iterable[int], cfg: SearchConfig,

@@ -76,8 +76,8 @@ def test_criterion_03_d20_gi_values():
     g, (g1, g2, g5) = realize_paper_tuple("d20-example")
     r12 = gi(g, g1, g2)
     r15 = gi(g, g1, g5)
-    assert (r12.num, r12.den) == (5, 1)
-    assert (r15.num, r15.den) == (5, 2)
+    assert (r12.numerator, r12.denominator) == (5, 1)
+    assert (r15.numerator, r15.denominator) == (5, 2)
 
 
 def test_criterion_04_survey_finds_smallest_violator_at_24():

@@ -340,6 +340,16 @@ def test_cli_populates_cache_dir(capsys, tmp_path):
     assert list(d.glob("*.json"))
 
 
+def test_max_order_applies_on_cache_hit(capsys, tmp_path):
+    # a warm cache must not let a scan bypass --max-order
+    d = str(tmp_path / "c")
+    assert run(["groups", "show", "S4", "--cache-dir", d], capsys)[0] == 0
+    code, out, err = run(["scan", "S4", "--max-order", "10", "--cache-dir", d], capsys)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the lattice cap 10" in err
+
+
 def test_group_hash_distinguishes_groups():
     cat = load_catalog()
     assert cli.group_hash(cat.realize("S4")) != cli.group_hash(cat.realize("A4"))

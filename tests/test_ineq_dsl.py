@@ -169,16 +169,17 @@ def test_symmetry_group_orders_frozen():
     want = {"ingleton": 4, "dfz1": 2, "dfz2": 2, "dfz3": 1, "dfz4": 1,
             "dfz5": 1, "dfz6": 2, "dfz7": 1, "dfz8": 12, "dfz9": 2, "dfz10": 1}
     for iid, n in want.items():
-        sg = symmetry_group(builtin(iid))
-        assert len(sg.perms) == n, iid
-        assert sg.perms[0] == tuple(range(1, sg.n_vars + 1))
+        spec = builtin(iid)
+        sg = symmetry_group(spec)
+        assert len(sg) == n, iid
+        assert sg[0] == tuple(range(1, spec.n_vars + 1))
 
 
 def test_symmetry_group_members():
     ing = symmetry_group(builtin("ingleton"))
-    assert set(ing.perms) == {(1, 2, 3, 4), (1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 4, 3)}
-    assert (1, 2, 4, 3, 5) in symmetry_group(builtin("dfz1")).perms
-    assert (1, 5, 4, 3, 2) in symmetry_group(builtin("dfz2")).perms
+    assert set(ing) == {(1, 2, 3, 4), (1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 4, 3)}
+    assert (1, 2, 4, 3, 5) in symmetry_group(builtin("dfz1"))
+    assert (1, 5, 4, 3, 2) in symmetry_group(builtin("dfz2"))
 
 
 def apply_perm(coeffs, perm):
@@ -194,7 +195,7 @@ def test_symmetry_group_exactness():
         spec = builtin(iid)
         sg = symmetry_group(spec)
         cd = coeff_dict(spec)
-        members = set(sg.perms)
+        members = set(sg)
         for perm in itertools.permutations(range(1, spec.n_vars + 1)):
             fixed = apply_perm(cd, perm) == cd
             assert fixed == (perm in members), (iid, perm)
@@ -203,7 +204,7 @@ def test_symmetry_group_exactness():
 def test_symmetry_group_closed():
     for iid in ("ingleton", "dfz8"):
         sg = symmetry_group(builtin(iid))
-        members = set(sg.perms)
+        members = set(sg)
         for a in members:
             for b in members:
                 comp = tuple(a[b[i] - 1] for i in range(len(a)))

@@ -7,12 +7,12 @@ from groupineq.catalog import (cyclic, direct_product, load_catalog, realize,
                                realize_paper_tuple)
 from groupineq.entropy_eval import entropy_vector, evaluate
 from groupineq.ineq_dsl import DFZ_IDS, builtin
-from groupineq.perm_core import all_subgroups, conjugate_tuple
+from groupineq.perm_core import all_subgroups, conjugate_tuple, is_product_subgroup
 from groupineq.search_engine import (
     PRUNE_RULES,
     OrderClass,
     SearchConfig,
-    _pair_prunable_matrix,
+    _ScanState,
     canonical_tuple_key,
     check_simultaneous,
     order_class,
@@ -48,8 +48,6 @@ def test_search_config_validation():
         SearchConfig.make(jobs=0)
     with pytest.raises(ValueError, match="unknown inequality id"):
         SearchConfig.make(ineqs="dfz99")
-    with pytest.raises(ValueError, match="tuple_arity"):
-        SearchConfig(inequality_ids=("ingleton",), tuple_arity=5)
     with pytest.raises(ValueError, match="emit_limit"):
         SearchConfig.make(emit_limit=-1)
 
@@ -98,20 +96,32 @@ def test_order_class_q_is_the_normal_sylow(cat):
         assert lat.normal_flags[i], name
 
 
+def pair_prunable(g):
+    lat = all_subgroups(g)
+    state = _ScanState(g, lat, SearchConfig.make(ineqs="dfz"), None)
+    return lat, state.pair_prunable
+
+
 def test_prune_applicable_matches_oracle(cat):
     # the pair-prune rule fires exactly when the product set is a subgroup
     g = cat.realize("S4")
-    lat = all_subgroups(g)
+    lat, prunable = pair_prunable(g)
     elems = [tuple(p.images) for p in g.elements]
     members = [{elems[i] for i in s.member_indices()} for s in lat.subgroups]
-    prunable = _pair_prunable_matrix(g, lat)
     for i, hs in enumerate(members):
         for j, ks in enumerate(members):
             closed = oracles.is_closed_under_mul(oracles.product_set(hs, ks))
             assert prunable[i, j] == closed, (i, j)
 
-    ab = cat.realize("C12")
-    assert _pair_prunable_matrix(ab, all_subgroups(ab)).all()
+    assert pair_prunable(cat.realize("C12"))[1].all()
+
+    # |Gi||Gj| = |Gi ∩ Gj|·|Gi ∨ Gj| against the explicit product check
+    for order in range(1, 25):
+        for name in cat.by_order.get(order, ()):
+            lat, prunable = pair_prunable(cat.realize(name))
+            for i, h in enumerate(lat.subgroups):
+                for j, k in enumerate(lat.subgroups):
+                    assert prunable[i, j] == is_product_subgroup(h, k), (name, i, j)
 
 
 def test_scan_s4_finds_reference_witnesses(cat, lattice_for):

@@ -70,11 +70,11 @@ def central_product_d8_c4() -> GroupDef:
             continue
         coset_id[i] = len(reps)
         for k in n_members:
-            coset_id[int(big.mul_table[i, k])] = len(reps)
+            coset_id[big.mul(i, k)] = len(reps)
         reps.append(i)
 
     def mult(a: int, b: int) -> int:
-        return coset_id[int(big.mul_table[reps[a], reps[b]])]
+        return coset_id[big.mul(reps[a], reps[b])]
 
     gens = sorted({coset_id[gi] for gi in big.generator_indices} - {0})
     return regular_def("D8oC4", len(reps), mult, gens, "central-product")
