@@ -17,7 +17,8 @@ from math import factorial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .perm_core import Group, Permutation, Subgroup, closure, is_isomorphic, is_prime
+from .perm_core import (Group, Permutation, Subgroup, closure, is_isomorphic, is_prime,
+                        prime_factors)
 
 __all__ = [
     "EXPECTED_CLASS_COUNTS",
@@ -198,25 +199,11 @@ def pgl2(q: int) -> GroupDef:
     gens = [translate, invert]
     if q > 2:
         root = next(r for r in range(2, q + 1)
-                    if all(pow(r, (q - 1) // p, q) != 1 for p in _prime_divisors(q - 1)))
+                    if all(pow(r, (q - 1) // p, q) != 1 for p in prime_factors(q - 1)))
         scale_images = [point(root * v) - 1 for v in range(q)] + [inf - 1]
         gens.insert(1, Permutation(tuple(scale_images)).cycle_string())
     return _def(f"PGL2({q})", q + 1, [g for g in gens if g != "()"],
                 q * (q - 1) * (q + 1), "projective-linear")
-
-
-def _prime_divisors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

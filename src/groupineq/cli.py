@@ -237,7 +237,7 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> List[
     return out
 
 
-def _subset_key(subset_orders: Dict, n: int) -> List[Tuple[str, int]]:
+def _subset_key(subset_orders: Dict) -> List[Tuple[str, int]]:
     items = []
     for a in sorted(subset_orders, key=lambda s: (len(s), tuple(sorted(s)))):
         items.append(("".join(str(i) for i in sorted(a)), subset_orders[a]))
@@ -253,7 +253,7 @@ def witness_dict(w: Witness) -> Dict[str, object]:
         "subgroup_orders": [ev.order([i]) for i in range(1, ev.n + 1)],
         "lhs_product": str(w.lhs_product),
         "rhs_product": str(w.rhs_product),
-        "subset_orders": {name: order for name, order in _subset_key(ev.subset_orders, ev.n)},
+        "subset_orders": {name: order for name, order in _subset_key(ev.subset_orders)},
         "masks": [str(m) for m in w.masks],
     }
 
@@ -425,7 +425,7 @@ def cmd_check(args) -> Tuple[Report, int]:
                        "generators": list(s.generator_strings()),
                        "order": s.order} for i, s in enumerate(subs)],
         "verdicts": verdicts,
-        "subset_orders": {k: v for k, v in _subset_key(ev.subset_orders, ev.n)},
+        "subset_orders": {k: v for k, v in _subset_key(ev.subset_orders)},
     }
     config = {"group": g.name, "ineqs": list(ids),
               "tuple": args.tuple, "subgroups": args.subgroups}

@@ -11,14 +11,18 @@ prune rules cut the space:
                       arms when every selected inequality is one of the ten.
   order_class         group-level classification: all ten hold on abelian
                       groups and groups of order pq, and on p^2 q / p q^2
-                      groups with normal Sylow subgroup they can only fail
+                      groups with normal Sylow q-subgroup they can only fail
                       when |G1| = |G2| = p, so positions 1 and 2 shrink to
                       the order-p subgroups. Armed under the same
                       all-selected-are-dfz condition.
   conjugacy           keep one tuple per simultaneous-conjugation orbit
                       (the lexicographically least); entropy vectors are
                       conjugation-invariant, so this is verdict-preserving
-                      for every inequality.
+                      for every inequality. With C the stabilizer of the
+                      chosen prefix, s survives at the next position when
+                      no x in C has lower[x, s] (x Gs x^-1 precedes Gs),
+                      and the longer prefix has stabilizer
+                      {x in C : fixes[x, s]} (x normalizes Gs).
   ineq_symmetry       per inequality, evaluate only tuples least in their
                       orbit under the inequality's variable symmetries.
 
@@ -82,6 +86,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not self.inequality_ids:
             raise ValueError("at least one inequality id is required")
+        if len(set(self.inequality_ids)) != len(self.inequality_ids):
+            raise ValueError(
+                f"repeated inequality ids: {', '.join(self.inequality_ids)}")
         object.__setattr__(self, "tuple_arity",
                            max(builtin(i).n_vars for i in self.inequality_ids))
         unknown = set(self.prune_flags) - set(PRUNE_RULES)
@@ -223,7 +230,6 @@ class _SpecPlan:
     spec_id: str
     pos_terms: Tuple[Tuple[int, int], ...]   # (position bitmask, exponent)
     neg_terms: Tuple[Tuple[int, int], ...]
-    balance: int
     degree: int   # larger side's exponent sum: each side is at most |G|**degree
     # each symmetry as source indices: coordinate j of the permuted tuple
     # is coordinate src[j] of the original (identity omitted)
@@ -231,13 +237,14 @@ class _SpecPlan:
 
 
 def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
+    # builtins are sums of mutual informations, so both sides carry the
+    # same number of H() terms and no power of |G| is left over
+    assert sum(spec.coeffs.values()) == 0, spec.id
     pos, neg = [], []
-    balance = 0
     for subset, c in sorted(spec.coeffs.items(), key=lambda kv: sorted(kv[0])):
         pm = 0
         for i in subset:
             pm |= 1 << (i - 1)
-        balance += c
         (pos if c > 0 else neg).append((pm, abs(c)))
     sources = []
     for perm in symmetry_group(spec):
@@ -245,10 +252,9 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
         src = tuple(ext.index(j + 1) for j in range(arity))
         if src != tuple(range(arity)):
             sources.append(src)
-    degree = max(sum(e for _, e in pos) + max(0, -balance),
-                 sum(e for _, e in neg) + max(0, balance))
+    degree = max(sum(e for _, e in pos), sum(e for _, e in neg))
     return _SpecPlan(spec_id=spec.id, pos_terms=tuple(pos), neg_terms=tuple(neg),
-                     balance=balance, degree=degree, sym_sources=tuple(sources))
+                     degree=degree, sym_sources=tuple(sources))
 
 
 class _ScanState:
@@ -264,7 +270,6 @@ class _ScanState:
         self.n = n = cfg.tuple_arity
         self.specs = [builtin(i) for i in cfg.inequality_ids]
         self.plans = [_compile_spec(s, n) for s in self.specs]
-        self.conj_on = "conjugacy" in cfg.prune_flags
         self.sym_on = "ineq_symmetry" in cfg.prune_flags
         self.restricted_order = restricted_order
         masks = [s.mask for s in lattice.subgroups]
@@ -277,7 +282,16 @@ class _ScanState:
         # plans whose sides can reach 2**63 multiply Python ints instead
         self.exact = [g.order ** p.degree >= 2 ** 63 for p in self.plans]
         self.exact_orders = self.orders.astype(object)
-        self.conj_table = lattice.conjugation_table() if self.conj_on else None
+        # lower[x, s]: x Gs x^-1 precedes Gs; fixes[x, s]: x normalizes Gs.
+        # Rows are the elements the scan quotients by; with conjugacy off
+        # that is the identity alone, which prunes nothing.
+        if "conjugacy" in cfg.prune_flags:
+            table = lattice.conjugation_table()
+            own = np.arange(len(masks))
+            self.lower, self.fixes = table < own, table == own
+        else:
+            self.lower = np.zeros((1, len(masks)), dtype=bool)
+            self.fixes = ~self.lower
         full = np.arange(len(masks), dtype=np.int64)
         self.domains = [full] * n
         if restricted_order is not None:
@@ -312,75 +326,67 @@ def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
 _FORK_STATE: Optional[_ScanState] = None
 
 
-def _scan_chunk(chunk: np.ndarray) -> Tuple[List[tuple], Dict[str, int], int, int, int]:
+_TALLY_KEYS = PRUNE_RULES + ("evaluated", "violations", "equalities")
+
+
+def _scan_chunk(chunk: np.ndarray) -> Tuple[List[tuple], Dict[str, int]]:
     """Scan all tuples whose first position lies in `chunk`.
 
-    Returns raw violation cells (spec_id, index tuple), the prune
-    counters, evaluated count, violation count and equality count.
+    Returns raw violation cells (spec_id, index tuple) and one tally:
+    tuples pruned per rule, tuples evaluated, and (tuple, inequality)
+    violations and equalities.
     """
     st = _FORK_STATE
     assert st is not None
     n = st.n
-    counters = {rule: 0 for rule in PRUNE_RULES}
+    tally = dict.fromkeys(_TALLY_KEYS, 0)
     cells: List[tuple] = []
-    stats = {"evaluated": 0, "violations": 0, "equalities": 0}
 
-    all_elements = np.arange(st.group.order, dtype=np.int64)
+    def survivors(depth: int, chosen: List[int], cand: np.ndarray) -> np.ndarray:
+        # the position-`depth` subgroups left after the pair rule and the
+        # conjugacy rule under the prefix stabilizer `cand`
+        domain = chunk if depth == 0 else st.domains[depth]
+        if depth == 1 and st.pair_prunable is not None:
+            hit = st.pair_prunable[chosen[0], domain]
+            tally["theory_common_info"] += int(hit.sum()) * st.tails[1]
+            domain = domain[~hit]
+        hit = st.lower[cand][:, domain].any(axis=0)
+        tally["conjugacy"] += int(hit.sum()) * st.tails[depth]
+        return domain[~hit]
 
     def descend(depth: int, chosen: List[int], cand: np.ndarray,
                 prefix: np.ndarray) -> None:
         # prefix[pm] is the lattice index of the intersection of the chosen
         # subgroups at the positions in bitmask pm (pm = 0 gives G)
-        domain = chunk if depth == 0 else st.domains[depth]
-        for s in domain:
+        for s in survivors(depth, chosen, cand):
             s = int(s)
-            if depth == 1 and st.pair_prunable is not None and \
-                    st.pair_prunable[chosen[0], s]:
-                counters["theory_common_info"] += st.tails[1]
-                continue
-            if st.conj_on:
-                vals = st.conj_table[cand, s]
-                if np.any(vals < s):
-                    counters["conjugacy"] += st.tails[depth]
-                    continue
-                tied = cand[vals == s]
-            else:
-                tied = cand
+            stab = cand[st.fixes[cand, s]]
             ext = np.concatenate((prefix, st.meet[prefix, s]))
             if depth == n - 3:
-                _grid_stage(st, chosen + [s], tied, ext, counters, cells, stats)
+                _grid_stage(st, chosen + [s], stab, ext, tally, cells)
             else:
-                descend(depth + 1, chosen + [s], tied, ext)
+                descend(depth + 1, chosen + [s], stab, ext)
 
-    descend(0, [], all_elements, np.array([st.top], dtype=np.intp))
-    return cells, counters, stats["evaluated"], stats["violations"], stats["equalities"]
+    descend(0, [], np.arange(len(st.lower)), np.array([st.top], dtype=np.intp))
+    return cells, tally
 
 
 def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
-                prefix: np.ndarray, counters: Dict[str, int],
-                cells: List[tuple], stats: Dict[str, int]) -> None:
+                prefix: np.ndarray, tally: Dict[str, int],
+                cells: List[tuple]) -> None:
     """Vectorized evaluation over the last two tuple positions."""
     n = st.n
     dom_a, dom_b = st.domains[n - 2], st.domains[n - 1]
     da, db = len(dom_a), len(dom_b)
-    if da == 0 or db == 0:
-        return
 
-    alive = np.ones((da, db), dtype=bool)
-    if st.conj_on:
-        vals_a = st.conj_table[cand][:, dom_a] if len(cand) else None
-        if vals_a is not None and len(cand):
-            bad_a = np.any(vals_a < dom_a[None, :], axis=0)
-            counters["conjugacy"] += int(bad_a.sum()) * db
-            alive[bad_a, :] = False
-            for ia in np.nonzero(~bad_a)[0]:
-                tied = cand[vals_a[:, ia] == dom_a[ia]]
-                if len(tied) == 0:
-                    continue
-                bad_b = np.any(st.conj_table[tied][:, dom_b] < dom_b[None, :], axis=0)
-                counters["conjugacy"] += int(bad_b.sum())
-                alive[ia, bad_b] = False
-    if not alive.any():
+    # conjugacy: row a dies when some x in cand moves Ga lower; cell (a, b)
+    # when some x in cand normalizes Ga and moves Gb lower
+    lower, fixes = st.lower[cand], st.fixes[cand]
+    alive = ~(lower[:, dom_a].any(axis=0)[:, None]
+              | (fixes[:, dom_a].T @ lower[:, dom_b]))
+    alive_n = int(alive.sum())
+    tally["conjugacy"] += alive.size - alive_n
+    if not alive_n:
         return
 
     # lattice indices of every subset's intersection, by subset bitmask:
@@ -394,7 +400,6 @@ def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
                     if any(st.exact) else None)
     coord_arrays = list(chosen) + [a, b]
 
-    parent_order = st.group.order
     eval_any = np.zeros((da, db), dtype=bool)
     for plan, exact in zip(st.plans, st.exact):
         orders = exact_orders if exact else subset_orders
@@ -403,10 +408,6 @@ def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
             lhs = lhs * orders[pm] ** e
         for pm, e in plan.neg_terms:
             rhs = rhs * orders[pm] ** e
-        if plan.balance > 0:
-            rhs = rhs * parent_order ** plan.balance
-        elif plan.balance < 0:
-            lhs = lhs * parent_order ** (-plan.balance)
 
         canon = alive.copy()
         if st.sym_on and plan.sym_sources:
@@ -428,15 +429,15 @@ def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
                     eq = eq & (x == y)
                 canon &= ~(lt & in_region)
         eval_any |= canon
-        stats["equalities"] += int(((lhs == rhs) & canon).sum())
+        tally["equalities"] += int(((lhs == rhs) & canon).sum())
         for ia, ib in zip(*np.nonzero((lhs > rhs) & canon)):
             idx = tuple(chosen) + (int(dom_a[ia]), int(dom_b[ib]))
             cells.append((plan.spec_id, idx))
-            stats["violations"] += 1
+            tally["violations"] += 1
 
     evaluated_here = int(eval_any.sum())
-    stats["evaluated"] += evaluated_here
-    counters["ineq_symmetry"] += int(alive.sum()) - evaluated_here
+    tally["evaluated"] += evaluated_here
+    tally["ineq_symmetry"] += alive_n - evaluated_here
 
 
 def _theory_armed(cfg: SearchConfig, rule: str) -> bool:
@@ -494,25 +495,21 @@ def scan_group(g: Group, cfg: SearchConfig,
     if lattice is None:
         lattice = all_subgroups(g)
     total = len(lattice.subgroups) ** cfg.tuple_arity
-    counters = {rule: 0 for rule in PRUNE_RULES}
+    tally = dict.fromkeys(_TALLY_KEYS, 0)
     cls = order_class(g, lattice)
     by_class = _theory_armed(cfg, "order_class")
 
     witnesses: List[Witness] = []
-    evaluated = violations = equalities = 0
     if by_class and cls.skips_group:
-        counters["order_class"] = total
+        tally["order_class"] = total
     else:
         state = _ScanState(g, lattice, cfg, cls.pair_order if by_class else None)
-        counters["order_class"] = total - math.prod(state.sizes)
+        tally["order_class"] = total - math.prod(state.sizes)
         chunks = _chunk_domain(state.domains[0], cfg.worker_count)
         spec_by_id = {s.id: s for s in state.specs}
-        for cells, part_counters, ev_n, viol_n, eq_n in _run_chunks(state, chunks):
-            for rule, c in part_counters.items():
-                counters[rule] += c
-            evaluated += ev_n
-            violations += viol_n
-            equalities += eq_n
+        for cells, part in _run_chunks(state, chunks):
+            for key, c in part.items():
+                tally[key] += c
             for spec_id, idx in cells:
                 witnesses.append(_build_witness(g, lattice, spec_by_id[spec_id], idx))
 
@@ -531,10 +528,10 @@ def scan_group(g: Group, cfg: SearchConfig,
                         f"|G1|=|G2|={cls.p} shape: got {o1}, {o2}")
 
     report = PruneReport(tuples_total=total,
-                         tuples_pruned_by_rule=counters,
-                         tuples_evaluated=evaluated,
-                         violations_found=violations,
-                         equality_cases=equalities,
+                         tuples_pruned_by_rule={r: tally[r] for r in PRUNE_RULES},
+                         tuples_evaluated=tally["evaluated"],
+                         violations_found=tally["violations"],
+                         equality_cases=tally["equalities"],
                          wall_time=time.perf_counter() - t0)
     report.check_invariant()
     return witnesses, report

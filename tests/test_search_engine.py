@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from groupineq.catalog import (cyclic, direct_product, load_catalog, realize,
@@ -50,6 +51,9 @@ def test_search_config_validation():
         SearchConfig.make(ineqs="dfz99")
     with pytest.raises(ValueError, match="emit_limit"):
         SearchConfig.make(emit_limit=-1)
+    # a repeated id would be scanned, and counted, twice
+    with pytest.raises(ValueError, match="repeated inequality ids"):
+        SearchConfig(("dfz1", "dfz1"))
 
 
 def test_order_class_kinds(cat):
@@ -169,6 +173,28 @@ def test_scan_prune_variants_agree(cat, lattice_for):
     assert [w.sort_key() for w in full] == [w.sort_key() for w in conj_only]
     assert rep.tuples_pruned_by_rule["theory_common_info"] == 0
     assert rep.tuples_pruned_by_rule["ineq_symmetry"] == 0
+
+
+def test_conjugacy_keeps_one_tuple_per_orbit(cat, lattice_for):
+    # Burnside: G acting by simultaneous conjugation on n-tuples of
+    # subgroups has (1/|G|)·Σ_x fix(x)^n orbits, where fix(x) is the
+    # number of subgroups x normalizes
+    cases = 0
+    for order in range(1, 25):
+        for name in cat.by_order.get(order, ()):
+            g = cat.realize(name)
+            lat = lattice_for(name)
+            m = len(lat.subgroups)
+            fix = [int(f) for f in (lat.conjugation_table() == np.arange(m)).sum(axis=1)]
+            for ineqs, n in (("ingleton", 4), ("dfz3", 5)):
+                if n == 5 and m > 12:
+                    continue
+                _, rep = scan_group(g, SearchConfig.make(ineqs=ineqs, prune="conjugacy"), lat)
+                orbits, rest = divmod(sum(f ** n for f in fix), g.order)
+                assert rest == 0, (name, n)
+                assert rep.tuples_evaluated == orbits, (name, n)
+                cases += 1
+    assert cases == 118
 
 
 def test_scan_workers_deterministic(cat, lattice_for):
