@@ -219,7 +219,7 @@ class Report:
 
     def to_markdown(self) -> str:
         lines = [f"# gil {self.command}", ""]
-        lines.extend(_md_results(self.command, self.config, self.results))
+        lines.extend(_md_results(self.command, self.results, self.timings))
         if self.timings:
             parts = ", ".join(f"{k} {v:.2f}s" for k, v in self.timings.items())
             lines += ["", f"_timings: {parts}_"]
@@ -274,7 +274,7 @@ def prune_report_dict(rep: PruneReport) -> Dict[str, object]:
     }
 
 
-def _md_results(command: str, config: Dict[str, object], results) -> List[str]:
+def _md_results(command: str, results, timings: Dict[str, float]) -> List[str]:
     if command == "check":
         return _md_check(results)
     if command == "scan":
@@ -286,7 +286,7 @@ def _md_results(command: str, config: Dict[str, object], results) -> List[str]:
     if command == "groups":
         return _md_groups(results)
     if command == "verify-paper":
-        return _md_verify(results)
+        return _md_verify(results, timings)
     return [json.dumps(results, indent=2)]
 
 
@@ -364,11 +364,11 @@ def _md_groups(res: Dict) -> List[str]:
     return lines
 
 
-def _md_verify(res: Dict) -> List[str]:
+def _md_verify(res: Dict, timings: Dict[str, float]) -> List[str]:
     lines = []
     for c in res["claims"]:
         mark = "PASS" if c["ok"] else "FAIL"
-        lines.append(f"{mark}  {c['claim']:<28} {c['seconds']:.2f}s  {c['detail']}")
+        lines.append(f"{mark}  {c['claim']:<28} {timings[c['claim']]:.2f}s  {c['detail']}")
     lines += ["", f"{res['passed']}/{res['total']} claims passed"]
     return lines
 
@@ -658,11 +658,10 @@ def _claim_s5_ingleton(jobs: int, cache: LatticeCache) -> str:
     cat = load_catalog()
     g = cat.realize("S5")
     cfg = SearchConfig.make(ineqs="ingleton", prune="all", jobs=jobs)
-    witnesses, rep = scan_group(g, cfg, cache.get(g))
+    witnesses, _ = scan_group(g, cfg, cache.get(g))
     if not witnesses:
         raise AssertionError("no witness found")
-    return (f"{len(witnesses)} witnesses over {len(cache.get(g))} subgroups "
-            f"in {rep.wall_time:.1f}s")
+    return f"{len(witnesses)} witnesses over {len(cache.get(g))} subgroups"
 
 
 def cmd_verify_paper(args) -> Tuple[Report, int]:
@@ -681,7 +680,7 @@ def cmd_verify_paper(args) -> Tuple[Report, int]:
     if args.stretch:
         claims.append(("s5-ingleton-witness",
                        lambda: _claim_s5_ingleton(jobs, cache)))
-    rows = []
+    rows, timings = [], {}
     t_all = time.perf_counter()
     for name, fn in claims:
         t0 = time.perf_counter()
@@ -691,13 +690,13 @@ def cmd_verify_paper(args) -> Tuple[Report, int]:
         except Exception as e:  # noqa: BLE001 - a claim failing is the result
             detail = f"{type(e).__name__}: {e}"
             ok = False
-        rows.append({"claim": name, "ok": ok, "detail": detail,
-                     "seconds": round(time.perf_counter() - t0, 3)})
+        rows.append({"claim": name, "ok": ok, "detail": detail})
+        timings[name] = time.perf_counter() - t0
     passed = sum(1 for r in rows if r["ok"])
     results = {"claims": rows, "passed": passed, "total": len(rows)}
     config = {"stretch": bool(args.stretch), "jobs": jobs}
-    rep = Report("verify-paper", config, results,
-                 {"total": time.perf_counter() - t_all})
+    timings["total"] = time.perf_counter() - t_all
+    rep = Report("verify-paper", config, results, timings)
     return rep, (0 if passed == len(rows) else 1)
 
 

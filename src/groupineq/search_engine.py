@@ -28,15 +28,23 @@ prune rules cut the space:
 
 Every intersection of subgroups is itself a subgroup, so a subset order
 |G_A| is a chain of lookups in a meet table (the lattice index of
-Gi ∩ Gj) followed by one order lookup. The last two positions of a tuple
-are evaluated as a vectorized grid. A side of an inequality whose
-exponents sum to d is at most |G|^d; it is multiplied in int64 when
-|G|^d < 2^63 and in Python ints otherwise, so verdicts are exact at every
-order the lattice cap admits.
+Gi ∩ Gj) followed by one order lookup. The first n-3 positions of a tuple
+are chosen one at a time; the last three are evaluated together as a
+(C, D, E) numpy block, C the surviving position n-3 subgroups and D = E
+the whole lattice. A subset's orders broadcast over only the block axes
+it contains, each distinct power |G_A|^e is gathered once per block and
+shared by every inequality, and each distinct set of variable symmetries
+builds its canon mask once per block. The C axis is split so that a
+block holds at most _BLOCK_CELLS cells (a single D x E slice when that
+alone is larger), which bounds the scan's memory. A side of an
+inequality whose exponents sum to d is at most |G|^d; it is multiplied
+in int64 when |G|^d < 2^63 and in Python ints otherwise, so verdicts are
+exact at every order the lattice cap admits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -63,7 +71,6 @@ __all__ = [
     "order_class",
     "check_simultaneous",
     "survey",
-    "canonical_tuple_key",
 ]
 
 PRUNE_RULES = ("theory_common_info", "order_class", "conjugacy", "ineq_symmetry")
@@ -207,17 +214,12 @@ def order_class(g: Group, lattice: Optional[SubgroupLattice] = None) -> OrderCla
     if len(factors) == 2 and exps == [1, 2]:
         squared = next(p for p, e in factors.items() if e == 2)
         plain = next(p for p, e in factors.items() if e == 1)
-        if _sylow_count(g, plain, lattice) == 1:
+        sylow = (lattice if lattice is not None else all_subgroups(g)).sylow_index
+        if len(sylow[plain]) == 1:
             return OrderClass("p2q_normal_sylow_q", p=squared, q=plain)
-        if _sylow_count(g, squared, lattice) == 1:
+        if len(sylow[squared]) == 1:
             return OrderClass("pq2_normal_sylow_q", p=plain, q=squared)
     return OrderClass("unconstrained")
-
-
-def _sylow_count(g: Group, p: int, lattice: Optional[SubgroupLattice]) -> int:
-    if lattice is None:
-        lattice = all_subgroups(g)
-    return len(lattice.sylow_index[p])
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +227,7 @@ def _sylow_count(g: Group, p: int, lattice: Optional[SubgroupLattice]) -> int:
 
 @dataclass(frozen=True)
 class _SpecPlan:
-    """One inequality compiled for grid evaluation at a fixed arity."""
+    """One inequality compiled for block evaluation at a fixed arity."""
 
     spec_id: str
     pos_terms: Tuple[Tuple[int, int], ...]   # (position bitmask, exponent)
@@ -240,11 +242,13 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
     # builtins are sums of mutual informations, so both sides carry the
     # same number of H() terms and no power of |G| is left over
     assert sum(spec.coeffs.values()) == 0, spec.id
+    # within a side, terms with fewer of the last three (block) positions
+    # come first, so a side grows to the full block shape as late as it can
     pos, neg = [], []
-    for subset, c in sorted(spec.coeffs.items(), key=lambda kv: sorted(kv[0])):
-        pm = 0
-        for i in subset:
-            pm |= 1 << (i - 1)
+    for subset, c in sorted(spec.coeffs.items(),
+                            key=lambda kv: (sum(i > arity - 3 for i in kv[0]),
+                                            sorted(kv[0]))):
+        pm = sum(1 << (i - 1) for i in subset)
         (pos if c > 0 else neg).append((pm, abs(c)))
     sources = []
     for perm in symmetry_group(spec):
@@ -270,7 +274,9 @@ class _ScanState:
         self.n = n = cfg.tuple_arity
         self.specs = [builtin(i) for i in cfg.inequality_ids]
         self.plans = [_compile_spec(s, n) for s in self.specs]
-        self.sym_on = "ineq_symmetry" in cfg.prune_flags
+        # per plan, the variable symmetries its canon mask quotients by
+        self.sym_keys = [p.sym_sources if "ineq_symmetry" in cfg.prune_flags else ()
+                         for p in self.plans]
         self.restricted_order = restricted_order
         masks = [s.mask for s in lattice.subgroups]
         index = {mask: i for i, mask in enumerate(masks)}
@@ -279,9 +285,13 @@ class _ScanState:
                              dtype=np.intp)
         self.top = len(masks) - 1
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
-        # plans whose sides can reach 2**63 multiply Python ints instead
+        # plans whose sides can reach 2**63 multiply Python ints instead;
+        # powers[e, exact][i] is |Gi|**e in the plan's arithmetic
         self.exact = [g.order ** p.degree >= 2 ** 63 for p in self.plans]
-        self.exact_orders = self.orders.astype(object)
+        self.factors = {(pm, e, x) for p, x in zip(self.plans, self.exact)
+                        for pm, e in p.pos_terms + p.neg_terms}
+        self.powers = {(e, x): (self.orders.astype(object) if x else self.orders) ** e
+                       for _, e, x in self.factors}
         # lower[x, s]: x Gs x^-1 precedes Gs; fixes[x, s]: x normalizes Gs.
         # Rows are the elements the scan quotients by; with conjugacy off
         # that is the identity alone, which prunes nothing.
@@ -358,86 +368,100 @@ def _scan_chunk(chunk: np.ndarray) -> Tuple[List[tuple], Dict[str, int]]:
                 prefix: np.ndarray) -> None:
         # prefix[pm] is the lattice index of the intersection of the chosen
         # subgroups at the positions in bitmask pm (pm = 0 gives G)
-        for s in survivors(depth, chosen, cand):
-            s = int(s)
-            stab = cand[st.fixes[cand, s]]
-            ext = np.concatenate((prefix, st.meet[prefix, s]))
-            if depth == n - 3:
-                _grid_stage(st, chosen + [s], stab, ext, tally, cells)
-            else:
-                descend(depth + 1, chosen + [s], stab, ext)
+        found = survivors(depth, chosen, cand)
+        if depth == n - 3:
+            _block_stage(st, chosen, cand, prefix, found, tally, cells)
+            return
+        for s in found.tolist():
+            descend(depth + 1, chosen + [s], cand[st.fixes[cand, s]],
+                    np.concatenate((prefix, st.meet[prefix, s])))
 
     descend(0, [], np.arange(len(st.lower)), np.array([st.top], dtype=np.intp))
     return cells, tally
 
 
-def _grid_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
-                prefix: np.ndarray, tally: Dict[str, int],
-                cells: List[tuple]) -> None:
-    """Vectorized evaluation over the last two tuple positions."""
-    n = st.n
-    dom_a, dom_b = st.domains[n - 2], st.domains[n - 1]
-    da, db = len(dom_a), len(dom_b)
+# most cells in one (C, D, E) block: its arrays take ~130 bytes a cell, so
+# 2**12 stays near 0.5 MB (2**14 ran faster but added ~2 MB of peak RSS)
+_BLOCK_CELLS = 1 << 12
 
-    # conjugacy: row a dies when some x in cand moves Ga lower; cell (a, b)
-    # when some x in cand normalizes Ga and moves Gb lower
+
+def _block_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
+                 prefix: np.ndarray, firsts: np.ndarray, tally: Dict[str, int],
+                 cells: List[tuple]) -> None:
+    """Vectorized evaluation over the last three tuple positions.
+
+    `firsts` are the position n-3 subgroups that survived the prefix;
+    they are split so that each (C, D, E) block holds at most
+    _BLOCK_CELLS cells, or one of them when a D x E slice alone is
+    larger. Positions n-2 and n-1 range over the whole lattice
+    (order_class only restricts positions 1 and 2), so D = E = m.
+    """
+    m = len(st.orders)
     lower, fixes = st.lower[cand], st.fixes[cand]
-    alive = ~(lower[:, dom_a].any(axis=0)[:, None]
-              | (fixes[:, dom_a].T @ lower[:, dom_b]))
-    alive_n = int(alive.sum())
-    tally["conjugacy"] += alive.size - alive_n
-    if not alive_n:
-        return
+    every = np.arange(m)
+    step = max(1, _BLOCK_CELLS // (m * m))
+    for start in range(0, len(firsts), step):
+        dom_c = firsts[start:start + step]
 
-    # lattice indices of every subset's intersection, by subset bitmask:
-    # the prefix subsets, then each joined with position a, with b, and
-    # with both; broadcasting gives scalars, columns, rows and grids
-    a, b = dom_a[:, None], dom_b[None, :]
-    rows = st.meet[prefix]
-    parts = (prefix, rows[:, a], rows[:, b], rows[:, st.meet[a, b]])
-    subset_orders = [o for part in parts for o in st.orders[part]]
-    exact_orders = ([o for part in parts for o in st.exact_orders[part]]
-                    if any(st.exact) else None)
-    coord_arrays = list(chosen) + [a, b]
+        # conjugacy: (c, d) dies when some x in cand normalizes Gc and
+        # moves Gd lower; (c, d, e) when some x normalizes Gc and Gd and
+        # moves Ge lower
+        fix_c = fixes[:, dom_c]
+        fix_cd = (fix_c[:, :, None] & fixes[:, None, :]).reshape(len(cand), -1)
+        alive = ~((fix_c.T @ lower)[:, :, None] | (fix_cd.T @ lower).reshape(-1, m, m))
+        alive_n = int(np.count_nonzero(alive))
+        tally["conjugacy"] += alive.size - alive_n
+        if not alive_n:
+            continue
 
-    eval_any = np.zeros((da, db), dtype=bool)
-    for plan, exact in zip(st.plans, st.exact):
-        orders = exact_orders if exact else subset_orders
-        lhs = rhs = 1
-        for pm, e in plan.pos_terms:
-            lhs = lhs * orders[pm] ** e
-        for pm, e in plan.neg_terms:
-            rhs = rhs * orders[pm] ** e
+        coords = list(chosen) + [dom_c[:, None, None], every[:, None], every]
+        # lattice index of each subset's intersection, by subset bitmask
+        # pm = low | hi << (n-3): for each pattern hi of block positions,
+        # one gather over every prefix subset low, shaped to broadcast over
+        # only the block axes in hi (a whole-lattice axis is a meet row)
+        rows = st.meet[prefix]
+        with_c = rows[:, dom_c]
+        with_cd = st.meet[with_c]
+        parts = (prefix, with_c[:, :, None, None], rows[:, None, :, None],
+                 with_cd[:, :, :, None], rows[:, None, None, :],
+                 with_cd[:, :, None, :], st.meet[rows][:, None], st.meet[with_cd])
+        meets = [part[low] for part in parts for low in range(len(prefix))]
 
-        canon = alive.copy()
-        if st.sym_on and plan.sym_sources:
-            for src in plan.sym_sources:
-                lt = np.zeros((da, db), dtype=bool)
-                eq = np.ones((da, db), dtype=bool)
-                in_region = True
-                if st.restricted_order is not None:
-                    for tgt in (0, 1):
-                        j = src[tgt]
-                        if j in (0, 1):
-                            continue
-                        in_region = in_region & (
-                            st.orders[coord_arrays[j]] == st.restricted_order)
-                for j in range(n):
-                    x = coord_arrays[src[j]]
-                    y = coord_arrays[j]
-                    lt = lt | (eq & (x < y))
-                    eq = eq & (x == y)
-                canon &= ~(lt & in_region)
-        eval_any |= canon
-        tally["equalities"] += int(((lhs == rhs) & canon).sum())
-        for ia, ib in zip(*np.nonzero((lhs > rhs) & canon)):
-            idx = tuple(chosen) + (int(dom_a[ia]), int(dom_b[ib]))
-            cells.append((plan.spec_id, idx))
-            tally["violations"] += 1
+        # canon masks: each symmetry once, each distinct set of them once
+        kept = {src: ~_lex_smaller(st, coords, src)
+                for src in {src for key in st.sym_keys for src in key}}
+        canons = {key: functools.reduce(np.logical_and, (kept[s] for s in key), alive)
+                  for key in set(st.sym_keys)}
+        # each distinct power |G_A|**e once, shared by every plan; a side
+        # multiplies its terms in order, smallest shapes first
+        powers = {(pm, e, x): st.powers[e, x][meets[pm]] for pm, e, x in st.factors}
+        for plan, exact, key in zip(st.plans, st.exact, st.sym_keys):
+            lhs, rhs = (math.prod(powers[pm, e, exact] for pm, e in terms)
+                        for terms in (plan.pos_terms, plan.neg_terms))
+            tally["equalities"] += int(np.count_nonzero((lhs == rhs) & canons[key]))
+            violated = (lhs > rhs) & canons[key]
+            if violated.any():
+                for c, d, e in zip(*np.nonzero(violated)):
+                    cells.append((plan.spec_id, (*chosen, int(dom_c[c]), int(d), int(e))))
+                    tally["violations"] += 1
 
-    evaluated_here = int(eval_any.sum())
-    tally["evaluated"] += evaluated_here
-    tally["ineq_symmetry"] += alive_n - evaluated_here
+        evaluated_n = int(np.count_nonzero(np.logical_or.reduce(list(canons.values()))))
+        tally["evaluated"] += evaluated_n
+        tally["ineq_symmetry"] += alive_n - evaluated_n
+
+
+def _lex_smaller(st: _ScanState, coords: list, src: Tuple[int, ...]) -> np.ndarray:
+    """Cells whose image under the symmetry `src` is lexicographically
+    smaller, and still inside the order_class region."""
+    lt, eq = False, True
+    for j in range(st.n):
+        if src[j] != j:
+            lt = lt | (eq & (coords[src[j]] < coords[j]))
+            eq = eq & (coords[src[j]] == coords[j])
+    for j in src[:2]:
+        if j > 1 and st.restricted_order is not None:
+            lt = lt & (st.orders[coords[j]] == st.restricted_order)
+    return np.asarray(lt)
 
 
 def _theory_armed(cfg: SearchConfig, rule: str) -> bool:
@@ -517,11 +541,13 @@ def scan_group(g: Group, cfg: SearchConfig,
     if cfg.emit_limit is not None:
         witnesses = witnesses[:cfg.emit_limit]
 
-    if cls.pair_order is not None:
+    # the theorem order_class rests on: a dfz witness in such a group has
+    # |G1| = |G2| = p. With the rule armed, positions 1 and 2 only ever
+    # held order-p subgroups, so the check can only fail with it off.
+    if cls.pair_order is not None and not by_class:
         for w in witnesses:
             if w.inequality_id in DFZ_IDS:
-                o1 = w.subset_orders.order([1])
-                o2 = w.subset_orders.order([2])
+                o1, o2 = (w.subset_orders.order([i]) for i in (1, 2))
                 if not (o1 == o2 == cls.p):
                     raise AssertionError(
                         f"{cls.kind} witness in {g.name} breaks the "
@@ -588,19 +614,3 @@ def survey(cat: CatalogIndex, orders: Iterable[int], cfg: SearchConfig,
                                             report=None, error=str(e))
     return results
 
-
-def canonical_tuple_key(lattice: SubgroupLattice,
-                        subs: Sequence[Subgroup]) -> Tuple[int, ...]:
-    """Least index tuple over the simultaneous-conjugation orbit.
-
-    Two tuples are conjugate exactly when their keys coincide; used to
-    compare found witnesses against reference tuples.
-    """
-    ct = lattice.conjugation_table()
-    idx = np.array([lattice.index_of(s.mask) for s in subs], dtype=np.int64)
-    best: Optional[Tuple[int, ...]] = None
-    for x in range(lattice.group.order):
-        candidate = tuple(int(v) for v in ct[x, idx])
-        if best is None or candidate < best:
-            best = candidate
-    return best

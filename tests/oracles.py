@@ -107,6 +107,19 @@ def is_closed_under_mul(subset: Set[Perm]) -> bool:
     return all(p_mul(a, b) in subset for a in subset for b in subset)
 
 
+def canonical_tuple_key(elements: Iterable[Perm], lattice: Sequence[FrozenSet[Perm]],
+                        subgroups: Sequence[FrozenSet[Perm]]) -> Tuple[int, ...]:
+    """Least tuple of positions in `lattice` over the orbit of `subgroups`
+    under simultaneous conjugation by `elements`.
+
+    Two tuples are conjugate exactly when their keys coincide.
+    """
+    position = {s: i for i, s in enumerate(lattice)}
+    return min(tuple(position[frozenset(p_mul(p_mul(x, h), p_inv(x)) for h in s)]
+                     for s in subgroups)
+               for x in elements)
+
+
 def evaluate_fraction(parent_order: int,
                       subset_orders: Dict[FrozenSet[int], int],
                       coeffs: Dict[FrozenSet[int], int]) -> Fraction:

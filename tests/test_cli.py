@@ -407,7 +407,14 @@ def test_verify_paper_fast_claims(capsys, cache_dir):
                      "s4-scan-witnesses", "a4-exhaustive-scan",
                      "smallest-violator-survey"]
     assert all(r["ok"] for r in rows)
-    assert all(r["seconds"] >= 0 for r in rows)
+    assert all(doc["timings"][r["claim"]] >= 0 for r in rows)
+
+
+def test_verify_paper_results_repeat(capsys, cache_dir):
+    # run timings go under "timings" only, so results are reproducible
+    _, first, _ = run_json(["verify-paper", "--jobs", "2"], capsys)
+    _, second, _ = run_json(["verify-paper", "--jobs", "2"], capsys)
+    assert first["results"] == second["results"]
 
 
 def test_verify_paper_reports_failure(capsys, cache_dir, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from groupineq.catalog import (cyclic, direct_product, load_catalog, realize,
                                realize_paper_tuple)
 from groupineq.entropy_eval import entropy_vector, evaluate
+from groupineq import search_engine
 from groupineq.ineq_dsl import DFZ_IDS, builtin
 from groupineq.perm_core import all_subgroups, conjugate_tuple, is_product_subgroup
 from groupineq.search_engine import (
@@ -14,7 +15,6 @@ from groupineq.search_engine import (
     OrderClass,
     SearchConfig,
     _ScanState,
-    canonical_tuple_key,
     check_simultaneous,
     order_class,
     scan_group,
@@ -128,6 +128,17 @@ def test_prune_applicable_matches_oracle(cat):
                     assert prunable[i, j] == is_product_subgroup(h, k), (name, i, j)
 
 
+def tuple_key(g, lat):
+    # oracles.canonical_tuple_key on plain permutation tuples
+    elems = [tuple(p.images) for p in g.elements]
+
+    def members(subs):
+        return [frozenset(elems[i] for i in s.member_indices()) for s in subs]
+
+    lattice = members(lat.subgroups)
+    return lambda subs: oracles.canonical_tuple_key(elems, lattice, members(subs))
+
+
 def test_scan_s4_finds_reference_witnesses(cat, lattice_for):
     g = cat.realize("S4")
     lat = lattice_for("S4")
@@ -144,14 +155,13 @@ def test_scan_s4_finds_reference_witnesses(cat, lattice_for):
         assert w.group_name == "S4"
 
     # both named reference tuples occur among the witnesses up to conjugacy
+    key = tuple_key(g, lat)
     keys = {w.inequality_id: set() for w in witnesses}
     for w in witnesses:
-        subs = [g.subgroup(m) for m in w.masks]
-        keys[w.inequality_id].add(canonical_tuple_key(lat, subs))
+        keys[w.inequality_id].add(key([g.subgroup(m) for m in w.masks]))
     for name, iid in (("s4-dfz1", "dfz1"), ("s4-dfz3", "dfz3")):
         _, subs = realize_paper_tuple(name)
-        subs = [g.subgroup(s.mask) for s in subs]
-        assert canonical_tuple_key(lat, subs) in keys[iid], name
+        assert key([g.subgroup(s.mask) for s in subs]) in keys[iid], name
 
 
 def test_scan_witnesses_reevaluate(cat, lattice_for):
@@ -220,9 +230,11 @@ def test_scan_a4_exhaustive_no_pruning(cat, lattice_for):
     report.check_invariant()
 
 
-@pytest.mark.parametrize("name, ineqs", [("S3", "dfz"), ("A4", "ingleton")])
+@pytest.mark.parametrize("name, ineqs", [("S3", "dfz"), ("A4", "ingleton"),
+                                         ("Q8", "all")])
 def test_scan_counts_match_evaluate(cat, lattice_for, name, ineqs):
-    # the grid kernel's per-tuple verdicts against the reference evaluator
+    # the block kernel's per-tuple verdicts against the reference
+    # evaluator; with "all", ingleton's sides never reach position 5
     g = cat.realize(name)
     lat = lattice_for(name)
     cfg = SearchConfig.make(ineqs=ineqs, prune="none")
@@ -237,6 +249,21 @@ def test_scan_counts_match_evaluate(cat, lattice_for, name, ineqs):
             equalities += v.lhs_product == v.rhs_product
     assert report.tuples_evaluated == len(lat.subgroups) ** cfg.tuple_arity
     assert (report.violations_found, report.equality_cases) == (violations, equalities)
+
+
+@pytest.mark.parametrize("name, ineqs", [("S4", "dfz"), ("S4", "ingleton"),
+                                         ("A4", "ingleton")])
+def test_block_splitting_keeps_results(cat, lattice_for, monkeypatch, name, ineqs):
+    # a budget below one (D, E) slice puts each position n-3 subgroup in
+    # a block of its own
+    g, lat = cat.realize(name), lattice_for(name)
+    cfg = SearchConfig.make(ineqs=ineqs)
+    whole, whole_rep = scan_group(g, cfg, lat)
+    monkeypatch.setattr(search_engine, "_BLOCK_CELLS", 3)
+    split, split_rep = scan_group(g, cfg, lat)
+    assert [w.sort_key() for w in split] == [w.sort_key() for w in whole]
+    whole_rep.wall_time = split_rep.wall_time = 0.0
+    assert split_rep == whole_rep
 
 
 def test_scan_exact_above_int64():
@@ -318,15 +345,15 @@ def test_check_simultaneous_never_fires(cat, lattice_for):
 def test_canonical_tuple_key(cat, lattice_for):
     g = cat.realize("S4")
     lat = lattice_for("S4")
+    key = tuple_key(g, lat)
     rng = random.Random(4)
     for _ in range(30):
         subs = tuple(rng.choice(lat.subgroups) for _ in range(4))
-        key = canonical_tuple_key(lat, subs)
         x = rng.randrange(g.order)
-        assert canonical_tuple_key(lat, conjugate_tuple(g, subs, x)) == key
+        assert key(conjugate_tuple(g, subs, x)) == key(subs)
     a = (lat.subgroups[1], lat.subgroups[2])
     b = (lat.subgroups[1], lat.subgroups[1])
-    assert canonical_tuple_key(lat, a) != canonical_tuple_key(lat, b)
+    assert key(a) != key(b)
 
 
 def test_survey_small_orders(cat, lattice_for):
