@@ -40,6 +40,15 @@ alone is larger), which bounds the scan's memory. A side of an
 inequality whose exponents sum to d is at most |G|^d; it is multiplied
 in int64 when |G|^d < 2^63 and in Python ints otherwise, so verdicts are
 exact at every order the lattice cap admits.
+
+A scan runs in three steps: plan (lattice, order class, scan state),
+run, finish (sum the tallies, rebuild and sort the witnesses, check the
+prune accounting). scan_group does them for one group; survey plans
+every group first, runs all of their tasks, then finishes each. A task
+is one first-position subgroup of one group. At jobs 1 the tasks run
+inline. At jobs >= 2 every group's state is built before one fork pool
+starts, the workers inherit the states through fork, and the pool hands
+out tasks as workers free up.
 """
 
 from __future__ import annotations
@@ -149,6 +158,12 @@ class PruneReport:
     A tuple counts as evaluated if at least one selected inequality was
     evaluated on it; violations_found and equality_cases count
     (tuple, inequality) pairs, before any emit_limit truncation.
+
+    wall_time from scan_group is the call's elapsed seconds. On a survey
+    entry it is the group's own set-up and finish seconds plus the worker
+    seconds its scan tasks took: at jobs 1 that is what scan_group would
+    report, and at jobs >= 2 it sums work done in parallel, so entries can
+    add up to more than the survey's elapsed time.
     """
 
     tuples_total: int
@@ -238,7 +253,9 @@ class _SpecPlan:
     sym_sources: Tuple[Tuple[int, ...], ...]
 
 
+@functools.lru_cache(maxsize=None)
 def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
+    # cached: a survey's scans share one compiled plan per inequality
     # builtins are sums of mutual informations, so both sides carry the
     # same number of H() terms and no power of |G| is left over
     assert sum(spec.coeffs.values()) == 0, spec.id
@@ -262,7 +279,10 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
 
 
 class _ScanState:
-    """Everything a worker needs; built in the parent, inherited via fork.
+    """Everything a worker needs to scan one group.
+
+    Built in the parent by _plan; a survey builds every scanned group's
+    state before its one fork, so the pool's workers inherit them all.
 
     `restricted_order` is the subgroup order positions 1 and 2 shrink to
     under order_class (None when that rule is off or does not apply).
@@ -333,21 +353,17 @@ def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return out
 
 
-_FORK_STATE: Optional[_ScanState] = None
-
-
 _TALLY_KEYS = PRUNE_RULES + ("evaluated", "violations", "equalities")
 
 
-def _scan_chunk(chunk: np.ndarray) -> Tuple[List[tuple], Dict[str, int]]:
-    """Scan all tuples whose first position lies in `chunk`.
+def _scan_chunk(st: _ScanState, chunk: np.ndarray
+                ) -> Tuple[List[tuple], Dict[str, int]]:
+    """Scan all of st's tuples whose first position lies in `chunk`.
 
     Returns raw violation cells (spec_id, index tuple) and one tally:
     tuples pruned per rule, tuples evaluated, and (tuple, inequality)
     violations and equalities.
     """
-    st = _FORK_STATE
-    assert st is not None
     n = st.n
     tally = dict.fromkeys(_TALLY_KEYS, 0)
     cells: List[tuple] = []
@@ -470,24 +486,6 @@ def _theory_armed(cfg: SearchConfig, rule: str) -> bool:
     return rule in cfg.prune_flags and set(cfg.inequality_ids) <= set(DFZ_IDS)
 
 
-def _run_chunks(state: _ScanState, chunks: List[np.ndarray]):
-    global _FORK_STATE
-    _FORK_STATE = state
-    try:
-        if len(chunks) <= 1:
-            return [_scan_chunk(c) for c in chunks]
-        with ProcessPoolExecutor(max_workers=len(chunks),
-                                 mp_context=get_context("fork")) as pool:
-            return list(pool.map(_scan_chunk, chunks))
-    finally:
-        _FORK_STATE = None
-
-
-def _chunk_domain(domain: np.ndarray, workers: int) -> List[np.ndarray]:
-    k = max(1, min(workers, len(domain)))
-    return [domain[i::k] for i in range(k)]
-
-
 def _build_witness(g: Group, lattice: SubgroupLattice, spec: InequalitySpec,
                    idx: Tuple[int, ...]) -> Witness:
     subs = [lattice.subgroups[i] for i in idx]
@@ -506,15 +504,21 @@ def _build_witness(g: Group, lattice: SubgroupLattice, spec: InequalitySpec,
                    masks=tuple(s.mask for s in subs))
 
 
-def scan_group(g: Group, cfg: SearchConfig,
-               lattice: Optional[SubgroupLattice] = None
-               ) -> Tuple[List[Witness], PruneReport]:
-    """All violations of the selected inequalities over g's subgroup tuples.
+@dataclass
+class _Plan:
+    """One group's scan between set-up (_plan) and completion (_finish)."""
 
-    Complete up to the enabled prunings, each of which is verdict
-    preserving; the witness list is sorted by (inequality id, subgroup
-    bitsets) so output does not depend on worker_count.
-    """
+    group: Group
+    lattice: SubgroupLattice
+    cls: OrderClass
+    by_class: bool   # order_class armed
+    tally: Dict[str, int]
+    state: Optional[_ScanState]   # None when order_class skips the group
+    seconds: float   # set-up time
+
+
+def _plan(g: Group, cfg: SearchConfig,
+          lattice: Optional[SubgroupLattice]) -> _Plan:
     t0 = time.perf_counter()
     if lattice is None:
         lattice = all_subgroups(g)
@@ -522,16 +526,86 @@ def scan_group(g: Group, cfg: SearchConfig,
     tally = dict.fromkeys(_TALLY_KEYS, 0)
     cls = order_class(g, lattice)
     by_class = _theory_armed(cfg, "order_class")
-
-    witnesses: List[Witness] = []
+    state = None
     if by_class and cls.skips_group:
         tally["order_class"] = total
     else:
         state = _ScanState(g, lattice, cfg, cls.pair_order if by_class else None)
         tally["order_class"] = total - math.prod(state.sizes)
-        chunks = _chunk_domain(state.domains[0], cfg.worker_count)
-        spec_by_id = {s.id: s for s in state.specs}
-        for cells, part in _run_chunks(state, chunks):
+    return _Plan(g, lattice, cls, by_class, tally, state, time.perf_counter() - t0)
+
+
+# the scanned plans' states while _run runs; fork workers inherit them
+_STATES: List[Optional[_ScanState]] = []
+
+
+def _run_task(task: Tuple[int, int]) -> Tuple[List[tuple], Dict[str, int], float]:
+    """_scan_chunk over the i-th first-position subgroup of _STATES[k], timed."""
+    k, i = task
+    st = _STATES[k]
+    t0 = time.perf_counter()
+    cells, tally = _scan_chunk(st, st.domains[0][i:i + 1])
+    return cells, tally, time.perf_counter() - t0
+
+
+def _run(plans: List[_Plan], jobs: int) -> List[object]:
+    """Scan every plan's tuples, one task per first-position subgroup.
+
+    At jobs 1 the tasks run inline; otherwise one fork pool hands them to
+    its workers as they free up. Returns, per plan, its task results, or
+    the first exception (in task order) one of its tasks raised; an
+    AssertionError propagates.
+    """
+    global _STATES
+    tasks = [(k, i) for k, p in enumerate(plans) if p.state
+             for i in range(p.state.sizes[0])]
+    out: List[object] = [[] for _ in plans]
+
+    def take(k: int, result) -> None:
+        if not isinstance(out[k], list):
+            return  # plan k has failed already
+        try:
+            out[k].append(result())
+        except AssertionError:
+            raise
+        except Exception as e:  # noqa: BLE001 - charged to plan k alone
+            out[k] = e
+
+    _STATES = [p.state for p in plans]
+    try:
+        if len(tasks) <= 1 or jobs == 1:
+            for t in tasks:
+                take(t[0], functools.partial(_run_task, t))
+            return out
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 mp_context=get_context("fork")) as pool:
+            futures = [pool.submit(_run_task, t) for t in tasks]
+            try:
+                for t, f in zip(tasks, futures):
+                    take(t[0], f.result)
+            except AssertionError:
+                pool.shutdown(cancel_futures=True)
+                raise
+        return out
+    finally:
+        _STATES = []
+
+
+def _finish(plan: _Plan, cfg: SearchConfig, results: object
+            ) -> Tuple[List[Witness], PruneReport]:
+    """Sum a plan's task tallies, rebuild and sort its witnesses, and check
+    the prune accounting. wall_time is the plan's set-up and finish
+    seconds plus the seconds its tasks took."""
+    if isinstance(results, Exception):
+        raise results
+    t0 = time.perf_counter()
+    g, lattice, cls, tally = plan.group, plan.lattice, plan.cls, plan.tally
+    witnesses: List[Witness] = []
+    task_seconds = 0.0
+    if plan.state is not None:
+        spec_by_id = {s.id: s for s in plan.state.specs}
+        for cells, part, seconds in results:
+            task_seconds += seconds
             for key, c in part.items():
                 tally[key] += c
             for spec_id, idx in cells:
@@ -544,7 +618,7 @@ def scan_group(g: Group, cfg: SearchConfig,
     # the theorem order_class rests on: a dfz witness in such a group has
     # |G1| = |G2| = p. With the rule armed, positions 1 and 2 only ever
     # held order-p subgroups, so the check can only fail with it off.
-    if cls.pair_order is not None and not by_class:
+    if cls.pair_order is not None and not plan.by_class:
         for w in witnesses:
             if w.inequality_id in DFZ_IDS:
                 o1, o2 = (w.subset_orders.order([i]) for i in (1, 2))
@@ -553,13 +627,32 @@ def scan_group(g: Group, cfg: SearchConfig,
                         f"{cls.kind} witness in {g.name} breaks the "
                         f"|G1|=|G2|={cls.p} shape: got {o1}, {o2}")
 
-    report = PruneReport(tuples_total=total,
-                         tuples_pruned_by_rule={r: tally[r] for r in PRUNE_RULES},
-                         tuples_evaluated=tally["evaluated"],
-                         violations_found=tally["violations"],
-                         equality_cases=tally["equalities"],
-                         wall_time=time.perf_counter() - t0)
+    report = PruneReport(
+        tuples_total=len(lattice.subgroups) ** cfg.tuple_arity,
+        tuples_pruned_by_rule={r: tally[r] for r in PRUNE_RULES},
+        tuples_evaluated=tally["evaluated"],
+        violations_found=tally["violations"],
+        equality_cases=tally["equalities"],
+        wall_time=plan.seconds + task_seconds + time.perf_counter() - t0)
     report.check_invariant()
+    return witnesses, report
+
+
+def scan_group(g: Group, cfg: SearchConfig,
+               lattice: Optional[SubgroupLattice] = None
+               ) -> Tuple[List[Witness], PruneReport]:
+    """All violations of the selected inequalities over g's subgroup tuples.
+
+    Complete up to the enabled prunings, each of which is verdict
+    preserving; the witness list is sorted by (inequality id, subgroup
+    bitsets) so output does not depend on worker_count. The report's
+    wall_time is the call's elapsed time.
+    """
+    t0 = time.perf_counter()
+    plan = _plan(g, cfg, lattice)
+    (results,) = _run([plan], cfg.worker_count)
+    witnesses, report = _finish(plan, cfg, results)
+    report.wall_time = time.perf_counter() - t0
     return witnesses, report
 
 
@@ -589,28 +682,44 @@ def survey(cat: CatalogIndex, orders: Iterable[int], cfg: SearchConfig,
            lattice_for=None) -> Dict[str, SurveyEntry]:
     """scan_group over every catalog entry in the order range.
 
-    A failure inside one group is recorded on its entry and the survey
-    moves on; an AssertionError (a broken internal consistency check, such
-    as a witness that does not re-evaluate) propagates. `lattice_for(g)`,
-    when given, supplies subgroup lattices (letting callers plug in a
-    cache); by default each scan builds its own.
+    Every group is set up first, then one run scans them all (one fork
+    pool at jobs >= 2), then each is finished. A failure inside one group
+    is recorded on its entry and the survey moves on; an AssertionError (a
+    broken internal consistency check, such as a witness that does not
+    re-evaluate) propagates. `lattice_for(g)`, when given, supplies
+    subgroup lattices (letting callers plug in a cache); by default each
+    group builds its own. An entry's wall_time is its set-up and finish
+    seconds plus the worker seconds of its tasks, so at jobs 1 it is the
+    time scan_group would take.
     """
-    results: Dict[str, SurveyEntry] = {}
+    rows: List[Tuple[str, int, object]] = []   # name, order, _Plan or error
     for order in sorted(set(orders)):
         for name in cat.by_order.get(order, ()):
             try:
                 g = cat.realize(name)
                 lat = lattice_for(g) if lattice_for is not None else None
-                witnesses, report = scan_group(g, cfg, lat)
-                violated = tuple(sorted({w.inequality_id for w in witnesses}))
-                results[name] = SurveyEntry(group_name=name, order=order,
-                                            witness_count=len(witnesses),
-                                            violated_ids=violated, report=report)
+                rows.append((name, order, _plan(g, cfg, lat)))
             except AssertionError:
                 raise  # an internal consistency check failed: not a bad input
             except Exception as e:  # noqa: BLE001 - survey must keep going
-                results[name] = SurveyEntry(group_name=name, order=order,
-                                            witness_count=0, violated_ids=(),
-                                            report=None, error=str(e))
-    return results
+                rows.append((name, order, e))
 
+    plans = [p for _, _, p in rows if isinstance(p, _Plan)]
+    outcomes = iter(_run(plans, cfg.worker_count))
+    results: Dict[str, SurveyEntry] = {}
+    for name, order, plan in rows:
+        try:
+            if not isinstance(plan, _Plan):
+                raise plan
+            witnesses, report = _finish(plan, cfg, next(outcomes))
+            violated = tuple(sorted({w.inequality_id for w in witnesses}))
+            results[name] = SurveyEntry(group_name=name, order=order,
+                                        witness_count=len(witnesses),
+                                        violated_ids=violated, report=report)
+        except AssertionError:
+            raise
+        except Exception as e:  # noqa: BLE001 - survey must keep going
+            results[name] = SurveyEntry(group_name=name, order=order,
+                                        witness_count=0, violated_ids=(),
+                                        report=None, error=str(e))
+    return results

@@ -454,14 +454,19 @@ def test_markdown_default_format(capsys, cache_dir):
     assert not out.lstrip().startswith("{")
 
 
-def test_internal_error_exit_code(capsys, tmp_path, monkeypatch):
+# every scan, in `scan` and in `survey`, runs _scan_chunk (inline at
+# --jobs 1); at the default --ineqs dfz order_class skips both order-6
+# groups, so the survey selects every inequality to reach a scan
+@pytest.mark.parametrize("argv", [["scan", "S4"], ["survey", "6", "--ineqs", "all"]],
+                         ids=["scan", "survey"])
+def test_internal_error_exit_code(capsys, tmp_path, monkeypatch, argv):
     from groupineq import search_engine
 
     def inconsistent(*args, **kwargs):
         raise AssertionError("deliberately inconsistent")
 
-    monkeypatch.setattr(search_engine, "scan_group", inconsistent)
-    code, out, err = run(["survey", "6", "--cache-dir", str(tmp_path)], capsys)
+    monkeypatch.setattr(search_engine, "_scan_chunk", inconsistent)
+    code, out, err = run(argv + ["--cache-dir", str(tmp_path)], capsys)
     assert code == 3
     assert out == ""
     assert err == "gil: internal error: deliberately inconsistent\n"

@@ -214,9 +214,11 @@ def test_scan_workers_deterministic(cat, lattice_for):
     w4, r4 = scan_group(g, SearchConfig.make(ineqs="dfz", jobs=4), lat)
     assert [w.sort_key() for w in w1] == [w.sort_key() for w in w4]
     assert w1 == w4
+    assert r1.tuples_total == r4.tuples_total
     assert r1.tuples_pruned_by_rule == r4.tuples_pruned_by_rule
     assert r1.tuples_evaluated == r4.tuples_evaluated
     assert r1.violations_found == r4.violations_found
+    assert r1.equality_cases == r4.equality_cases
 
 
 def test_scan_a4_exhaustive_no_pruning(cat, lattice_for):
@@ -369,7 +371,8 @@ def test_survey_small_orders(cat, lattice_for):
         entry.report.check_invariant()
 
 
-def test_survey_records_errors():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_records_errors(jobs):
     class Broken:
         by_order = {6: ("ok", "broken")}
 
@@ -378,13 +381,14 @@ def test_survey_records_errors():
                 raise ValueError("deliberately unbuildable")
             return load_catalog().realize("S3")
 
-    results = survey(Broken(), [6], SearchConfig.make(ineqs="dfz"))
+    results = survey(Broken(), [6], SearchConfig.make(ineqs="dfz", jobs=jobs))
     assert results["ok"].error is None
     assert "deliberately unbuildable" in results["broken"].error
     assert results["broken"].report is None
 
 
-def test_survey_propagates_assertion_errors():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_propagates_assertion_errors(jobs):
     # an internal consistency failure is a bug, not a bad catalog entry
     class Inconsistent:
         by_order = {6: ("broken",)}
@@ -393,7 +397,86 @@ def test_survey_propagates_assertion_errors():
             raise AssertionError("deliberately inconsistent")
 
     with pytest.raises(AssertionError, match="deliberately inconsistent"):
-        survey(Inconsistent(), [6], SearchConfig.make(ineqs="dfz"))
+        survey(Inconsistent(), [6], SearchConfig.make(ineqs="dfz", jobs=jobs))
+
+
+def _fail_scanning(monkeypatch, group_name, error):
+    # forked workers inherit the patched module attribute
+    real = search_engine._scan_chunk
+
+    def scan_chunk(st, chunk):
+        if st.group.name == group_name:
+            raise error("deliberately failing scan")
+        return real(st, chunk)
+
+    monkeypatch.setattr(search_engine, "_scan_chunk", scan_chunk)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_charges_scan_errors_to_their_group(cat, lattice_for, monkeypatch, jobs):
+    # order 8: D8 and Q8 are scanned, the three abelian groups are not
+    _fail_scanning(monkeypatch, "Q8", ValueError)
+    results = survey(cat, [8], SearchConfig.make(ineqs="dfz", jobs=jobs),
+                     lattice_for=lambda g: lattice_for(g.name))
+    assert list(results) == list(cat.by_order[8])
+    assert "deliberately failing scan" in results["Q8"].error
+    assert results["Q8"].report is None
+    for name, entry in results.items():
+        if name != "Q8":
+            assert entry.error is None, name
+            entry.report.check_invariant()
+    assert results["D8"].report.tuples_evaluated > 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_propagates_scan_assertion_errors(cat, lattice_for, monkeypatch, jobs):
+    _fail_scanning(monkeypatch, "Q8", AssertionError)
+    with pytest.raises(AssertionError, match="deliberately failing scan"):
+        survey(cat, [8], SearchConfig.make(ineqs="dfz", jobs=jobs),
+               lattice_for=lambda g: lattice_for(g.name))
+
+
+def test_survey_forks_one_pool(cat, lattice_for, monkeypatch):
+    # every scanned group's tasks share one pool; jobs 1 runs inline
+    made = []
+    real = search_engine.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        made.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search_engine, "ProcessPoolExecutor", counting_pool)
+    for jobs, pools in ((1, 0), (2, 1)):
+        made.clear()
+        results = survey(cat, range(2, 9), SearchConfig.make(ineqs="dfz", jobs=jobs),
+                         lattice_for=lambda g: lattice_for(g.name))
+        assert sum(e.report.tuples_evaluated for e in results.values()) > 0
+        assert len(made) == pools, jobs
+
+
+def test_survey_deterministic_across_jobs(cat, lattice_for):
+    one, two = (survey(cat, range(2, 24), SearchConfig.make(ineqs="dfz", jobs=jobs),
+                       lattice_for=lambda g: lattice_for(g.name))
+                for jobs in (1, 2))
+    assert list(one) == list(two)
+    for entry in list(one.values()) + list(two.values()):
+        assert entry.error is None
+        entry.report.wall_time = 0.0
+    assert one == two
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_finds_s4_witnesses(lattice_for, jobs):
+    class OnlyS4:
+        by_order = {24: ("S4",)}
+
+        def realize(self, name):
+            return load_catalog().realize(name)
+
+    results = survey(OnlyS4(), [24], SearchConfig.make(ineqs="dfz", jobs=jobs),
+                     lattice_for=lambda g: lattice_for(g.name))
+    assert results["S4"].witness_count == 4
+    assert results["S4"].violated_ids == ("dfz1", "dfz3")
 
 
 def test_prune_report_invariant_violation():
