@@ -548,28 +548,25 @@ def _run_task(task: Tuple[int, int]) -> Tuple[List[tuple], Dict[str, int], float
     return cells, tally, time.perf_counter() - t0
 
 
-def _run(plans: List[_Plan], jobs: int) -> List[object]:
+def _run(plans: List[_Plan], jobs: int) -> List[list]:
     """Scan every plan's tuples, one task per first-position subgroup.
 
     At jobs 1 the tasks run inline; otherwise one fork pool hands them to
-    its workers as they free up. Returns, per plan, its task results, or
-    the first exception (in task order) one of its tasks raised; an
-    AssertionError propagates.
+    its workers as they free up. Returns, per plan, what each of its tasks
+    returned or raised, in task order; an AssertionError propagates.
     """
     global _STATES
     tasks = [(k, i) for k, p in enumerate(plans) if p.state
              for i in range(p.state.sizes[0])]
-    out: List[object] = [[] for _ in plans]
+    out: List[list] = [[] for _ in plans]
 
     def take(k: int, result) -> None:
-        if not isinstance(out[k], list):
-            return  # plan k has failed already
         try:
             out[k].append(result())
         except AssertionError:
             raise
         except Exception as e:  # noqa: BLE001 - charged to plan k alone
-            out[k] = e
+            out[k].append(e)
 
     _STATES = [p.state for p in plans]
     try:
@@ -591,25 +588,26 @@ def _run(plans: List[_Plan], jobs: int) -> List[object]:
         _STATES = []
 
 
-def _finish(plan: _Plan, cfg: SearchConfig, results: object
+def _finish(plan: _Plan, cfg: SearchConfig, results: list
             ) -> Tuple[List[Witness], PruneReport]:
     """Sum a plan's task tallies, rebuild and sort its witnesses, and check
-    the prune accounting. wall_time is the plan's set-up and finish
-    seconds plus the seconds its tasks took."""
-    if isinstance(results, Exception):
-        raise results
+    the prune accounting; re-raise the first error a task raised.
+    wall_time is the plan's set-up and finish seconds plus the seconds its
+    tasks took."""
+    for part in results:
+        if isinstance(part, Exception):
+            raise part
     t0 = time.perf_counter()
     g, lattice, cls, tally = plan.group, plan.lattice, plan.cls, plan.tally
+    spec_by_id = {i: builtin(i) for i in cfg.inequality_ids}
     witnesses: List[Witness] = []
     task_seconds = 0.0
-    if plan.state is not None:
-        spec_by_id = {s.id: s for s in plan.state.specs}
-        for cells, part, seconds in results:
-            task_seconds += seconds
-            for key, c in part.items():
-                tally[key] += c
-            for spec_id, idx in cells:
-                witnesses.append(_build_witness(g, lattice, spec_by_id[spec_id], idx))
+    for cells, part, seconds in results:
+        task_seconds += seconds
+        for key, c in part.items():
+            tally[key] += c
+        for spec_id, idx in cells:
+            witnesses.append(_build_witness(g, lattice, spec_by_id[spec_id], idx))
 
     witnesses.sort(key=Witness.sort_key)
     if cfg.emit_limit is not None:
