@@ -28,24 +28,31 @@ prune rules cut the space:
 
 Every intersection of subgroups is itself a subgroup, so a subset order
 |G_A| is a chain of lookups in a meet table (the lattice index of
-Gi ∩ Gj) followed by one order lookup. The first n-3 positions of a tuple
-are chosen one at a time; the last three are evaluated together as a
-(C, D, E) numpy block, C the surviving position n-3 subgroups and D = E
-the whole lattice. A subset's orders broadcast over only the block axes
-it contains, each distinct power |G_A|^e is gathered once per block and
-shared by every inequality, and each distinct set of variable symmetries
-builds its canon mask once per block. The C axis is split so that a
-block holds at most _BLOCK_CELLS cells (a single D x E slice when that
-alone is larger), which bounds the scan's memory. A side of an
-inequality whose exponents sum to d is at most |G|^d; it is multiplied
-in int64 when |G|^d < 2^63 and in Python ints otherwise, so verdicts are
-exact at every order the lattice cap admits.
+Gi ∩ Gj, held in the narrowest unsigned type) followed by one order
+lookup. The first n-3 positions of a tuple are chosen one at a time; the
+last three are evaluated together as a (C, D, E) numpy block, C the
+surviving position n-3 subgroups and D = E the whole lattice. A subset's
+orders broadcast over only the block axes it contains, and each distinct
+power |G_A|^e is gathered once per block and shared by every inequality.
+Each side of an inequality multiplies its terms in groups that keep a
+small shape before it grows to the full block. Each distinct set of
+variable symmetries builds its canon mask once per block, with one
+comparison per symmetry: lattice indices are digits of a base-m code, so
+"the image is lexicographically smaller" is a linear form in the tuple
+being negative. The C axis is split so that a block holds at most
+_BLOCK_CELLS cells (a single D x E slice when that alone is larger),
+which bounds the scan's memory. A side of an inequality whose exponents
+sum to d is at most |G|^d; it is multiplied in int64 when |G|^d < 2^63
+and in Python ints otherwise, so verdicts are exact at every order the
+lattice cap admits.
 
 A scan runs in three steps: plan (lattice, order class, scan state),
 run, finish (sum the tallies, rebuild and sort the witnesses, check the
 prune accounting). scan_group does them for one group; survey plans
 every group first, runs all of their tasks, then finishes each. A task
-is one first-position subgroup of one group. At jobs 1 the tasks run
+is one first-position subgroup of one group, the least of its conjugacy
+class when the conjugacy rule is on (plan charges the rest to the rule,
+so no task starts only to be pruned). At jobs 1 the tasks run
 inline. At jobs >= 2 every group's state is built before one fork pool
 starts, the workers inherit the states through fork, and the pool hands
 out tasks as workers free up.
@@ -55,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -245,12 +253,18 @@ class _SpecPlan:
     """One inequality compiled for block evaluation at a fixed arity."""
 
     spec_id: str
-    pos_terms: Tuple[Tuple[int, int], ...]   # (position bitmask, exponent)
-    neg_terms: Tuple[Tuple[int, int], ...]
+    # each side as groups of (position bitmask, exponent) terms, multiplied
+    # within a group first, then group by group (see _compile_spec)
+    pos_groups: Tuple[Tuple[Tuple[int, int], ...], ...]
+    neg_groups: Tuple[Tuple[Tuple[int, int], ...], ...]
     degree: int   # larger side's exponent sum: each side is at most |G|**degree
     # each symmetry as source indices: coordinate j of the permuted tuple
     # is coordinate src[j] of the original (identity omitted)
     sym_sources: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def terms(self) -> Tuple[Tuple[int, int], ...]:
+        return sum(self.pos_groups + self.neg_groups, ())
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,23 +273,81 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
     # builtins are sums of mutual informations, so both sides carry the
     # same number of H() terms and no power of |G| is left over
     assert sum(spec.coeffs.values()) == 0, spec.id
-    # within a side, terms with fewer of the last three (block) positions
-    # come first, so a side grows to the full block shape as late as it can
-    pos, neg = [], []
+    # A term broadcasts over the block axes (C, D, E) among its positions.
+    # Each side's terms fall in groups whose product keeps a small shape:
+    # those within {C, D}, those within {C, E} that hold E, those on exactly
+    # {D, E}; then each term on all three axes stands alone. Multiplying
+    # group by group leaves 47 full-block multiplies per block for dfz,
+    # against 71 when the terms go in one chain.
+    sides: Tuple[List[List[Tuple[int, int]]], ...] = ([[], [], [], []], [[], [], [], []])
     for subset, c in sorted(spec.coeffs.items(),
                             key=lambda kv: (sum(i > arity - 3 for i in kv[0]),
                                             sorted(kv[0]))):
-        pm = sum(1 << (i - 1) for i in subset)
-        (pos if c > 0 else neg).append((pm, abs(c)))
+        on_c, on_d, on_e = (i in subset for i in range(arity - 2, arity + 1))
+        group = 0 if not on_e else 1 if not on_d else 2 if not on_c else 3
+        sides[c < 0][group].append((sum(1 << (i - 1) for i in subset), abs(c)))
+    pos, neg = (tuple(tuple(g) for g in groups[:3] if g)
+                + tuple((t,) for t in groups[3]) for groups in sides)
     sources = []
     for perm in symmetry_group(spec):
         ext = tuple(perm) + tuple(range(len(perm) + 1, arity + 1))
         src = tuple(ext.index(j + 1) for j in range(arity))
         if src != tuple(range(arity)):
             sources.append(src)
-    degree = max(sum(e for _, e in pos), sum(e for _, e in neg))
-    return _SpecPlan(spec_id=spec.id, pos_terms=tuple(pos), neg_terms=tuple(neg),
+    degree = max(sum(e for g in side for _, e in g) for side in (pos, neg))
+    return _SpecPlan(spec_id=spec.id, pos_groups=pos, neg_groups=neg,
                      degree=degree, sym_sources=tuple(sources))
+
+
+class _Symmetry:
+    """One variable symmetry's canon test as one comparison per block.
+
+    The symmetry maps a tuple t to t' with t'_j = t_src[j]. Lattice
+    indices lie in [0, m), so t' is lexicographically smaller than t
+    exactly when its base-m code is: Σ_i t_i·w_i < 0 with
+    w_i = m^(n-1-j) - m^(n-1-i) for src[j] = i. Over a (C, D, E) block
+    the sum splits into the prefix part, c_part[c], d_part[d] and
+    e_part[e], and the symmetry keeps a cell when
+    d_part + e_part >= -(prefix part + c_part). With M = m^n, every
+    partial sum is a difference of two base-m codes, so it lies strictly
+    between -M and M; the parts take the narrowest signed type that holds
+    ±4M (object beyond int64, which stays exact).
+
+    Under order_class the image must also be in the scan space: the
+    subgroups it moves to positions 1 and 2 need the restricted order.
+    Those come from positions 3 and up, which at arity 4 or 5 are block
+    positions. An index that fails this gets a part that keeps every
+    cell: 2M as a D or E part puts d_part + e_part above M, and 3M as a
+    C part puts the threshold below -2M.
+    """
+
+    def __init__(self, src: Tuple[int, ...], m: int,
+                 restricted: Optional[np.ndarray]) -> None:
+        n = len(src)
+        big = m ** n
+        self.weights = [m ** (n - 1 - j) - m ** (n - 1 - i) for j, i in
+                        sorted(enumerate(src), key=lambda ji: ji[1])]
+        # positions whose subgroups the image moves to positions 1 and 2
+        need = {i for i in src[:2] if i > 1} if restricted is not None else set()
+        assert all(i >= n - 3 for i in need), src
+        dtype = np.min_scalar_type(-4 * big - 1)
+        idx = np.arange(m, dtype=np.int64 if dtype != object else object)
+        parts = []
+        for pos, outside in zip(range(n - 3, n), (3 * big, 2 * big, 2 * big)):
+            part = self.weights[pos] * idx
+            if pos in need:
+                part = np.where(restricted, part, outside)
+            parts.append(part.astype(dtype))
+        self.c_part, self.d_part, self.e_part = parts
+
+    def prefix_part(self, chosen: Sequence[int]) -> int:
+        """The chosen positions' share of the sum."""
+        return sum(w * t for w, t in zip(self.weights, chosen))
+
+    def keeps(self, prefix_part: int, dom_c: np.ndarray) -> np.ndarray:
+        """Block cells whose image is not lexicographically smaller."""
+        threshold = -(self.c_part[dom_c] + prefix_part)
+        return self.d_part[:, None] + self.e_part >= threshold[:, None, None]
 
 
 class _ScanState:
@@ -292,24 +364,25 @@ class _ScanState:
                  restricted_order: Optional[int]) -> None:
         self.group = g
         self.n = n = cfg.tuple_arity
-        self.specs = [builtin(i) for i in cfg.inequality_ids]
-        self.plans = [_compile_spec(s, n) for s in self.specs]
+        self.plans = [_compile_spec(builtin(i), n) for i in cfg.inequality_ids]
         # per plan, the variable symmetries its canon mask quotients by
         self.sym_keys = [p.sym_sources if "ineq_symmetry" in cfg.prune_flags else ()
                          for p in self.plans]
-        self.restricted_order = restricted_order
         masks = [s.mask for s in lattice.subgroups]
+        m = len(masks)
         index = {mask: i for i, mask in enumerate(masks)}
-        # meet[i, j]: lattice index of Gi ∩ Gj; the last subgroup is G itself
+        # meet[i, j]: lattice index of Gi ∩ Gj, in the narrowest unsigned
+        # type that holds m - 1 (uint8 up to 256 subgroups); the last
+        # subgroup is G itself
         self.meet = np.array([[index[x & y] for y in masks] for x in masks],
-                             dtype=np.intp)
-        self.top = len(masks) - 1
+                             dtype=np.min_scalar_type(m - 1))
+        self.top = m - 1
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
         # plans whose sides can reach 2**63 multiply Python ints instead;
         # powers[e, exact][i] is |Gi|**e in the plan's arithmetic
         self.exact = [g.order ** p.degree >= 2 ** 63 for p in self.plans]
         self.factors = {(pm, e, x) for p, x in zip(self.plans, self.exact)
-                        for pm, e in p.pos_terms + p.neg_terms}
+                        for pm, e in p.terms}
         self.powers = {(e, x): (self.orders.astype(object) if x else self.orders) ** e
                        for _, e, x in self.factors}
         # lower[x, s]: x Gs x^-1 precedes Gs; fixes[x, s]: x normalizes Gs.
@@ -324,13 +397,18 @@ class _ScanState:
             self.fixes = ~self.lower
         full = np.arange(len(masks), dtype=np.int64)
         self.domains = [full] * n
+        restricted = None
         if restricted_order is not None:
-            sel = np.nonzero(self.orders == restricted_order)[0]
-            self.domains[:2] = [sel, sel]
+            restricted = self.orders == restricted_order
+            self.domains[:2] = [np.nonzero(restricted)[0]] * 2
         self.sizes = [len(d) for d in self.domains]
         self.tails = [math.prod(self.sizes[d + 1:]) for d in range(n)]
         self.pair_prunable = (_pair_prunable_matrix(self.meet, self.orders)
                               if _theory_armed(cfg, "theory_common_info") else None)
+        self.symmetries = {src: _Symmetry(src, m, restricted)
+                           for key in self.sym_keys for src in key}
+        # the position 1 subgroups left after the conjugacy rule; set by _plan
+        self.firsts = self.domains[0]
 
 
 def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -356,9 +434,24 @@ def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
 _TALLY_KEYS = PRUNE_RULES + ("evaluated", "violations", "equalities")
 
 
-def _scan_chunk(st: _ScanState, chunk: np.ndarray
-                ) -> Tuple[List[tuple], Dict[str, int]]:
-    """Scan all of st's tuples whose first position lies in `chunk`.
+def _survivors(st: _ScanState, depth: int, chosen: List[int], cand: np.ndarray,
+               tally: Dict[str, int]) -> np.ndarray:
+    """The position-`depth` subgroups left after the pair rule and the
+    conjugacy rule under the prefix stabilizer `cand`; the tuples they cut
+    are charged to `tally`."""
+    domain = st.domains[depth]
+    if depth == 1 and st.pair_prunable is not None:
+        hit = st.pair_prunable[chosen[0], domain]
+        tally["theory_common_info"] += int(hit.sum()) * st.tails[1]
+        domain = domain[~hit]
+    hit = st.lower[cand][:, domain].any(axis=0)
+    tally["conjugacy"] += int(hit.sum()) * st.tails[depth]
+    return domain[~hit]
+
+
+def _scan_chunk(st: _ScanState, first: int) -> Tuple[List[tuple], Dict[str, int]]:
+    """Scan all of st's tuples whose first position is subgroup `first`,
+    one of st.firsts.
 
     Returns raw violation cells (spec_id, index tuple) and one tally:
     tuples pruned per rule, tuples evaluated, and (tuple, inequality)
@@ -368,23 +461,11 @@ def _scan_chunk(st: _ScanState, chunk: np.ndarray
     tally = dict.fromkeys(_TALLY_KEYS, 0)
     cells: List[tuple] = []
 
-    def survivors(depth: int, chosen: List[int], cand: np.ndarray) -> np.ndarray:
-        # the position-`depth` subgroups left after the pair rule and the
-        # conjugacy rule under the prefix stabilizer `cand`
-        domain = chunk if depth == 0 else st.domains[depth]
-        if depth == 1 and st.pair_prunable is not None:
-            hit = st.pair_prunable[chosen[0], domain]
-            tally["theory_common_info"] += int(hit.sum()) * st.tails[1]
-            domain = domain[~hit]
-        hit = st.lower[cand][:, domain].any(axis=0)
-        tally["conjugacy"] += int(hit.sum()) * st.tails[depth]
-        return domain[~hit]
-
     def descend(depth: int, chosen: List[int], cand: np.ndarray,
                 prefix: np.ndarray) -> None:
         # prefix[pm] is the lattice index of the intersection of the chosen
         # subgroups at the positions in bitmask pm (pm = 0 gives G)
-        found = survivors(depth, chosen, cand)
+        found = _survivors(st, depth, chosen, cand, tally)
         if depth == n - 3:
             _block_stage(st, chosen, cand, prefix, found, tally, cells)
             return
@@ -392,13 +473,19 @@ def _scan_chunk(st: _ScanState, chunk: np.ndarray
             descend(depth + 1, chosen + [s], cand[st.fixes[cand, s]],
                     np.concatenate((prefix, st.meet[prefix, s])))
 
-    descend(0, [], np.arange(len(st.lower)), np.array([st.top], dtype=np.intp))
+    cand = np.arange(len(st.lower))
+    descend(1, [first], cand[st.fixes[cand, first]],
+            np.array([st.top, st.meet[st.top, first]], dtype=np.intp))
     return cells, tally
 
 
-# most cells in one (C, D, E) block: its arrays take ~130 bytes a cell, so
-# 2**12 stays near 0.5 MB (2**14 ran faster but added ~2 MB of peak RSS)
-_BLOCK_CELLS = 1 << 12
+# most cells in one (C, D, E) block. A block takes about 70 bytes a cell
+# at its peak: uint8 meet indexes (dropped once the powers are gathered),
+# one int64 power per distinct full-block term, two int64 sides and one
+# bool canon mask per distinct symmetry set. numpy's cost per call, not
+# arithmetic, bounds the kernel, so larger blocks run faster; 2**14 cells
+# stay near 1.2 MB, a small part of a scan's footprint.
+_BLOCK_CELLS = 1 << 14
 
 
 def _block_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
@@ -414,70 +501,73 @@ def _block_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
     """
     m = len(st.orders)
     lower, fixes = st.lower[cand], st.fixes[cand]
-    every = np.arange(m)
+    prefix_parts = {src: sym.prefix_part(chosen) for src, sym in st.symmetries.items()}
     step = max(1, _BLOCK_CELLS // (m * m))
     for start in range(0, len(firsts), step):
-        dom_c = firsts[start:start + step]
-
-        # conjugacy: (c, d) dies when some x in cand normalizes Gc and
-        # moves Gd lower; (c, d, e) when some x normalizes Gc and Gd and
-        # moves Ge lower
-        fix_c = fixes[:, dom_c]
-        fix_cd = (fix_c[:, :, None] & fixes[:, None, :]).reshape(len(cand), -1)
-        alive = ~((fix_c.T @ lower)[:, :, None] | (fix_cd.T @ lower).reshape(-1, m, m))
-        alive_n = int(np.count_nonzero(alive))
-        tally["conjugacy"] += alive.size - alive_n
-        if not alive_n:
-            continue
-
-        coords = list(chosen) + [dom_c[:, None, None], every[:, None], every]
-        # lattice index of each subset's intersection, by subset bitmask
-        # pm = low | hi << (n-3): for each pattern hi of block positions,
-        # one gather over every prefix subset low, shaped to broadcast over
-        # only the block axes in hi (a whole-lattice axis is a meet row)
-        rows = st.meet[prefix]
-        with_c = rows[:, dom_c]
-        with_cd = st.meet[with_c]
-        parts = (prefix, with_c[:, :, None, None], rows[:, None, :, None],
-                 with_cd[:, :, :, None], rows[:, None, None, :],
-                 with_cd[:, :, None, :], st.meet[rows][:, None], st.meet[with_cd])
-        meets = [part[low] for part in parts for low in range(len(prefix))]
-
-        # canon masks: each symmetry once, each distinct set of them once
-        kept = {src: ~_lex_smaller(st, coords, src)
-                for src in {src for key in st.sym_keys for src in key}}
-        canons = {key: functools.reduce(np.logical_and, (kept[s] for s in key), alive)
-                  for key in set(st.sym_keys)}
-        # each distinct power |G_A|**e once, shared by every plan; a side
-        # multiplies its terms in order, smallest shapes first
-        powers = {(pm, e, x): st.powers[e, x][meets[pm]] for pm, e, x in st.factors}
-        for plan, exact, key in zip(st.plans, st.exact, st.sym_keys):
-            lhs, rhs = (math.prod(powers[pm, e, exact] for pm, e in terms)
-                        for terms in (plan.pos_terms, plan.neg_terms))
-            tally["equalities"] += int(np.count_nonzero((lhs == rhs) & canons[key]))
-            violated = (lhs > rhs) & canons[key]
-            if violated.any():
-                for c, d, e in zip(*np.nonzero(violated)):
-                    cells.append((plan.spec_id, (*chosen, int(dom_c[c]), int(d), int(e))))
-                    tally["violations"] += 1
-
-        evaluated_n = int(np.count_nonzero(np.logical_or.reduce(list(canons.values()))))
-        tally["evaluated"] += evaluated_n
-        tally["ineq_symmetry"] += alive_n - evaluated_n
+        _evaluate_block(st, chosen, lower, fixes, prefix, prefix_parts,
+                        firsts[start:start + step], tally, cells)
 
 
-def _lex_smaller(st: _ScanState, coords: list, src: Tuple[int, ...]) -> np.ndarray:
-    """Cells whose image under the symmetry `src` is lexicographically
-    smaller, and still inside the order_class region."""
-    lt, eq = False, True
-    for j in range(st.n):
-        if src[j] != j:
-            lt = lt | (eq & (coords[src[j]] < coords[j]))
-            eq = eq & (coords[src[j]] == coords[j])
-    for j in src[:2]:
-        if j > 1 and st.restricted_order is not None:
-            lt = lt & (st.orders[coords[j]] == st.restricted_order)
-    return np.asarray(lt)
+def _evaluate_block(st: _ScanState, chosen: List[int], lower: np.ndarray,
+                    fixes: np.ndarray, prefix: np.ndarray, prefix_parts: dict,
+                    dom_c: np.ndarray, tally: Dict[str, int], cells: List[tuple]
+                    ) -> None:
+    """One (C, D, E) block of _block_stage; its arrays die on return."""
+    m = len(st.orders)
+    # conjugacy: (c, d) dies when some x in cand normalizes Gc and moves Gd
+    # lower; (c, d, e) when some x normalizes Gc and Gd and moves Ge lower
+    fix_c = fixes[:, dom_c]
+    fix_cd = (fix_c[:, :, None] & fixes[:, None, :]).reshape(len(fixes), -1)
+    alive = ~((fix_c.T @ lower)[:, :, None] | (fix_cd.T @ lower).reshape(-1, m, m))
+    alive_n = int(np.count_nonzero(alive))
+    tally["conjugacy"] += alive.size - alive_n
+    if not alive_n:
+        return
+
+    # lattice index of each subset's intersection, by subset bitmask
+    # pm = low | hi << (n-3): for each pattern hi of block positions, one
+    # gather over every prefix subset low, shaped to broadcast over only
+    # the block axes in hi (a whole-lattice axis is a meet row)
+    rows = st.meet[prefix]
+    with_c = rows[:, dom_c]
+    with_cd = st.meet[with_c]
+    parts = (prefix, with_c[:, :, None, None], rows[:, None, :, None],
+             with_cd[:, :, :, None], rows[:, None, None, :],
+             with_cd[:, :, None, :], st.meet[rows][:, None], st.meet[with_cd])
+    meets = [part[low] for part in parts for low in range(len(prefix))]
+    # each distinct power |G_A|**e once, shared by every plan
+    powers = {(pm, e, x): st.powers[e, x][meets[pm]] for pm, e, x in st.factors}
+    del parts, meets
+
+    # canon masks: each distinct set of symmetries once, one comparison
+    # per symmetry
+    canons = {}
+    for key in set(st.sym_keys):
+        canon = alive.copy() if key else alive
+        for src in key:
+            canon &= st.symmetries[src].keeps(prefix_parts[src], dom_c)
+        canons[key] = canon
+
+    for plan, exact, key in zip(st.plans, st.exact, st.sym_keys):
+        lhs = _side_product(plan.pos_groups, powers, exact)
+        rhs = _side_product(plan.neg_groups, powers, exact)
+        tally["equalities"] += int(np.count_nonzero((lhs == rhs) & canons[key]))
+        violated = (lhs > rhs) & canons[key]
+        if violated.any():
+            for c, d, e in zip(*np.nonzero(violated)):
+                cells.append((plan.spec_id, (*chosen, int(dom_c[c]), int(d), int(e))))
+                tally["violations"] += 1
+
+    evaluated_n = int(np.count_nonzero(np.logical_or.reduce(list(canons.values()))))
+    tally["evaluated"] += evaluated_n
+    tally["ineq_symmetry"] += alive_n - evaluated_n
+
+
+def _side_product(groups, powers: dict, exact: bool) -> np.ndarray:
+    """One side of a plan: each group's powers multiplied at the group's
+    own shape, then the group products in order."""
+    mul = functools.partial(functools.reduce, operator.mul)
+    return mul(mul(powers[pm, e, exact] for pm, e in g) for g in groups)
 
 
 def _theory_armed(cfg: SearchConfig, rule: str) -> bool:
@@ -532,6 +622,9 @@ def _plan(g: Group, cfg: SearchConfig,
     else:
         state = _ScanState(g, lattice, cfg, cls.pair_order if by_class else None)
         tally["order_class"] = total - math.prod(state.sizes)
+        # at position 1 the conjugacy rule keeps the least subgroup of each
+        # class; only those become tasks
+        state.firsts = _survivors(state, 0, [], np.arange(len(state.lower)), tally)
     return _Plan(g, lattice, cls, by_class, tally, state, time.perf_counter() - t0)
 
 
@@ -540,16 +633,18 @@ _STATES: List[Optional[_ScanState]] = []
 
 
 def _run_task(task: Tuple[int, int]) -> Tuple[List[tuple], Dict[str, int], float]:
-    """_scan_chunk over the i-th first-position subgroup of _STATES[k], timed."""
+    """_scan_chunk over the i-th surviving first-position subgroup of
+    _STATES[k], timed."""
     k, i = task
     st = _STATES[k]
     t0 = time.perf_counter()
-    cells, tally = _scan_chunk(st, st.domains[0][i:i + 1])
+    cells, tally = _scan_chunk(st, int(st.firsts[i]))
     return cells, tally, time.perf_counter() - t0
 
 
 def _run(plans: List[_Plan], jobs: int) -> List[list]:
-    """Scan every plan's tuples, one task per first-position subgroup.
+    """Scan every plan's tuples, one task per first-position subgroup that
+    survived the conjugacy rule in _plan.
 
     At jobs 1 the tasks run inline; otherwise one fork pool hands them to
     its workers as they free up. Returns, per plan, what each of its tasks
@@ -557,7 +652,7 @@ def _run(plans: List[_Plan], jobs: int) -> List[list]:
     """
     global _STATES
     tasks = [(k, i) for k, p in enumerate(plans) if p.state
-             for i in range(p.state.sizes[0])]
+             for i in range(len(p.state.firsts))]
     out: List[list] = [[] for _ in plans]
 
     def take(k: int, result) -> None:

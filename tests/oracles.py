@@ -12,8 +12,8 @@ factor first, matching the package convention: (a * b)(x) = a(b(x)).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from itertools import combinations, permutations, product
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 Perm = Tuple[int, ...]
 
@@ -150,6 +150,49 @@ def subset_intersection_orders(subgroups: Sequence[FrozenSet[Perm]]) -> Dict[Fro
     return orders
 
 
+def variable_symmetries(coeffs: Dict[FrozenSet[int], int]) -> List[Perm]:
+    """Every permutation of the variables 1..k (k the largest one used)
+    that maps the linear form sum c_A H(X_A) onto itself, as 0-based
+    images; the identity is included."""
+    k = max(max(subset) for subset in coeffs)
+    return [perm for perm in permutations(range(k))
+            if {frozenset(perm[i - 1] + 1 for i in subset): c
+                for subset, c in coeffs.items()} == coeffs]
+
+
+def symmetry_quotient_counts(m: int, n: int,
+                             forms: Sequence[Dict[FrozenSet[int], int]],
+                             verdict: Callable[[Tuple[int, ...], int], Tuple[bool, bool]],
+                             domain: Callable[[Tuple[int, ...]], bool] = lambda t: True
+                             ) -> Dict[str, int]:
+    """What a scan of every n-tuple over m lattice indices reports when
+    inequality k is evaluated only on tuples that are lexicographically
+    least in their orbit under its variable symmetries.
+
+    forms[k] is inequality k's coefficient dict over 1-based variables;
+    verdict(t, k) gives (holds, both sides equal) for inequality k on the
+    index tuple t. Only tuples inside `domain` are scanned, and an image
+    outside it does not count against t. A scanned tuple counts as
+    evaluated when it is least for some inequality; the rest are pruned.
+    """
+    groups = [variable_symmetries(f) for f in forms]
+    counts = dict.fromkeys(("evaluated", "pruned", "equalities", "violations"), 0)
+    for t in product(range(m), repeat=n):
+        if not domain(t):
+            continue
+        least = []
+        for k, perms in enumerate(groups):
+            images = (tuple(t[p[j]] for j in range(len(p))) + t[len(p):] for p in perms)
+            if all(u >= t or not domain(u) for u in images):
+                least.append(k)
+        counts["evaluated" if least else "pruned"] += 1
+        for k in least:
+            holds, equal = verdict(t, k)
+            counts["violations"] += not holds
+            counts["equalities"] += equal
+    return counts
+
+
 # A tiny cycle-notation reader for oracle-side inputs. Accepts strings such
 # as "(1,2)(3,4)" denoting one permutation (product of disjoint cycles).
 def parse_disjoint_cycles(text: str, degree: int) -> Perm:
@@ -187,8 +230,6 @@ def parse_disjoint_cycles(text: str, degree: int) -> Perm:
 
 
 def s_n_elements(n: int) -> List[Perm]:
-    from itertools import permutations
-
     return [tuple(p) for p in permutations(range(n))]
 
 

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +253,94 @@ def test_scan_counts_match_evaluate(cat, lattice_for, name, ineqs):
             equalities += v.lhs_product == v.rhs_product
     assert report.tuples_evaluated == len(lat.subgroups) ** cfg.tuple_arity
     assert (report.violations_found, report.equality_cases) == (violations, equalities)
+
+
+@pytest.mark.parametrize("name, ineqs, prune", [
+    ("S3", "dfz", "ineq_symmetry"), ("A4", "ingleton", "ineq_symmetry"),
+    ("Q8", "dfz8", "ineq_symmetry"),
+    ("A4", "dfz2,dfz6,dfz8", "ineq_symmetry,order_class")])
+def test_ineq_symmetry_counts_match_oracle(cat, lattice_for, name, ineqs, prune):
+    # the canon masks against a from-scratch count of orbit-least tuples
+    # under each inequality's variable symmetries (dfz8 has 11 besides
+    # the identity). With dfz3 among the ten nothing is pruned, but each
+    # inequality's equalities and violations still count only its own
+    # least tuples. On A4 order_class keeps positions 1 and 2 at order 3,
+    # and an image outside that region does not prune.
+    g = cat.realize(name)
+    lat = lattice_for(name)
+    cfg = SearchConfig.make(ineqs=ineqs, prune=prune)
+    _, report = scan_group(g, cfg, lat)
+    region = order_class(g).pair_order if "order_class" in prune else None
+    specs = [builtin(i) for i in cfg.inequality_ids]
+    forms = [oracles.expand_inequality(s.source_text) for s in specs]
+    assert [len(oracles.variable_symmetries(f)) for f in forms] == [
+        len(search_engine._compile_spec(s, cfg.tuple_arity).sym_sources) + 1
+        for s in specs]
+
+    @functools.lru_cache(maxsize=1)
+    def vector(t):
+        return entropy_vector(g, [lat.subgroups[i] for i in t])
+
+    def verdict(t, k):
+        v = evaluate(specs[k], vector(t))
+        return v.holds, v.lhs_product == v.rhs_product
+
+    def domain(t):
+        return region is None or all(lat.subgroups[i].order == region for i in t[:2])
+
+    want = oracles.symmetry_quotient_counts(len(lat.subgroups), cfg.tuple_arity,
+                                            forms, verdict, domain)
+    outside = report.tuples_total - want["evaluated"] - want["pruned"]
+    assert report.tuples_pruned_by_rule["order_class"] == outside
+    assert (region is not None) == (outside > 0)
+    assert (report.tuples_evaluated, report.tuples_pruned_by_rule["ineq_symmetry"],
+            report.equality_cases, report.violations_found) == (
+        want["evaluated"], want["pruned"], want["equalities"], want["violations"])
+    report.check_invariant()
+
+
+def test_meet_table_past_eight_bits():
+    # C2^5 has 374 subgroups, so lattice indexes need 16 bits
+    g = realize(functools.reduce(direct_product, [cyclic(2)] * 5))
+    lat = all_subgroups(g)
+    masks = [s.mask for s in lat.subgroups]
+    assert len(masks) == 374
+    state = _ScanState(g, lat, SearchConfig.make(ineqs="dfz", prune="none"), None)
+    assert state.meet.dtype == np.uint16
+    index = {mask: i for i, mask in enumerate(masks)}
+    assert state.meet.tolist() == [[index[x & y] for y in masks] for x in masks]
+
+
+def test_block_memory_stays_lean(cat, lattice_for):
+    # S4 dfz blocks hold 18 x 30 x 30 cells; the block layout peaks near
+    # 1.26 MB traced here, the earlier layout at this budget near 2.0 MB
+    g, lat = cat.realize("S4"), lattice_for("S4")
+    cfg = SearchConfig.make(ineqs="dfz")
+    scan_group(g, cfg, lat)   # compile and cache the plans first
+    tracemalloc.start()
+    try:
+        witnesses, _ = scan_group(g, cfg, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(witnesses) == 4
+    assert peak < 1.6e6, peak
+
+
+def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
+    # at position 1 the conjugacy rule keeps the least subgroup of each
+    # class; _plan charges the rest to its tally and makes tasks of those
+    g, lat = cat.realize("S4"), lattice_for("S4")
+    cfg = SearchConfig.make(ineqs="dfz")
+    plan = search_engine._plan(g, cfg, lat)
+    table = lat.conjugation_table()
+    classes = {frozenset(table[:, s].tolist()) for s in range(len(lat.subgroups))}
+    assert sorted(plan.state.firsts.tolist()) == sorted(min(c) for c in classes)
+    assert plan.tally["conjugacy"] == (30 - len(classes)) * 30 ** 4
+    _, report = scan_group(g, cfg, lat)
+    assert report.tuples_pruned_by_rule == {
+        "theory_common_info": 6_129_000, "order_class": 0,
+        "conjugacy": 17_644_860, "ineq_symmetry": 0}
 
 
 @pytest.mark.parametrize("name, ineqs", [("S4", "dfz"), ("S4", "ingleton"),
