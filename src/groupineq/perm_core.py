@@ -13,6 +13,7 @@ Composition convention: (a * b) applies b first, then a.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -249,9 +250,16 @@ class Group:
         self._index: Dict[Tuple[int, ...], int] = {
             p.images: i for i, p in enumerate(self.elements)
         }
+        # _mul_rows[a][b] is the index of a * b, whose images are a's images
+        # read at b's: one getter per right factor b. itemgetter with a
+        # single index returns an item, not a tuple, so at degree 1 (the
+        # identity alone, a * b = a) each getter returns a's images as they are
+        if self.degree == 1:
+            right = [lambda t: t] * self.order
+        else:
+            right = [operator.itemgetter(*b.images) for b in self.elements]
         self._mul_rows: List[List[int]] = [
-            [self._index[tuple(a.images[x] for x in b.images)] for b in self.elements]
-            for a in self.elements]
+            [self._index[f(a.images)] for f in right] for a in self.elements]
         self._inv: List[int] = [self._index[a.inverse().images] for a in self.elements]
         self._element_orders: Optional[Tuple[int, ...]] = None
         self._conj_perms: Optional[List[List[int]]] = None

@@ -23,28 +23,40 @@ prune rules cut the space:
                       no x in C has lower[x, s] (x Gs x^-1 precedes Gs),
                       and the longer prefix has stabilizer
                       {x in C : fixes[x, s]} (x normalizes Gs).
-  ineq_symmetry       per inequality, evaluate only tuples least in their
+  ineq_symmetry       per inequality, count only tuples least in their
                       orbit under the inequality's variable symmetries.
+                      Every cell the other rules leave is still evaluated;
+                      the rule filters the violation and equality tallies
+                      and saves no arithmetic.
+
+An inequality Σ_A c_A·H(X_A) >= 0 with H(X_A) = log(|G|/|G_A|) (the
+coefficients sum to 0) fails exactly when Σ_A c_A·log|G_A| > 0 and is
+tight when that sum is 0. The scan computes the sum exactly with integer
+logs: ℓ(o) = Σ_p v_p(o)·w_p over the primes p of |G|, where the weights
+w_p are chosen per prime signature of |G| and largest inequality degree
+and proved, in exact integer arithmetic, to give the sign of
+∏_p p^x_p - 1 for every exponent vector x an inequality can produce
+(_log_weights). The sums are narrow integers (int16 for S4, int8 for
+2-groups) with a checked bound, so no float, no int64 product and no
+Python-int fallback is on the verdict path, at any order the lattice cap
+admits.
 
 Every intersection of subgroups is itself a subgroup, so a subset order
 |G_A| is a chain of lookups in a meet table (the lattice index of
-Gi ∩ Gj, held in the narrowest unsigned type) followed by one order
+Gi ∩ Gj, held in the narrowest unsigned type) followed by one log
 lookup. The first n-3 positions of a tuple are chosen one at a time; the
 last three are evaluated together as a (C, D, E) numpy block, C the
 surviving position n-3 subgroups and D = E the whole lattice. A subset's
-orders broadcast over only the block axes it contains, and each distinct
-power |G_A|^e is gathered once per block and shared by every inequality.
-Each side of an inequality multiplies its terms in groups that keep a
-small shape before it grows to the full block. Each distinct set of
+logs broadcast over only the block axes it contains, and each distinct
+signed log c·ℓ(|G_A|) is gathered once per block and shared by every
+inequality. Each inequality adds its terms in groups that keep a small
+shape before it grows to the full block. Each distinct set of
 variable symmetries builds its canon mask once per block, with one
 comparison per symmetry: lattice indices are digits of a base-m code, so
 "the image is lexicographically smaller" is a linear form in the tuple
 being negative. The C axis is split so that a block holds at most
 _BLOCK_CELLS cells (a single D x E slice when that alone is larger),
-which bounds the scan's memory. A side of an inequality whose exponents
-sum to d is at most |G|^d; it is multiplied in int64 when |G|^d < 2^63
-and in Python ints otherwise, so verdicts are exact at every order the
-lattice cap admits.
+which bounds the scan's memory.
 
 A scan runs in three steps: plan (lattice, order class, scan state),
 run, finish (sum the tallies, rebuild and sort the witnesses, check the
@@ -61,6 +73,7 @@ out tasks as workers free up.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import time
@@ -74,8 +87,8 @@ import numpy as np
 from .catalog import CatalogIndex
 from .entropy_eval import EntropyVector, entropy_vector, evaluate
 from .ineq_dsl import DFZ_IDS, InequalitySpec, builtin, resolve_ids, symmetry_group
-from .perm_core import (Group, Subgroup, SubgroupLattice, all_subgroups, is_abelian,
-                        prime_factors)
+from .perm_core import (Group, Subgroup, SubgroupLattice, all_subgroups, int_valuation,
+                        is_abelian, prime_factors)
 
 __all__ = [
     "PRUNE_RULES",
@@ -253,18 +266,17 @@ class _SpecPlan:
     """One inequality compiled for block evaluation at a fixed arity."""
 
     spec_id: str
-    # each side as groups of (position bitmask, exponent) terms, multiplied
-    # within a group first, then group by group (see _compile_spec)
-    pos_groups: Tuple[Tuple[Tuple[int, int], ...], ...]
-    neg_groups: Tuple[Tuple[Tuple[int, int], ...], ...]
-    degree: int   # larger side's exponent sum: each side is at most |G|**degree
+    # the signed terms (position bitmask, coefficient) of Σ_A c_A·ℓ(|G_A|),
+    # added within a group first, then group by group (see _compile_spec)
+    groups: Tuple[Tuple[Tuple[int, int], ...], ...]
+    degree: int   # positive coefficients' sum: each side is at most |G|**degree
     # each symmetry as source indices: coordinate j of the permuted tuple
     # is coordinate src[j] of the original (identity omitted)
     sym_sources: Tuple[Tuple[int, ...], ...]
 
     @property
     def terms(self) -> Tuple[Tuple[int, int], ...]:
-        return sum(self.pos_groups + self.neg_groups, ())
+        return sum(self.groups, ())
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,29 +286,89 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
     # same number of H() terms and no power of |G| is left over
     assert sum(spec.coeffs.values()) == 0, spec.id
     # A term broadcasts over the block axes (C, D, E) among its positions.
-    # Each side's terms fall in groups whose product keeps a small shape:
-    # those within {C, D}, those within {C, E} that hold E, those on exactly
-    # {D, E}; then each term on all three axes stands alone. Multiplying
-    # group by group leaves 47 full-block multiplies per block for dfz,
-    # against 71 when the terms go in one chain.
-    sides: Tuple[List[List[Tuple[int, int]]], ...] = ([[], [], [], []], [[], [], [], []])
+    # The signed terms of both sides fall in groups whose sum keeps a small
+    # shape: those within {C, D}, those within {C, E} that hold E, those on
+    # exactly {D, E}; then each term on all three axes stands alone. Adding
+    # group by group leaves 32 full-block additions per block for dfz.
+    groups: List[List[Tuple[int, int]]] = [[], [], [], []]
     for subset, c in sorted(spec.coeffs.items(),
                             key=lambda kv: (sum(i > arity - 3 for i in kv[0]),
                                             sorted(kv[0]))):
         on_c, on_d, on_e = (i in subset for i in range(arity - 2, arity + 1))
         group = 0 if not on_e else 1 if not on_d else 2 if not on_c else 3
-        sides[c < 0][group].append((sum(1 << (i - 1) for i in subset), abs(c)))
-    pos, neg = (tuple(tuple(g) for g in groups[:3] if g)
-                + tuple((t,) for t in groups[3]) for groups in sides)
+        groups[group].append((sum(1 << (i - 1) for i in subset), c))
     sources = []
     for perm in symmetry_group(spec):
         ext = tuple(perm) + tuple(range(len(perm) + 1, arity + 1))
         src = tuple(ext.index(j + 1) for j in range(arity))
         if src != tuple(range(arity)):
             sources.append(src)
-    degree = max(sum(e for g in side for _, e in g) for side in (pos, neg))
-    return _SpecPlan(spec_id=spec.id, pos_groups=pos, neg_groups=neg,
-                     degree=degree, sym_sources=tuple(sources))
+    return _SpecPlan(spec_id=spec.id,
+                     groups=(tuple(tuple(g) for g in groups[:3] if g)
+                             + tuple((t,) for t in groups[3])),
+                     degree=sum(c for c in spec.coeffs.values() if c > 0),
+                     sym_sources=tuple(sources))
+
+
+def _signs_agree(signature: Tuple[Tuple[int, int], ...], degree: int,
+                 weights: Tuple[int, ...]) -> bool:
+    """Whether sign(Σ_p x_p·w_p) = sign(∏_p p^x_p - 1) for every integer
+    vector x with |x_p| <= e_p·degree, (p, e_p) running over `signature`.
+
+    Exact and complete, in integer arithmetic. x -> -x maps the box onto
+    itself and flips both signs, so it is enough that the weighted sum is
+    zero only at the origin (where ∏ p^x_p = 1) and that the product is
+    below 1 wherever the sum is negative. One prime q (the one with the
+    most exponent values) is the free axis and the others fix a row y.
+    Along a row both the sum and the product grow with x_q, so the second
+    check needs only the largest x_q whose sum is negative.
+    """
+    if not signature:
+        return True
+    if min(weights) <= 0:
+        return False
+    axis = max(range(len(signature)), key=lambda k: signature[k][1])
+    (q, e), w = signature[axis], weights[axis]
+    top = e * degree
+    rest = [pe for k, pe in enumerate(signature) if k != axis]
+    rest_w = [v for k, v in enumerate(weights) if k != axis]
+    for y in itertools.product(*(range(-f * degree, f * degree + 1) for _, f in rest)):
+        # the row's product as num/den, and x_q·w + part its weighted sum
+        num = math.prod(p ** v for (p, _), v in zip(rest, y) if v > 0)
+        den = math.prod(p ** -v for (p, _), v in zip(rest, y) if v < 0)
+        part = sum(v * u for v, u in zip(y, rest_w))
+        cut, r = divmod(-part, w)
+        if r == 0 and -top <= cut <= top and any(y):
+            return False   # a weighted zero off the origin
+        x = min(cut - (r == 0), top)   # the largest x_q with a negative sum
+        if x >= -top and (q ** x * num >= den if x >= 0 else num >= q ** -x * den):
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _log_weights(signature: Tuple[Tuple[int, int], ...], degree: int) -> Tuple[int, ...]:
+    """Integer log weights w_p for a group order with prime signature
+    `signature` ((p, e_p) pairs), exact for inequalities of degree at most
+    `degree`.
+
+    An inequality's sum Σ_A c_A·ℓ(|G_A|) is Σ_p x_p·w_p with
+    x_p = Σ_A c_A·v_p(|G_A|), and lhs/rhs = ∏_p p^x_p. Each side's
+    exponents sum to at most `degree` and v_p(|G_A|) <= e_p, so
+    |x_p| <= e_p·degree. The proposal is w_p = bit length of p^K (within 1
+    of K·log2 p) over their gcd, K = 1, 2, 4, ...; the first that
+    _signs_agree proves on that box is returned. The loop ends: an error
+    of at most 1 per unit of x_p is outgrown by K times the least nonzero
+    |Σ_p x_p·log2 p| on the box.
+    """
+    k = 1
+    while True:
+        weights = [(p ** k).bit_length() for p, _ in signature]
+        common = math.gcd(*weights) or 1
+        weights = tuple(w // common for w in weights)
+        if _signs_agree(signature, degree, weights):
+            return weights
+        k *= 2
 
 
 class _Symmetry:
@@ -311,7 +383,8 @@ class _Symmetry:
     d_part + e_part >= -(prefix part + c_part). With M = m^n, every
     partial sum is a difference of two base-m codes, so it lies strictly
     between -M and M; the parts take the narrowest signed type that holds
-    ±4M (object beyond int64, which stays exact).
+    ±4M, and a lattice whose 4M passes int64 (over 4,705 subgroups at
+    arity 5) is refused.
 
     Under order_class the image must also be in the scan space: the
     subgroups it moves to positions 1 and 2 need the restricted order.
@@ -331,7 +404,10 @@ class _Symmetry:
         need = {i for i in src[:2] if i > 1} if restricted is not None else set()
         assert all(i >= n - 3 for i in need), src
         dtype = np.min_scalar_type(-4 * big - 1)
-        idx = np.arange(m, dtype=np.int64 if dtype != object else object)
+        if dtype.kind != "i":
+            raise ValueError(f"{m} subgroups are too many for symmetry masks "
+                             f"at arity {n}")
+        idx = np.arange(m, dtype=np.int64)
         parts = []
         for pos, outside in zip(range(n - 3, n), (3 * big, 2 * big, 2 * big)):
             part = self.weights[pos] * idx
@@ -378,13 +454,23 @@ class _ScanState:
                              dtype=np.min_scalar_type(m - 1))
         self.top = m - 1
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
-        # plans whose sides can reach 2**63 multiply Python ints instead;
-        # powers[e, exact][i] is |Gi|**e in the plan's arithmetic
-        self.exact = [g.order ** p.degree >= 2 ** 63 for p in self.plans]
-        self.factors = {(pm, e, x) for p, x in zip(self.plans, self.exact)
-                        for pm, e in p.terms}
-        self.powers = {(e, x): (self.orders.astype(object) if x else self.orders) ** e
-                       for _, e, x in self.factors}
+        self.terms = {t for p in self.plans for t in p.terms}
+        # logs[c][i] = c·ℓ(|Gi|). A plan's partial sums lie within
+        # ±degree·ℓ(|G|), so the tables take the narrowest signed type
+        # that holds twice that
+        degree = max(p.degree for p in self.plans)
+        signature = tuple(sorted(prime_factors(g.order).items()))
+        weights = _log_weights(signature, degree)
+
+        def ell(order: int) -> int:
+            return sum(int_valuation(order, p) * w for (p, _), w in zip(signature, weights))
+
+        dtype = np.min_scalar_type(-2 * degree * ell(g.order) - 1)
+        if dtype.kind != "i":
+            raise ValueError(f"integer logs of order {g.order} at degree {degree} "
+                             "do not fit in 64 bits")
+        ells = np.array([ell(s.order) for s in lattice.subgroups], dtype=np.int64)
+        self.logs = {c: (c * ells).astype(dtype) for c in {c for _, c in self.terms}}
         # lower[x, s]: x Gs x^-1 precedes Gs; fixes[x, s]: x normalizes Gs.
         # Rows are the elements the scan quotients by; with conjugacy off
         # that is the identity alone, which prunes nothing.
@@ -479,12 +565,13 @@ def _scan_chunk(st: _ScanState, first: int) -> Tuple[List[tuple], Dict[str, int]
     return cells, tally
 
 
-# most cells in one (C, D, E) block. A block takes about 70 bytes a cell
-# at its peak: uint8 meet indexes (dropped once the powers are gathered),
-# one int64 power per distinct full-block term, two int64 sides and one
-# bool canon mask per distinct symmetry set. numpy's cost per call, not
-# arithmetic, bounds the kernel, so larger blocks run faster; 2**14 cells
-# stay near 1.2 MB, a small part of a scan's footprint.
+# most cells in one (C, D, E) block. An S4 dfz block takes about 30 bytes
+# a cell at its peak: uint8 meet indexes (dropped once the logs are
+# gathered), one log per distinct signed full-block term and the running
+# sums, all int16 for S4 (int8 for 2-groups, int32 for S5), and one
+# bool canon mask per distinct symmetry set. numpy's cost per
+# call, not arithmetic, bounds the kernel, so larger blocks run faster;
+# 2**14 cells stay near 0.5 MB, a small part of a scan's footprint.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -535,8 +622,8 @@ def _evaluate_block(st: _ScanState, chosen: List[int], lower: np.ndarray,
              with_cd[:, :, :, None], rows[:, None, None, :],
              with_cd[:, :, None, :], st.meet[rows][:, None], st.meet[with_cd])
     meets = [part[low] for part in parts for low in range(len(prefix))]
-    # each distinct power |G_A|**e once, shared by every plan
-    powers = {(pm, e, x): st.powers[e, x][meets[pm]] for pm, e, x in st.factors}
+    # each distinct signed log c·ℓ(|G_A|) once, shared by every plan
+    logs = {(pm, c): st.logs[c][meets[pm]] for pm, c in st.terms}
     del parts, meets
 
     # canon masks: each distinct set of symmetries once, one comparison
@@ -548,11 +635,12 @@ def _evaluate_block(st: _ScanState, chosen: List[int], lower: np.ndarray,
             canon &= st.symmetries[src].keeps(prefix_parts[src], dom_c)
         canons[key] = canon
 
-    for plan, exact, key in zip(st.plans, st.exact, st.sym_keys):
-        lhs = _side_product(plan.pos_groups, powers, exact)
-        rhs = _side_product(plan.neg_groups, powers, exact)
-        tally["equalities"] += int(np.count_nonzero((lhs == rhs) & canons[key]))
-        violated = (lhs > rhs) & canons[key]
+    for plan, key in zip(st.plans, st.sym_keys):
+        # Σ_A c_A·ℓ(|G_A|): each group added at its own shape, then the
+        # group sums in order; > 0 is a violation and 0 an equality
+        value = _sum(_sum(logs[t] for t in g) for g in plan.groups)
+        tally["equalities"] += int(np.count_nonzero((value == 0) & canons[key]))
+        violated = (value > 0) & canons[key]
         if violated.any():
             for c, d, e in zip(*np.nonzero(violated)):
                 cells.append((plan.spec_id, (*chosen, int(dom_c[c]), int(d), int(e))))
@@ -563,11 +651,7 @@ def _evaluate_block(st: _ScanState, chosen: List[int], lower: np.ndarray,
     tally["ineq_symmetry"] += alive_n - evaluated_n
 
 
-def _side_product(groups, powers: dict, exact: bool) -> np.ndarray:
-    """One side of a plan: each group's powers multiplied at the group's
-    own shape, then the group products in order."""
-    mul = functools.partial(functools.reduce, operator.mul)
-    return mul(mul(powers[pm, e, exact] for pm, e in g) for g in groups)
+_sum = functools.partial(functools.reduce, operator.add)
 
 
 def _theory_armed(cfg: SearchConfig, rule: str) -> bool:

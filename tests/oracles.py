@@ -193,6 +193,35 @@ def symmetry_quotient_counts(m: int, n: int,
     return counts
 
 
+def log_weights_exact(order: int, degree: int, weights: Dict[int, int]) -> bool:
+    """Whether sum_p x_p * weights[p] has the sign of prod_p p**x_p - 1 at
+    every integer vector x with |x_p| <= v_p(order) * degree.
+
+    A plain walk over the whole box, comparing the two halves of the
+    product as Python ints.
+    """
+    factors: Dict[int, int] = {}
+    n, d = order, 2
+    while n > 1:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    primes = sorted(factors)
+    box = [range(-factors[p] * degree, factors[p] * degree + 1) for p in primes]
+    for x in product(*box):
+        num = den = 1
+        for p, v in zip(primes, x):
+            if v > 0:
+                num *= p ** v
+            else:
+                den *= p ** -v
+        weighted = sum(v * weights[p] for p, v in zip(primes, x))
+        if (weighted > 0) - (weighted < 0) != (num > den) - (num < den):
+            return False
+    return True
+
+
 # A tiny cycle-notation reader for oracle-side inputs. Accepts strings such
 # as "(1,2)(3,4)" denoting one permutation (product of disjoint cycles).
 def parse_disjoint_cycles(text: str, degree: int) -> Perm:

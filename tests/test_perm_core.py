@@ -104,6 +104,16 @@ def test_mul_table_consistency():
         assert g.mul(g.inv(i), i) == 0
 
 
+@pytest.mark.parametrize("name", ["C1", "C2", "S3", "Q8", "A4", "SL(2,3)"])
+def test_cayley_table_matches_oracle(cat, name):
+    # every product in the table, from the trivial group (degree 1, where
+    # a one-index getter returns an item, not a tuple) up
+    g = cat.realize(name)
+    elems = [tuple(p.images) for p in g.elements]
+    assert g._mul_rows == [[elems.index(oracles.p_mul(a, b)) for b in elems]
+                           for a in elems]
+
+
 def test_element_index():
     g = sym(3)
     for i, p in enumerate(g.elements):

@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groupineq.catalog import (cyclic, direct_product, load_catalog, realize,
-                               realize_paper_tuple)
+from groupineq.catalog import (cyclic, dihedral, direct_product, load_catalog, realize,
+                               realize_paper_tuple, semidirect_cyclic, symmetric)
 from groupineq.entropy_eval import entropy_vector, evaluate
 from groupineq import search_engine
 from groupineq.ineq_dsl import DFZ_IDS, builtin
-from groupineq.perm_core import all_subgroups, conjugate_tuple, is_product_subgroup
+from groupineq.perm_core import (all_subgroups, conjugate_tuple, is_product_subgroup,
+                                 prime_factors)
 from groupineq.search_engine import (
     PRUNE_RULES,
     OrderClass,
@@ -255,19 +256,31 @@ def test_scan_counts_match_evaluate(cat, lattice_for, name, ineqs):
     assert (report.violations_found, report.equality_cases) == (violations, equalities)
 
 
+# groups outside the catalog that the tests scan, by name
+EXTRA_GROUPS = {"C5xS3": direct_product(cyclic(5), symmetric(3))}
+
+
+def group_and_lattice(cat, lattice_for, name):
+    if name in EXTRA_GROUPS:
+        g = realize(EXTRA_GROUPS[name])
+        return g, all_subgroups(g)
+    return cat.realize(name), lattice_for(name)
+
+
 @pytest.mark.parametrize("name, ineqs, prune", [
     ("S3", "dfz", "ineq_symmetry"), ("A4", "ingleton", "ineq_symmetry"),
     ("Q8", "dfz8", "ineq_symmetry"),
-    ("A4", "dfz2,dfz6,dfz8", "ineq_symmetry,order_class")])
+    ("A4", "dfz2,dfz6,dfz8", "ineq_symmetry,order_class"),
+    ("C5xS3", "ingleton", "ineq_symmetry")])
 def test_ineq_symmetry_counts_match_oracle(cat, lattice_for, name, ineqs, prune):
     # the canon masks against a from-scratch count of orbit-least tuples
     # under each inequality's variable symmetries (dfz8 has 11 besides
     # the identity). With dfz3 among the ten nothing is pruned, but each
     # inequality's equalities and violations still count only its own
     # least tuples. On A4 order_class keeps positions 1 and 2 at order 3,
-    # and an image outside that region does not prune.
-    g = cat.realize(name)
-    lat = lattice_for(name)
+    # and an image outside that region does not prune. C5xS3's order has
+    # three distinct primes, so its integer logs weigh three of them.
+    g, lat = group_and_lattice(cat, lattice_for, name)
     cfg = SearchConfig.make(ineqs=ineqs, prune=prune)
     _, report = scan_group(g, cfg, lat)
     region = order_class(g).pair_order if "order_class" in prune else None
@@ -312,8 +325,8 @@ def test_meet_table_past_eight_bits():
 
 
 def test_block_memory_stays_lean(cat, lattice_for):
-    # S4 dfz blocks hold 18 x 30 x 30 cells; the block layout peaks near
-    # 1.26 MB traced here, the earlier layout at this budget near 2.0 MB
+    # S4 dfz blocks hold 18 x 30 x 30 cells; the int16 integer-log kernel
+    # peaks near 0.47 MB traced here, int64 side products near 1.2 MB
     g, lat = cat.realize("S4"), lattice_for("S4")
     cfg = SearchConfig.make(ineqs="dfz")
     scan_group(g, cfg, lat)   # compile and cache the plans first
@@ -359,14 +372,70 @@ def test_block_splitting_keeps_results(cat, lattice_for, monkeypatch, name, ineq
 
 
 def test_scan_exact_above_int64():
-    # order 280: dfz10's sides have degree 9 and 280**9 > 2**63, so int64
-    # products would wrap; abelian groups satisfy every dfz inequality
+    # order 280 = 2^3·5·7 at degree 9 (dfz10): 280**9 > 2**63, so side
+    # products would wrap in int64; the integer logs' weights must be exact
+    # on that exponent box. Abelian groups satisfy every dfz inequality
     g = realize(direct_product(direct_product(cyclic(5), cyclic(7)), cyclic(8)))
     assert g.order ** 9 >= 2 ** 63
     witnesses, report = scan_group(g, SearchConfig.make(ineqs="dfz10", prune="none"))
     assert witnesses == []
     assert report.violations_found == 0
     assert report.tuples_evaluated == report.tuples_total == 16 ** 5
+
+
+def log_weights(order, degree):
+    signature = tuple(sorted(prime_factors(order).items()))
+    return dict(zip((p for p, _ in signature),
+                    search_engine._log_weights(signature, degree)))
+
+
+def test_log_weights_match_oracle(cat):
+    # every (order, degree) a catalog scan meets (degree 5 for ingleton
+    # alone up to 9 with dfz10), and orders past int64 side products
+    cases = [(order, degree) for order in cat.by_order for degree in range(5, 10)]
+    cases += [(280, 9), (360, 9)]
+    for order, degree in cases:
+        assert oracles.log_weights_exact(order, degree, log_weights(order, degree)), (
+            order, degree)
+
+
+def test_log_tables_are_narrow(cat, lattice_for):
+    # 2·degree·ℓ(|G|) sets the type: int16 for S4, int8 for 2-groups
+    for name, dtype in (("S4", np.int16), ("D8", np.int8), ("C16", np.int8)):
+        st = _ScanState(cat.realize(name), lattice_for(name),
+                        SearchConfig.make(ineqs="dfz"), None)
+        assert {t.dtype for t in st.logs.values()} == {np.dtype(dtype)}, name
+
+
+@pytest.mark.parametrize("order, degree, weights", [
+    (24, 9, (1, 1)),     # 2 and 3 weigh the same
+    (24, 9, (3, 2)),     # x = (2, -3) sums to 0, yet 2^2 != 3^3
+    (24, 5, (2, 3)),     # x = (3, -2) sums to 0
+    (24, 9, (20, 31)),   # x = (-14, 9) sums to -1, yet 3^9 > 2^14
+    (24, 9, (0, 1)),     # a weight of 0 loses the power of 2
+    (120, 5, (3, 5, 7)),
+])
+def test_log_weights_mutations_rejected(order, degree, weights):
+    signature = tuple(sorted(prime_factors(order).items()))
+    assert not search_engine._signs_agree(signature, degree, weights)
+    assert not oracles.log_weights_exact(order, degree,
+                                         dict(zip(sorted(prime_factors(order)), weights)))
+
+
+def test_signs_agree_matches_oracle():
+    # the row-wise proof against the whole-box walk on random weights,
+    # most of them wrong, for one-, two- and three-prime orders
+    rng = random.Random(9)
+    cases = [(8, 5), (24, 5), (24, 6), (12, 9), (30, 5), (1000, 5)]
+    for order, degree in cases:
+        signature = tuple(sorted(prime_factors(order).items()))
+        exact = search_engine._log_weights(signature, degree)
+        for _ in range(40):
+            weights = tuple(max(1, w + rng.randint(-2, 2)) for w in exact)
+            want = oracles.log_weights_exact(order, degree,
+                                             dict(zip((p for p, _ in signature), weights)))
+            assert search_engine._signs_agree(signature, degree, weights) == want, (
+                order, degree, weights)
 
 
 def test_scan_order_class_skips_everything(cat, lattice_for):
@@ -394,6 +463,30 @@ def test_scan_theory_prunes_sound_on_d20(cat, lattice_for):
     full, _ = scan_group(g, SearchConfig.make(ineqs="dfz", prune="all"), lat)
     conj, _ = scan_group(g, SearchConfig.make(ineqs="dfz", prune="conjugacy"), lat)
     assert full == conj == []
+
+
+@pytest.mark.parametrize("gdef, kind, p, q", [
+    pytest.param(semidirect_cyclic(11, 5, 3), "pq_safe", 5, 11, id="C11:C5"),
+    pytest.param(semidirect_cyclic(13, 3, 3), "pq_safe", 3, 13, id="C13:C3"),
+    pytest.param(semidirect_cyclic(7, 9, 2), "p2q_normal_sylow_q", 3, 7, id="C7:C9"),
+    pytest.param(semidirect_cyclic(13, 4, 5), "p2q_normal_sylow_q", 2, 13, id="C13:C4"),
+    pytest.param(dihedral(14), "p2q_normal_sylow_q", 2, 7, id="D28"),
+    pytest.param(dihedral(25), "pq2_normal_sylow_q", 2, 5, id="D50"),
+    pytest.param(direct_product(cyclic(5), dihedral(5)), "pq2_normal_sylow_q", 2, 5,
+                 id="C5xD10")])
+def test_order_class_theorems_beyond_catalog(gdef, kind, p, q):
+    # the theorems order_class trusts, on groups of order pq, p^2 q and
+    # p q^2 past the catalog's orders: a conjugacy-only dfz scan finds no
+    # violation, so skipping the group or shrinking positions 1 and 2 to
+    # order p loses none, and the all-prunes scan agrees
+    g = realize(gdef)
+    lat = all_subgroups(g)
+    c = order_class(g, lat)
+    assert (c.kind, c.p, c.q) == (kind, p, q)
+    conj, conj_rep = scan_group(g, SearchConfig.make(ineqs="dfz", prune="conjugacy"), lat)
+    full, _ = scan_group(g, SearchConfig.make(ineqs="dfz"), lat)
+    assert conj_rep.tuples_evaluated > 0
+    assert conj == full == []
 
 
 def test_scan_emit_limit(cat, lattice_for):
