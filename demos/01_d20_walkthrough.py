@@ -18,7 +18,7 @@ def main():
     for order in sorted(by_order):
         n = len(by_order[order])
         normal = sum(
-            1 for s in by_order[order] if lat.normal_flags[lat.index_of(s.mask)]
+            1 for s in by_order[order] if lat.normal_flags[lat.index[s.mask]]
         )
         print(f"  order {order:>2}: {n} subgroup(s), {normal} normal")
 

@@ -17,7 +17,6 @@ from .perm_core import (
     is_product_subgroup,
     is_normal,
     all_subgroups,
-    sylow_subgroups,
     is_abelian,
     is_isomorphic,
     conjugate_tuple,

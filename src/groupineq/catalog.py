@@ -12,7 +12,7 @@ data file, regenerated by tools/build_catalog.py.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import factorial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple

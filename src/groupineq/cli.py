@@ -28,10 +28,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .catalog import (CatalogError, CatalogIndex, load_catalog, paper_tuple,
-                      realize_paper_tuple)
-from .entropy_eval import EntropyVector, entropy_vector, evaluate, gi
-from .ineq_dsl import (BUILTIN_IDS, ParseError, builtin, group_form, parse,
+from .catalog import PAPER_TUPLE_NAMES, CatalogError, load_catalog, realize_paper_tuple
+from .entropy_eval import entropy_vector, evaluate, gi
+from .ineq_dsl import (ParseError, builtin, group_form, parse,
                        pretty_print, resolve_ids, symmetry_group)
 from .perm_core import (LATTICE_ORDER_CAP, Group, Subgroup, SubgroupLattice,
                         _permutation_from_cycles, _require_lattice_cap,
@@ -39,7 +38,7 @@ from .perm_core import (LATTICE_ORDER_CAP, Group, Subgroup, SubgroupLattice,
 from .search_engine import (PruneReport, SearchConfig, Witness,
                             check_simultaneous, scan_group, survey)
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 class CliError(ValueError):
@@ -62,10 +61,11 @@ def group_hash(g: Group) -> str:
 class LatticeCache:
     """One JSON file per group under `directory`, named by group hash.
 
-    A hit requires the stored hash to equal the recomputed one and the
-    format version to be current; anything else is treated as a miss and
-    rebuilt. Masks are stored as decimal strings (they exceed 64 bits as
-    soon as the group order does). `get` refuses a group above its cap
+    A file holds the subgroup masks alone, as decimal strings (they
+    exceed 64 bits as soon as the group order does). A hit requires the
+    stored hash to equal the recomputed one, the format version to be
+    current and the masks to pass `_meet_closed`; anything else is
+    treated as a miss and rebuilt. `get` refuses a group above its cap
     before it looks in the cache, so a hit never bypasses --max-order.
     """
 
@@ -87,18 +87,11 @@ class LatticeCache:
                 return None
             if data["group_hash"] != group_hash(g):
                 return None
-            subs = tuple(g.subgroup(int(m)) for m in data["subgroup_masks"])
-            normal = tuple(bool(b) for b in data["normal_flags"])
-            classes = tuple(tuple(int(i) for i in c)
-                            for c in data["conjugacy_classes"])
-            sylow = {int(p): tuple(int(i) for i in v)
-                     for p, v in data["sylow_index"].items()}
+            lattice = SubgroupLattice(
+                g, tuple(g.subgroup(int(m)) for m in data["subgroup_masks"]))
         except (KeyError, TypeError, ValueError):
             return None
-        if len(subs) != len(normal):
-            return None
-        return SubgroupLattice(group=g, subgroups=subs, normal_flags=normal,
-                               conjugacy_classes=classes, sylow_index=sylow)
+        return lattice if _meet_closed(g, lattice) else None
 
     def store(self, g: Group, lattice: SubgroupLattice) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -108,10 +101,6 @@ class LatticeCache:
             "group_name": g.name,
             "group_order": g.order,
             "subgroup_masks": [str(s.mask) for s in lattice.subgroups],
-            "normal_flags": [bool(b) for b in lattice.normal_flags],
-            "conjugacy_classes": [list(c) for c in lattice.conjugacy_classes],
-            "sylow_index": {str(p): list(v)
-                            for p, v in sorted(lattice.sylow_index.items())},
         }
         tmp = self.path_for(g).with_suffix(".tmp")
         tmp.write_text(json.dumps(data))
@@ -127,6 +116,19 @@ class LatticeCache:
         lattice = all_subgroups(g, cap=cap)
         self.store(g, lattice)
         return lattice
+
+
+def _meet_closed(g: Group, lattice: SubgroupLattice) -> bool:
+    """Whether the masks run from the trivial subgroup to G inside G's
+    elements, strictly increase in (order, mask), and are closed under
+    intersection, as a subgroup lattice's are."""
+    subs = lattice.subgroups
+    keys = [(s.order, s.mask) for s in subs]
+    index = lattice.index
+    return (bool(subs) and subs[0].mask == 1 and subs[-1].mask == g.full_mask
+            and all(0 < s.mask <= g.full_mask for s in subs)
+            and all(a < b for a, b in zip(keys, keys[1:]))
+            and all(a.mask & b.mask in index for a in subs for b in subs))
 
 
 def resolve_cache_dir(flag_value: Optional[str]) -> Path:
@@ -723,7 +725,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("group", nargs="?", help="catalog group name")
     sp.add_argument("--subgroups", help='tuple text, e.g. "G1=(3 4)(2 4 3); G2=..."')
     sp.add_argument("--tuple", dest="tuple", metavar="NAME",
-                    help=f"named reference tuple: {', '.join(sorted(_tuple_names()))}")
+                    help=f"named reference tuple: {', '.join(sorted(PAPER_TUPLE_NAMES))}")
     sp.add_argument("--ineqs", default="all",
                     help='comma list of inequality ids, "dfz", or "all"')
     common(sp, cache=False)
@@ -771,11 +773,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_verify_paper)
     return p
-
-
-def _tuple_names() -> Tuple[str, ...]:
-    from .catalog import PAPER_TUPLE_NAMES
-    return PAPER_TUPLE_NAMES
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -20,9 +20,9 @@ A bare expr with no comparator is read as "expr >= 0".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations as iter_permutations
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MAX_VARS",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "is_product_subgroup",
     "is_normal",
     "all_subgroups",
-    "sylow_subgroups",
     "is_abelian",
     "is_isomorphic",
     "conjugate_tuple",
@@ -498,46 +498,53 @@ def is_abelian(g: Group) -> bool:
 
 @dataclass(frozen=True)
 class SubgroupLattice:
-    """Every subgroup of a group, with normality, conjugacy and Sylow data.
+    """Every subgroup of a group, deduplicated and sorted by (order, mask).
 
-    `subgroups` is deduplicated and sorted by (order, mask); conjugacy
-    classes partition subgroup indices; `sylow_index` maps each prime
-    dividing the group order to the indices of its Sylow subgroups.
+    The subgroup list is all a lattice stores. The mask -> index map, the
+    conjugation table, the conjugacy classes, the normal flags and the
+    Sylow index are derived from it on first use and kept.
     """
 
     group: Group = field(compare=False)
     subgroups: Tuple[Subgroup, ...]
-    normal_flags: Tuple[bool, ...]
-    conjugacy_classes: Tuple[Tuple[int, ...], ...]
-    sylow_index: Dict[int, Tuple[int, ...]] = field(hash=False)
 
     def __len__(self) -> int:
         return len(self.subgroups)
 
-    def index_of(self, mask: int) -> int:
-        key = (int(mask).bit_count(), mask)
-        lo, hi = 0, len(self.subgroups)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            s = self.subgroups[mid]
-            if (s.order, s.mask) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.subgroups) and self.subgroups[lo].mask == mask:
-            return lo
-        raise KeyError(f"mask {mask:#x} is not a subgroup of {self.group.name}")
+    @cached_property
+    def index(self) -> Dict[int, int]:
+        """Lattice index of each subgroup, by mask."""
+        return {s.mask: i for i, s in enumerate(self.subgroups)}
 
     def conjugation_table(self) -> np.ndarray:
         """(|G|, #subgroups) table: entry [x, s] is the lattice index of x S x^-1."""
-        cached = getattr(self, "_conj_table", None)
-        if cached is not None:
-            return cached
+        return self._conjugation
+
+    @cached_property
+    def _conjugation(self) -> np.ndarray:
+        index = self.index
         members = [s.member_indices() for s in self.subgroups]
-        table = np.array([[self.index_of(_image_mask(perm, m)) for m in members]
-                          for perm in self.group.conj_perms()], dtype=np.int32)
-        object.__setattr__(self, "_conj_table", table)
-        return table
+        return np.array([[index[_image_mask(perm, m)] for m in members]
+                         for perm in self.group.conj_perms()], dtype=np.int32)
+
+    @cached_property
+    def conjugacy_classes(self) -> Tuple[Tuple[int, ...], ...]:
+        """The classes partition the indices; column s of the conjugation
+        table is the class of s. Sorted by least member."""
+        return tuple(sorted({tuple(sorted(set(col))) for col
+                             in self.conjugation_table().T.tolist()}))
+
+    @cached_property
+    def normal_flags(self) -> Tuple[bool, ...]:
+        """A subgroup is normal when every conjugate is itself."""
+        table = self.conjugation_table()
+        return tuple((table == table[0]).all(axis=0).tolist())
+
+    @cached_property
+    def sylow_index(self) -> Dict[int, Tuple[int, ...]]:
+        """Each prime p dividing |G| -> indices of the Sylow p-subgroups."""
+        return {p: tuple(i for i, s in enumerate(self.subgroups) if s.order == p ** e)
+                for p, e in prime_factors(self.group.order).items()}
 
 
 def _require_lattice_cap(g: Group, cap: int) -> None:
@@ -582,46 +589,7 @@ def all_subgroups(g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
                 worklist.append(bigger)
     subs = tuple(sorted((g.subgroup(m) for m in gens_of),
                         key=lambda s: (s.order, s.mask)))
-    # Conjugacy classes: orbits under conjugation by group generators.
-    index_by_mask = {s.mask: i for i, s in enumerate(subs)}
-    conj = g.conj_perms()
-    gens = g.generator_indices or tuple(range(g.order))
-    assigned = [-1] * len(subs)
-    classes: List[Tuple[int, ...]] = []
-    for i in range(len(subs)):
-        if assigned[i] >= 0:
-            continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            members = subs[frontier.pop()].member_indices()
-            for x in gens:
-                t = index_by_mask[_image_mask(conj[x], members)]
-                if t not in orbit:
-                    orbit.add(t)
-                    frontier.append(t)
-        cls = tuple(sorted(orbit))
-        for j in cls:
-            assigned[j] = len(classes)
-        classes.append(cls)
-    # A subgroup is normal exactly when it is alone in its class.
-    normal = tuple(len(classes[assigned[i]]) == 1 for i in range(len(subs)))
-    sylow: Dict[int, Tuple[int, ...]] = {}
-    for p, e in prime_factors(g.order).items():
-        target = p ** e
-        sylow[p] = tuple(i for i, s in enumerate(subs) if s.order == target)
-    return SubgroupLattice(g, subs, normal, tuple(classes), sylow)
-
-
-def sylow_subgroups(g: Group, p: int) -> List[Subgroup]:
-    """All Sylow p-subgroups of g; [trivial] when p does not divide |G|."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    e = int_valuation(g.order, p)
-    if e == 0:
-        return [g.trivial_subgroup()]
-    lattice = all_subgroups(g)
-    return [lattice.subgroups[i] for i in lattice.sylow_index[p]]
+    return SubgroupLattice(g, subs)
 
 
 def _element_order_histogram(g: Group) -> Dict[int, int]:

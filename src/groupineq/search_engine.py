@@ -446,7 +446,7 @@ class _ScanState:
                          for p in self.plans]
         masks = [s.mask for s in lattice.subgroups]
         m = len(masks)
-        index = {mask: i for i, mask in enumerate(masks)}
+        index = lattice.index
         # meet[i, j]: lattice index of Gi ∩ Gj, in the narrowest unsigned
         # type that holds m - 1 (uint8 up to 256 subgroups); the last
         # subgroup is G itself

@@ -321,6 +321,31 @@ def test_cache_rejects_corrupt_json(tmp_path):
     assert cache2.misses == 1 and len(lat) == 30
 
 
+@pytest.mark.parametrize("edit", [
+    lambda masks: masks.__setitem__(5, "3"),      # a duplicate subgroup
+    lambda masks: masks.__setitem__(5, "7"),      # not a subgroup
+    lambda masks: masks.pop(1),                   # an intersection dropped
+    lambda masks: masks.insert(1, masks.pop(2)),  # out of (order, mask) order
+    lambda masks: masks.insert(-1, str(int(masks[-2]) | 1 << 24)),  # outside G
+], ids=["duplicate", "not-a-subgroup", "dropped", "unsorted", "outside"])
+def test_cache_rejects_corrupt_lattice(capsys, tmp_path, edit):
+    # a file whose masks cannot be S4's lattice is a miss, not a scan error
+    d = tmp_path / "c"
+    g = s4()
+    path = cli.LatticeCache(d).path_for(g)
+    cli.LatticeCache(d).get(g)
+    stored = json.loads(path.read_text())
+    edit(stored["subgroup_masks"])
+    corrupt = json.dumps(stored)
+    path.write_text(corrupt)
+    cache = cli.LatticeCache(d)
+    lat = cache.get(g)
+    assert (cache.misses, cache.hits, len(lat)) == (1, 0, 30)
+    path.write_text(corrupt)   # the miss above rewrote the file
+    code, doc, _ = run_json(["scan", "S4", "--cache-dir", str(d)], capsys)
+    assert code == 1 and len(doc["results"]["witnesses"]) == 4
+
+
 def test_cache_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv("GIL_CACHE_DIR", raising=False)
     flag = tmp_path / "flagged"

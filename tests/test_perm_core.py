@@ -19,7 +19,6 @@ from groupineq.perm_core import (
     is_product_subgroup,
     prime_factors,
     set_product_order,
-    sylow_subgroups,
 )
 
 import oracles
@@ -219,7 +218,7 @@ def test_lattice_invariants(cat):
         for i in cls:
             assert lat.normal_flags[i] == (len(cls) == 1)
     for i, s in enumerate(lat.subgroups):
-        assert lat.index_of(s.mask) == i
+        assert lat.index[s.mask] == i
 
 
 def test_lattice_sylow_index(cat):
@@ -232,18 +231,11 @@ def test_lattice_sylow_index(cat):
         assert len(idxs) % p == 1
         for i in idxs:
             assert lat.subgroups[i].order == p ** prime_factors(24)[p]
-
-
-def test_sylow_subgroups_function(cat):
-    g = cat.realize("A4")
-    twos = sylow_subgroups(g, 2)
-    threes = sylow_subgroups(g, 3)
-    assert len(twos) == 1 and twos[0].order == 4
-    assert len(threes) == 4 and all(s.order == 3 for s in threes)
-    fives = sylow_subgroups(g, 5)
-    assert len(fives) == 1 and fives[0].order == 1
-    with pytest.raises(ValueError):
-        sylow_subgroups(g, 4)
+    # A4: one normal Sylow 2-subgroup (V4), four Sylow 3-subgroups
+    a4 = all_subgroups(cat.realize("A4"))
+    assert {p: [a4.subgroups[i].order for i in idxs]
+            for p, idxs in a4.sylow_index.items()} == {2: [4], 3: [3, 3, 3, 3]}
+    assert a4.normal_flags[a4.sylow_index[2][0]]
 
 
 def test_conjugation_table(cat):
@@ -256,7 +248,7 @@ def test_conjugation_table(cat):
         x = rng.randrange(24)
         i = rng.randrange(len(lat.subgroups))
         (conj,) = conjugate_tuple(g, [lat.subgroups[i]], x)
-        assert int(ct[x, i]) == lat.index_of(conj.mask)
+        assert int(ct[x, i]) == lat.index[conj.mask]
 
 
 def test_conjugate_tuple_is_action(cat):

@@ -320,8 +320,7 @@ def test_meet_table_past_eight_bits():
     assert len(masks) == 374
     state = _ScanState(g, lat, SearchConfig.make(ineqs="dfz", prune="none"), None)
     assert state.meet.dtype == np.uint16
-    index = {mask: i for i, mask in enumerate(masks)}
-    assert state.meet.tolist() == [[index[x & y] for y in masks] for x in masks]
+    assert state.meet.tolist() == [[lat.index[x & y] for y in masks] for x in masks]
 
 
 def test_block_memory_stays_lean(cat, lattice_for):
