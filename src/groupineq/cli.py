@@ -23,6 +23,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -666,6 +667,28 @@ def _claim_s5_ingleton(jobs: int, cache: LatticeCache) -> str:
     return f"{len(witnesses)} witnesses over {len(cache.get(g))} subgroups"
 
 
+# S5's dfz witnesses: how many violate each of the ten, and the sha256 of
+# their witnesses_json
+S5_DFZ_COUNTS = {"dfz1": 86, "dfz3": 63, "dfz5": 22, "dfz10": 16, "dfz9": 15,
+                 "dfz7": 13, "dfz2": 12, "dfz4": 12, "dfz6": 3, "dfz8": 1}
+S5_DFZ_DIGEST = "78f72b4c4c19e09d4275af9ff7e01a485a85ccd68425d2a67dac3fbcc5843dda"
+
+
+def _claim_s5_dfz(jobs: int, cache: LatticeCache) -> str:
+    cat = load_catalog()
+    g = cat.realize("S5")
+    cfg = SearchConfig.make(ineqs="dfz", prune="all", jobs=jobs)
+    witnesses, _ = scan_group(g, cfg, cache.get(g))
+    counts = Counter(w.inequality_id for w in witnesses)
+    if counts != S5_DFZ_COUNTS:
+        raise AssertionError(f"witnesses per inequality {dict(counts)}, "
+                             f"expected {S5_DFZ_COUNTS}")
+    digest = hashlib.sha256(witnesses_json(witnesses).encode()).hexdigest()
+    if digest != S5_DFZ_DIGEST:
+        raise AssertionError(f"witness digest {digest[:16]}... differs")
+    return f"{len(witnesses)} witnesses, all ten dfz inequalities violated"
+
+
 def cmd_verify_paper(args) -> Tuple[Report, int]:
     cache = LatticeCache(resolve_cache_dir(args.cache_dir))
     jobs = args.jobs
@@ -682,6 +705,7 @@ def cmd_verify_paper(args) -> Tuple[Report, int]:
     if args.stretch:
         claims.append(("s5-ingleton-witness",
                        lambda: _claim_s5_ingleton(jobs, cache)))
+        claims.append(("s5-dfz-witnesses", lambda: _claim_s5_dfz(jobs, cache)))
     rows, timings = [], {}
     t_all = time.perf_counter()
     for name, fn in claims:
@@ -768,7 +792,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-paper",
                         help="rerun every headline numeric claim")
     sp.add_argument("--stretch", action="store_true",
-                    help="include the S5 Ingleton search")
+                    help="include the S5 Ingleton and dfz searches")
     sp.add_argument("--jobs", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_verify_paper)

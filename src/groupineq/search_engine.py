@@ -36,27 +36,35 @@ logs: ℓ(o) = Σ_p v_p(o)·w_p over the primes p of |G|, where the weights
 w_p are chosen per prime signature of |G| and largest inequality degree
 and proved, in exact integer arithmetic, to give the sign of
 ∏_p p^x_p - 1 for every exponent vector x an inequality can produce
-(_log_weights). The sums are narrow integers (int16 for S4, int8 for
-2-groups) with a checked bound, so no float, no int64 product and no
+(_log_weights). The sums are narrow integers (int16 for S4 and S5, int8
+for 2-groups) with a checked bound, so no float, no int64 product and no
 Python-int fallback is on the verdict path, at any order the lattice cap
 admits.
 
-Every intersection of subgroups is itself a subgroup, so a subset order
-|G_A| is a chain of lookups in a meet table (the lattice index of
-Gi ∩ Gj, held in the narrowest unsigned type) followed by one log
-lookup. The first n-3 positions of a tuple are chosen one at a time; the
-last three are evaluated together as a (C, D, E) numpy block, C the
-surviving position n-3 subgroups and D = E the whole lattice. A subset's
-logs broadcast over only the block axes it contains, and each distinct
-signed log c·ℓ(|G_A|) is gathered once per block and shared by every
-inequality. Each inequality adds its terms in groups that keep a small
-shape before it grows to the full block. Each distinct set of
-variable symmetries builds its canon mask once per block, with one
-comparison per symmetry: lattice indices are digits of a base-m code, so
-"the image is lexicographically smaller" is a linear form in the tuple
-being negative. The C axis is split so that a block holds at most
-_BLOCK_CELLS cells (a single D x E slice when that alone is larger),
-which bounds the scan's memory.
+Every intersection of subgroups is itself a subgroup, so a subset's
+intersection is a chain of lookups in a meet table (the lattice index of
+Gi ∩ Gj, held in the narrowest unsigned type), and each signed
+coefficient c has a meet-log table holding c·ℓ(|Gi ∩ Gj|). The first n-3
+positions of a tuple are chosen one at a time; the last three are
+evaluated together as a (C, D, E) numpy block, C the surviving position
+n-3 subgroups and D = E the whole lattice. A subset's logs broadcast over
+only the block axes it contains, and each distinct signed log
+c·ℓ(|G_A|) is one gather of rows of its meet-log table per block, shared
+by every inequality. Each inequality adds its terms in groups that keep
+a small shape before it grows to the full block.
+
+An inequality with variable symmetries keeps a cell only if no
+symmetry's image is lexicographically smaller, one comparison per
+symmetry: lattice indices are digits of a base-m code, so "the image is
+smaller" is a linear form in the tuple being negative. When some
+selected inequality has no symmetry (dfz3, dfz4, dfz5, dfz7 and dfz10, or
+any scan without the ineq_symmetry rule), every live cell is evaluated,
+and the others' symmetries are tested only at their own tight and
+violating cells. Only when every selected inequality has symmetries
+(ingleton alone, say) does each distinct set of them build a canon mask
+over the block, whose union gives the evaluated count. The C axis is
+split so that a block holds at most _BLOCK_CELLS cells (a single D x E
+slice when that alone is larger), which bounds the scan's memory.
 
 A scan runs in three steps: plan (lattice, order class, scan state),
 run, finish (sum the tallies, rebuild and sort the witnesses, check the
@@ -355,24 +363,25 @@ def _log_weights(signature: Tuple[Tuple[int, int], ...], degree: int) -> Tuple[i
     An inequality's sum Σ_A c_A·ℓ(|G_A|) is Σ_p x_p·w_p with
     x_p = Σ_A c_A·v_p(|G_A|), and lhs/rhs = ∏_p p^x_p. Each side's
     exponents sum to at most `degree` and v_p(|G_A|) <= e_p, so
-    |x_p| <= e_p·degree. The proposal is w_p = bit length of p^K (within 1
-    of K·log2 p) over their gcd, K = 1, 2, 4, ...; the first that
-    _signs_agree proves on that box is returned. The loop ends: an error
-    of at most 1 per unit of x_p is outgrown by K times the least nonzero
-    |Σ_p x_p·log2 p| on the box.
+    |x_p| <= e_p·degree. The proposal is w_p = round(k·log2 p), computed
+    exactly as the bit length of p^2k halved, over their gcd, for
+    k = 1, 2, 3, ...; the first that _signs_agree proves on that box is
+    returned, so the weights (and the log tables) are about as small as
+    the box allows. The loop ends: an error of at most 1/2 per unit of x_p
+    is outgrown by k times the least nonzero |Σ_p x_p·log2 p| on the box.
     """
     k = 1
     while True:
-        weights = [(p ** k).bit_length() for p, _ in signature]
+        weights = [(p ** (2 * k)).bit_length() // 2 for p, _ in signature]
         common = math.gcd(*weights) or 1
         weights = tuple(w // common for w in weights)
         if _signs_agree(signature, degree, weights):
             return weights
-        k *= 2
+        k += 1
 
 
 class _Symmetry:
-    """One variable symmetry's canon test as one comparison per block.
+    """One variable symmetry's canon test as one comparison over block cells.
 
     The symmetry maps a tuple t to t' with t'_j = t_src[j]. Lattice
     indices lie in [0, m), so t' is lexicographically smaller than t
@@ -420,10 +429,12 @@ class _Symmetry:
         """The chosen positions' share of the sum."""
         return sum(w * t for w, t in zip(self.weights, chosen))
 
-    def keeps(self, prefix_part: int, dom_c: np.ndarray) -> np.ndarray:
-        """Block cells whose image is not lexicographically smaller."""
-        threshold = -(self.c_part[dom_c] + prefix_part)
-        return self.d_part[:, None] + self.e_part >= threshold[:, None, None]
+    def keeps(self, prefix_part: int, c: np.ndarray, d: np.ndarray,
+              e: np.ndarray) -> np.ndarray:
+        """Whether each cell (c, d, e) (lattice indices at the block
+        positions, broadcast together) has an image that is not
+        lexicographically smaller."""
+        return self.d_part[d] + self.e_part[e] >= -(self.c_part[c] + prefix_part)
 
 
 class _ScanState:
@@ -441,7 +452,7 @@ class _ScanState:
         self.group = g
         self.n = n = cfg.tuple_arity
         self.plans = [_compile_spec(builtin(i), n) for i in cfg.inequality_ids]
-        # per plan, the variable symmetries its canon mask quotients by
+        # per plan, the variable symmetries ineq_symmetry quotients by
         self.sym_keys = [p.sym_sources if "ineq_symmetry" in cfg.prune_flags else ()
                          for p in self.plans]
         masks = [s.mask for s in lattice.subgroups]
@@ -455,7 +466,7 @@ class _ScanState:
         self.top = m - 1
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
         self.terms = {t for p in self.plans for t in p.terms}
-        # logs[c][i] = c·ℓ(|Gi|). A plan's partial sums lie within
+        # meet_logs[c][i, j] = c·ℓ(|Gi ∩ Gj|). A plan's partial sums lie within
         # ±degree·ℓ(|G|), so the tables take the narrowest signed type
         # that holds twice that
         degree = max(p.degree for p in self.plans)
@@ -470,7 +481,8 @@ class _ScanState:
             raise ValueError(f"integer logs of order {g.order} at degree {degree} "
                              "do not fit in 64 bits")
         ells = np.array([ell(s.order) for s in lattice.subgroups], dtype=np.int64)
-        self.logs = {c: (c * ells).astype(dtype) for c in {c for _, c in self.terms}}
+        self.meet_logs = {c: (c * ells).astype(dtype)[self.meet]
+                          for c in {c for _, c in self.terms}}
         # lower[x, s]: x Gs x^-1 precedes Gs; fixes[x, s]: x normalizes Gs.
         # Rows are the elements the scan quotients by; with conjugacy off
         # that is the identity alone, which prunes nothing.
@@ -493,6 +505,8 @@ class _ScanState:
                               if _theory_armed(cfg, "theory_common_info") else None)
         self.symmetries = {src: _Symmetry(src, m, restricted)
                            for key in self.sym_keys for src in key}
+        # whether every plan has symmetries, so that blocks build canon masks
+        self.canon_masks = all(self.sym_keys)
         # the position 1 subgroups left after the conjugacy rule; set by _plan
         self.firsts = self.domains[0]
 
@@ -565,14 +579,15 @@ def _scan_chunk(st: _ScanState, first: int) -> Tuple[List[tuple], Dict[str, int]
     return cells, tally
 
 
-# most cells in one (C, D, E) block. An S4 dfz block takes about 30 bytes
-# a cell at its peak: uint8 meet indexes (dropped once the logs are
-# gathered), one log per distinct signed full-block term and the running
-# sums, all int16 for S4 (int8 for 2-groups, int32 for S5), and one
-# bool canon mask per distinct symmetry set. numpy's cost per
-# call, not arithmetic, bounds the kernel, so larger blocks run faster;
-# 2**14 cells stay near 0.5 MB, a small part of a scan's footprint.
-_BLOCK_CELLS = 1 << 14
+# most cells in one (C, D, E) block. An S4 dfz block takes about 20 bytes
+# a cell at its peak: one log per distinct signed full-block term,
+# gathered straight from a meet-log table, and the running sums, all
+# int16 for S4 and S5 (int8 for 2-groups), plus the bool live and compare
+# masks; a canon mask per distinct symmetry set only when every plan has
+# symmetries. numpy's cost per call, not arithmetic, bounds the kernel,
+# so larger blocks run faster: 2**15 cells make each S4 prefix, 30 x 30
+# x 30 = 27,000 cells, one block, and stay near 0.5 MB.
+_BLOCK_CELLS = 1 << 15
 
 
 def _block_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
@@ -611,44 +626,76 @@ def _evaluate_block(st: _ScanState, chosen: List[int], lower: np.ndarray,
     if not alive_n:
         return
 
-    # lattice index of each subset's intersection, by subset bitmask
-    # pm = low | hi << (n-3): for each pattern hi of block positions, one
-    # gather over every prefix subset low, shaped to broadcast over only
-    # the block axes in hi (a whole-lattice axis is a meet row)
+    # each distinct signed log c·ℓ(|G_A|) once, shared by every plan. For
+    # pm = low | hi << (n-3), the prefix subsets low meet the block pattern
+    # hi: a term whose hi holds D or E is one row gather of the meet-log
+    # table, indexed by the intersection of the rest; one on prefix and C
+    # alone reads the row of G
     rows = st.meet[prefix]
     with_c = rows[:, dom_c]
-    with_cd = st.meet[with_c]
-    parts = (prefix, with_c[:, :, None, None], rows[:, None, :, None],
-             with_cd[:, :, :, None], rows[:, None, None, :],
-             with_cd[:, :, None, :], st.meet[rows][:, None], st.meet[with_cd])
-    meets = [part[low] for part in parts for low in range(len(prefix))]
-    # each distinct signed log c·ℓ(|G_A|) once, shared by every plan
-    logs = {(pm, c): st.logs[c][meets[pm]] for pm, c in st.terms}
-    del parts, meets
+    sources = (prefix, with_c, prefix, with_c, prefix, with_c, rows, st.meet[with_c])
+    logs = {}
+    for pm, c in st.terms:
+        hi, low = divmod(pm, len(prefix))
+        table = st.meet_logs[c]
+        at = sources[hi][low]
+        logs[(pm, c)] = (table[at] if hi & 6 else table[st.top, at])[_AXES[hi]]
+    del sources
 
-    # canon masks: each distinct set of symmetries once, one comparison
-    # per symmetry
+    # ineq_symmetry. When every plan has symmetries, each distinct set of
+    # them builds one canon mask, one comparison per symmetry, and a cell
+    # is evaluated when some plan keeps it. Otherwise a plan without
+    # symmetries keeps every alive cell, so all of them are evaluated, and
+    # a plan with symmetries tests only its own tight and violating cells
     canons = {}
-    for key in set(st.sym_keys):
-        canon = alive.copy() if key else alive
-        for src in key:
-            canon &= st.symmetries[src].keeps(prefix_parts[src], dom_c)
-        canons[key] = canon
+    if st.canon_masks:
+        every = st.domains[-1]   # D = E = the whole lattice
+        for key in set(st.sym_keys):
+            canons[key] = alive & _kept(st, key, prefix_parts, dom_c[:, None, None],
+                                        every[:, None], every)
+        evaluated_n = int(np.count_nonzero(np.logical_or.reduce(list(canons.values()))))
+    else:
+        evaluated_n = alive_n
+    tally["evaluated"] += evaluated_n
+    tally["ineq_symmetry"] += alive_n - evaluated_n
+
+    def kept_at(at: np.ndarray, key: tuple) -> np.ndarray:
+        # the flat block positions `at` whose cells the symmetries keep
+        c, d, e = np.unravel_index(at, alive.shape)
+        return at[_kept(st, key, prefix_parts, dom_c[c], d, e)]
 
     for plan, key in zip(st.plans, st.sym_keys):
         # Σ_A c_A·ℓ(|G_A|): each group added at its own shape, then the
-        # group sums in order; > 0 is a violation and 0 an equality
+        # group sums in order; > 0 is a violation and 0 an equality.
+        # Violations are rare, so one max rules most blocks out
         value = _sum(_sum(logs[t] for t in g) for g in plan.groups)
-        tally["equalities"] += int(np.count_nonzero((value == 0) & canons[key]))
-        violated = (value > 0) & canons[key]
-        if violated.any():
-            for c, d, e in zip(*np.nonzero(violated)):
-                cells.append((plan.spec_id, (*chosen, int(dom_c[c]), int(d), int(e))))
-                tally["violations"] += 1
+        live = canons.get(key, alive)
+        violated = np.flatnonzero((value > 0) & live) if value.max() > 0 else ()
+        if key and not st.canon_masks:
+            tally["equalities"] += len(kept_at(np.flatnonzero((value == 0) & live), key))
+            if len(violated):
+                violated = kept_at(violated, key)
+        else:
+            tally["equalities"] += int(np.count_nonzero((value == 0) & live))
+        if len(violated):
+            tally["violations"] += len(violated)
+            c, d, e = np.unravel_index(violated, alive.shape)
+            for cell in zip(dom_c[c].tolist(), d.tolist(), e.tolist()):
+                cells.append((plan.spec_id, (*chosen, *cell)))
 
-    evaluated_n = int(np.count_nonzero(np.logical_or.reduce(list(canons.values()))))
-    tally["evaluated"] += evaluated_n
-    tally["ineq_symmetry"] += alive_n - evaluated_n
+
+# per block pattern hi (bits C, D, E), how a term's gathered logs broadcast
+# over the (C, D, E) block
+_AXES = ((), np.s_[:, None, None], np.s_[:, None], np.s_[:, :, None],
+         (), np.s_[:, None, :], (), ())
+
+
+def _kept(st: _ScanState, key: tuple, prefix_parts: dict, c: np.ndarray,
+          d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Whether each cell (c, d, e), lattice indices at the block positions
+    that broadcast together, is kept by every symmetry in `key`."""
+    return functools.reduce(operator.and_, (
+        st.symmetries[src].keeps(prefix_parts[src], c, d, e) for src in key))
 
 
 _sum = functools.partial(functools.reduce, operator.add)

@@ -420,6 +420,25 @@ def test_claim_d20_gi():
     assert "5/2" in cli._claim_d20_gi()
 
 
+def test_claim_s5_dfz_checks_counts_and_digest(monkeypatch):
+    # the stretch claim's checks, on S4's four dfz witnesses in place of
+    # the S5 scan: the per-inequality counts, then the digest
+    cat = load_catalog()
+    s4 = cat.realize("S4")
+    witnesses, report = scan_group(s4, SearchConfig.make(ineqs="dfz"))
+
+    class Cache:
+        def get(self, g):
+            return None
+
+    monkeypatch.setattr(cli, "scan_group", lambda g, cfg, lattice: (witnesses, report))
+    with pytest.raises(AssertionError, match="witnesses per inequality"):
+        cli._claim_s5_dfz(1, Cache())
+    monkeypatch.setattr(cli, "S5_DFZ_COUNTS", {"dfz1": 3, "dfz3": 1})
+    with pytest.raises(AssertionError, match="witness digest"):
+        cli._claim_s5_dfz(1, Cache())
+
+
 def test_verify_paper_fast_claims(capsys, cache_dir):
     # run only the quick claims by reusing the command with jobs=2; the
     # survey claim dominates and stays well under the acceptance budget

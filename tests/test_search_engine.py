@@ -2,12 +2,13 @@ import functools
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from groupineq.catalog import (cyclic, dihedral, direct_product, load_catalog, realize,
-                               realize_paper_tuple, semidirect_cyclic, symmetric)
+from groupineq.catalog import (alternating, cyclic, dihedral, direct_product, load_catalog,
+                               realize, realize_paper_tuple, semidirect_cyclic, symmetric)
 from groupineq.entropy_eval import entropy_vector, evaluate
 from groupineq import search_engine
 from groupineq.ineq_dsl import DFZ_IDS, builtin
@@ -167,6 +168,68 @@ def test_scan_s4_finds_reference_witnesses(cat, lattice_for):
         assert key([g.subgroup(s.mask) for s in subs]) in keys[iid], name
 
 
+@pytest.fixture(scope="module")
+def a5():
+    g = realize(alternating(5))
+    return g, all_subgroups(g)
+
+
+def test_scan_a5_pinned(a5):
+    # A5 is the first group where ineq_symmetry drops witnesses: 12 under
+    # conjugacy alone, 9 with every rule. Up to conjugacy and each
+    # inequality's variable symmetries the two lists are the same
+    g, lat = a5
+    assert (g.order, len(lat.subgroups)) == (60, 59)
+    full, rep = scan_group(g, SearchConfig.make(ineqs="dfz"), lat)
+    conj, _ = scan_group(g, SearchConfig.make(ineqs="dfz", prune="conjugacy"), lat)
+    assert Counter(w.inequality_id for w in full) == {
+        "dfz1": 4, "dfz3": 2, "dfz10": 2, "dfz9": 1}
+    assert (rep.tuples_evaluated, rep.equality_cases, rep.violations_found) == (
+        9_058_697, 490_308, 9)
+    rep.check_invariant()
+    assert len(conj) == 12
+    assert {w.sort_key() for w in full} <= {w.sort_key() for w in conj}
+
+    key = tuple_key(g, lat)
+
+    def orbits(witnesses):
+        out = set()
+        for w in witnesses:
+            t = [g.subgroup(mask) for mask in w.masks]
+            form = oracles.expand_inequality(builtin(w.inequality_id).source_text)
+            out.add((w.inequality_id,
+                     min(key([t[j] for j in p] + t[len(p):])
+                         for p in oracles.variable_symmetries(form))))
+        return out
+
+    # each rule keeps the least tuple of its own orbits, so two of the
+    # nine can share a joint orbit
+    assert orbits(full) == orbits(conj)
+    assert len(orbits(full)) == 8
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_canon_paths_agree(cat, lattice_for, a5, name):
+    # dfz1, dfz2, dfz6, dfz8 and dfz9 all have variable symmetries, so a
+    # scan of them builds full canon masks; with dfz3 (none) among them
+    # every live cell is evaluated and each symmetric plan is filtered at
+    # its own tight and violating cells. Both ways, each inequality counts
+    # the same tuples
+    g, lat = a5 if name == "A5" else (cat.realize(name), lattice_for(name))
+    sym, alone, mixed = ("dfz1,dfz2,dfz6,dfz8,dfz9", "dfz3",
+                         "dfz1,dfz2,dfz3,dfz6,dfz8,dfz9")
+    assert [_ScanState(g, lat, SearchConfig.make(ineqs=i), None).canon_masks
+            for i in (sym, alone, mixed)] == [True, False, False]
+    (sym_w, sym), (alone_w, alone), (mixed_w, mixed) = (
+        scan_group(g, SearchConfig.make(ineqs=i), lat) for i in (sym, alone, mixed))
+    assert mixed.equality_cases == sym.equality_cases + alone.equality_cases
+    assert mixed.violations_found == sym.violations_found + alone.violations_found
+    assert mixed.tuples_evaluated == alone.tuples_evaluated
+    assert mixed.tuples_pruned_by_rule["ineq_symmetry"] == 0
+    assert sym.tuples_pruned_by_rule["ineq_symmetry"] > 0
+    assert mixed_w == sorted(sym_w + alone_w, key=lambda w: w.sort_key())
+
+
 def test_scan_witnesses_reevaluate(cat, lattice_for):
     g = cat.realize("S4")
     witnesses, _ = scan_group(g, SearchConfig.make(ineqs="dfz"), lattice_for("S4"))
@@ -324,8 +387,9 @@ def test_meet_table_past_eight_bits():
 
 
 def test_block_memory_stays_lean(cat, lattice_for):
-    # S4 dfz blocks hold 18 x 30 x 30 cells; the int16 integer-log kernel
-    # peaks near 0.47 MB traced here, int64 side products near 1.2 MB
+    # an S4 dfz block is one whole prefix, up to 30 x 30 x 30 cells; the
+    # int16 kernel gathering from meet-log tables peaks near 0.51 MB traced
+    # here, where int64 side products would peak near 1.2 MB
     g, lat = cat.realize("S4"), lattice_for("S4")
     cfg = SearchConfig.make(ineqs="dfz")
     scan_group(g, cfg, lat)   # compile and cache the plans first
@@ -399,11 +463,24 @@ def test_log_weights_match_oracle(cat):
 
 
 def test_log_tables_are_narrow(cat, lattice_for):
-    # 2·degree·ℓ(|G|) sets the type: int16 for S4, int8 for 2-groups
-    for name, dtype in (("S4", np.int16), ("D8", np.int8), ("C16", np.int8)):
-        st = _ScanState(cat.realize(name), lattice_for(name),
-                        SearchConfig.make(ineqs="dfz"), None)
-        assert {t.dtype for t in st.logs.values()} == {np.dtype(dtype)}, name
+    # the least k whose w_p = round(k·log2 p) passes the proof, and
+    # 2·degree·ℓ(|G|) sets the type: int16 for S4 and S5, int8 for
+    # 2-groups. meet_logs[c][i, j] is c·ℓ(|Gi ∩ Gj|)
+    for name, ineqs, weights, dtype in (("S4", "dfz", (12, 19), np.int16),
+                                        ("S5", "ingleton", (53, 84, 123), np.int16),
+                                        ("S5", "dfz", (152, 241, 353), np.int16),
+                                        ("D8", "dfz", (1,), np.int8),
+                                        ("C16", "dfz", (1,), np.int8)):
+        g, lat = cat.realize(name), lattice_for(name)
+        st = _ScanState(g, lat, SearchConfig.make(ineqs=ineqs), None)
+        w = log_weights(g.order, max(p.degree for p in st.plans))
+        assert tuple(w.values()) == weights, (name, ineqs)
+        assert {t.dtype for t in st.meet_logs.values()} == {np.dtype(dtype)}, (name, ineqs)
+        logs = [sum(e * w[p] for p, e in prime_factors(s.order).items())
+                for s in lat.subgroups]
+        for c, table in st.meet_logs.items():
+            assert table.tolist() == [[c * logs[k] for k in row]
+                                      for row in st.meet.tolist()], (name, ineqs)
 
 
 @pytest.mark.parametrize("order, degree, weights", [
