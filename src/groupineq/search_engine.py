@@ -72,10 +72,14 @@ prune accounting). scan_group does them for one group; survey plans
 every group first, runs all of their tasks, then finishes each. A task
 is one first-position subgroup of one group, the least of its conjugacy
 class when the conjugacy rule is on (plan charges the rest to the rule,
-so no task starts only to be pruned). At jobs 1 the tasks run
-inline. At jobs >= 2 every group's state is built before one fork pool
-starts, the workers inherit the states through fork, and the pool hands
-out tasks as workers free up.
+so no task starts only to be pruned). Plan also bounds the block cells
+of each task. The tasks run inline at jobs 1, and at jobs >= 2 too unless
+the bounds of all the run's tasks sum to at least _POOL_CELLS: below
+that, a fork pool's start-up and result round trips cost more than a
+second worker saves. When a pool does start, it is one fork pool for
+the whole run, started after every group's state is built; the workers
+inherit the states through fork, and the pool hands out tasks as
+workers free up.
 """
 
 from __future__ import annotations
@@ -85,9 +89,7 @@ import itertools
 import math
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -189,10 +191,10 @@ class PruneReport:
     (tuple, inequality) pairs, before any emit_limit truncation.
 
     wall_time from scan_group is the call's elapsed seconds. On a survey
-    entry it is the group's own set-up and finish seconds plus the worker
-    seconds its scan tasks took: at jobs 1 that is what scan_group would
-    report, and at jobs >= 2 it sums work done in parallel, so entries can
-    add up to more than the survey's elapsed time.
+    entry it is the group's own set-up and finish seconds plus the seconds
+    its scan tasks took: when the tasks run inline that is what scan_group
+    would report, and when a pool runs them it sums work done in parallel,
+    so entries can add up to more than the survey's elapsed time.
     """
 
     tuples_total: int
@@ -507,8 +509,10 @@ class _ScanState:
                            for key in self.sym_keys for src in key}
         # whether every plan has symmetries, so that blocks build canon masks
         self.canon_masks = all(self.sym_keys)
-        # the position 1 subgroups left after the conjugacy rule; set by _plan
+        # the position 1 subgroups left after the conjugacy rule, and an
+        # upper bound on the block cells their tasks evaluate; set by _plan
         self.firsts = self.domains[0]
+        self.cells = 0
 
 
 def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -755,12 +759,37 @@ def _plan(g: Group, cfg: SearchConfig,
         tally["order_class"] = total - math.prod(state.sizes)
         # at position 1 the conjugacy rule keeps the least subgroup of each
         # class; only those become tasks
-        state.firsts = _survivors(state, 0, [], np.arange(len(state.lower)), tally)
+        cand = np.arange(len(state.lower))
+        state.firsts = _survivors(state, 0, [], cand, tally)
+        # a task's blocks hold at most its position 2 survivors times the
+        # m**(n-2) tuples of the later positions; those survivors are
+        # counted as _scan_chunk counts them, on a throwaway tally
+        state.cells = state.tails[1] * sum(
+            len(_survivors(state, 1, [f], cand[state.fixes[cand, f]],
+                           dict.fromkeys(_TALLY_KEYS, 0)))
+            for f in state.firsts.tolist())
     return _Plan(g, lattice, cls, by_class, tally, state, time.perf_counter() - t0)
 
 
 # the scanned plans' states while _run runs; fork workers inherit them
 _STATES: List[Optional[_ScanState]] = []
+
+# the fewest planned block cells (the sum of the plans' bounds) for
+# which _run starts a pool at jobs >= 2. Timed in fresh processes on a
+# 2-vCPU box (medians of 7), a pool made S4 dfz (0.97 M cells) 13 ms and
+# survey 2..23 dfz (1.74 M) 11 ms slower, and S4 with every inequality
+# (4.19 M) 31 ms faster, so it pays from about 2 M cells. The workers
+# also add their own memory (S4's peak went from 35 to 59 MB), so the
+# threshold sits above that
+_POOL_CELLS = 3_000_000
+
+
+def _fork_pool(workers: int):
+    """A process pool whose workers fork from this process. Imported here,
+    so that only a run that starts a pool pays for the import."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    return ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"))
 
 
 def _run_task(task: Tuple[int, int]) -> Tuple[List[tuple], Dict[str, int], float]:
@@ -777,13 +806,16 @@ def _run(plans: List[_Plan], jobs: int) -> List[list]:
     """Scan every plan's tuples, one task per first-position subgroup that
     survived the conjugacy rule in _plan.
 
-    At jobs 1 the tasks run inline; otherwise one fork pool hands them to
-    its workers as they free up. Returns, per plan, what each of its tasks
-    returned or raised, in task order; an AssertionError propagates.
+    The tasks run inline unless jobs >= 2, there are at least two tasks
+    and the plans' bounds on their block cells sum to at least
+    _POOL_CELLS; then one fork pool hands them to its workers as they
+    free up. Returns, per plan, what each of its tasks returned or
+    raised, in task order; an AssertionError propagates.
     """
     global _STATES
     tasks = [(k, i) for k, p in enumerate(plans) if p.state
              for i in range(len(p.state.firsts))]
+    cells = sum(p.state.cells for p in plans if p.state)
     out: List[list] = [[] for _ in plans]
 
     def take(k: int, result) -> None:
@@ -796,12 +828,11 @@ def _run(plans: List[_Plan], jobs: int) -> List[list]:
 
     _STATES = [p.state for p in plans]
     try:
-        if len(tasks) <= 1 or jobs == 1:
+        if jobs == 1 or len(tasks) <= 1 or cells < _POOL_CELLS:
             for t in tasks:
                 take(t[0], functools.partial(_run_task, t))
             return out
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                                 mp_context=get_context("fork")) as pool:
+        with _fork_pool(min(jobs, len(tasks))) as pool:
             futures = [pool.submit(_run_task, t) for t in tasks]
             try:
                 for t, f in zip(tasks, futures):
@@ -906,15 +937,16 @@ def survey(cat: CatalogIndex, orders: Iterable[int], cfg: SearchConfig,
            lattice_for=None) -> Dict[str, SurveyEntry]:
     """scan_group over every catalog entry in the order range.
 
-    Every group is set up first, then one run scans them all (one fork
-    pool at jobs >= 2), then each is finished. A failure inside one group
-    is recorded on its entry and the survey moves on; an AssertionError (a
-    broken internal consistency check, such as a witness that does not
-    re-evaluate) propagates. `lattice_for(g)`, when given, supplies
-    subgroup lattices (letting callers plug in a cache); by default each
-    group builds its own. An entry's wall_time is its set-up and finish
-    seconds plus the worker seconds of its tasks, so at jobs 1 it is the
-    time scan_group would take.
+    Every group is set up first, then one run scans them all (in one
+    fork pool at jobs >= 2 when the planned work pays for it, see _run),
+    then each is finished. A failure inside one group is recorded on its
+    entry and the survey moves on; an AssertionError (a broken internal
+    consistency check, such as a witness that does not re-evaluate)
+    propagates. `lattice_for(g)`, when given, supplies subgroup lattices
+    (letting callers plug in a cache); by default each group builds its
+    own. An entry's wall_time is its set-up and finish seconds plus the
+    seconds of its tasks, so when they run inline it is the time
+    scan_group would take.
     """
     rows: List[Tuple[str, int, object]] = []   # name, order, _Plan or error
     for order in sorted(set(orders)):

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from groupineq import cli
+from groupineq import cli, search_engine
 from groupineq.catalog import load_catalog
 from groupineq.entropy_eval import entropy_vector, evaluate
 from groupineq.ineq_dsl import _BUILTIN_CACHE, _BUILTIN_TEXTS, builtin
@@ -171,13 +174,38 @@ def test_scan_s4_json(capsys, cache_dir):
         assert str(v.rhs_product) == w["rhs_product"]
 
 
+_NO_POOL_SCRIPT = """
+import sys
+from groupineq import cli
+code = cli.main(["scan", "S4", "--ineqs", "dfz", "--jobs", "2", "--format", "json"])
+loaded = sorted(m for m in ("concurrent.futures.process", "multiprocessing")
+                if m in sys.modules)
+print(code, loaded, file=sys.stderr)
+"""
+
+
+def test_small_scan_imports_no_pool(cache_dir):
+    # S4 dfz plans too few cells for a pool, so a jobs 2 scan never
+    # imports one; a fresh interpreter shows what the command loaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", _NO_POOL_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "1 []"
+    assert '"dfz1"' in proc.stdout
+
+
 def test_scan_clean_group_exit_zero(capsys, cache_dir):
     code, doc, _ = run_json(["scan", "D20"], capsys)
     assert code == 0
     assert doc["results"]["witnesses"] == []
 
 
-def test_scan_witnesses_json_identical_across_jobs(cache_dir):
+def test_scan_witnesses_json_identical_across_jobs(cache_dir, monkeypatch):
+    # the S4 scan plans too few cells for a pool; force one at jobs 4
+    monkeypatch.setattr(search_engine, "_POOL_CELLS", 0)
     g = s4()
     lat = all_subgroups(g)
     outs = []

@@ -273,7 +273,27 @@ def test_conjugacy_keeps_one_tuple_per_orbit(cat, lattice_for):
     assert cases == 118
 
 
-def test_scan_workers_deterministic(cat, lattice_for):
+def _force_pool(monkeypatch):
+    # below search_engine._POOL_CELLS planned cells a run stays inline at
+    # every jobs; a threshold of 0 makes every jobs >= 2 run fork its pool
+    monkeypatch.setattr(search_engine, "_POOL_CELLS", 0)
+
+
+def _count_pools(monkeypatch):
+    # the worker counts of the pools _run starts; forked workers are real
+    made = []
+    real = search_engine._fork_pool
+
+    def counting_pool(workers):
+        made.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(search_engine, "_fork_pool", counting_pool)
+    return made
+
+
+def test_scan_workers_deterministic(cat, lattice_for, monkeypatch):
+    _force_pool(monkeypatch)
     g = cat.realize("S4")
     lat = lattice_for("S4")
     w1, r1 = scan_group(g, SearchConfig.make(ineqs="dfz", jobs=1), lat)
@@ -631,7 +651,9 @@ def test_survey_small_orders(cat, lattice_for):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_survey_records_errors(jobs):
+def test_survey_records_errors(monkeypatch, jobs):
+    _force_pool(monkeypatch)
+
     class Broken:
         by_order = {6: ("ok", "broken")}
 
@@ -647,7 +669,8 @@ def test_survey_records_errors(jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_survey_propagates_assertion_errors(jobs):
+def test_survey_propagates_assertion_errors(monkeypatch, jobs):
+    _force_pool(monkeypatch)
     # an internal consistency failure is a bug, not a bad catalog entry
     class Inconsistent:
         by_order = {6: ("broken",)}
@@ -673,6 +696,7 @@ def _fail_scanning(monkeypatch, group_name, error):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_survey_charges_scan_errors_to_their_group(cat, lattice_for, monkeypatch, jobs):
+    _force_pool(monkeypatch)
     # order 8: D8 and Q8 are scanned, the three abelian groups are not
     _fail_scanning(monkeypatch, "Q8", ValueError)
     results = survey(cat, [8], SearchConfig.make(ineqs="dfz", jobs=jobs),
@@ -689,6 +713,7 @@ def test_survey_charges_scan_errors_to_their_group(cat, lattice_for, monkeypatch
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_survey_propagates_scan_assertion_errors(cat, lattice_for, monkeypatch, jobs):
+    _force_pool(monkeypatch)
     _fail_scanning(monkeypatch, "Q8", AssertionError)
     with pytest.raises(AssertionError, match="deliberately failing scan"):
         survey(cat, [8], SearchConfig.make(ineqs="dfz", jobs=jobs),
@@ -696,24 +721,48 @@ def test_survey_propagates_scan_assertion_errors(cat, lattice_for, monkeypatch, 
 
 
 def test_survey_forks_one_pool(cat, lattice_for, monkeypatch):
-    # every scanned group's tasks share one pool; jobs 1 runs inline
-    made = []
-    real = search_engine.ProcessPoolExecutor
-
-    def counting_pool(*args, **kwargs):
-        made.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(search_engine, "ProcessPoolExecutor", counting_pool)
-    for jobs, pools in ((1, 0), (2, 1)):
+    # every scanned group's tasks share one pool; jobs 1 runs inline, and
+    # so does jobs 2 at the default threshold, as survey 2..8 plans too
+    # few cells to pay for a pool
+    made = _count_pools(monkeypatch)
+    for forced, jobs, pools in ((True, 1, 0), (True, 2, 1), (False, 2, 0)):
         made.clear()
-        results = survey(cat, range(2, 9), SearchConfig.make(ineqs="dfz", jobs=jobs),
-                         lattice_for=lambda g: lattice_for(g.name))
+        with monkeypatch.context() as m:
+            if forced:
+                _force_pool(m)
+            results = survey(cat, range(2, 9), SearchConfig.make(ineqs="dfz", jobs=jobs),
+                             lattice_for=lambda g: lattice_for(g.name))
         assert sum(e.report.tuples_evaluated for e in results.values()) > 0
-        assert len(made) == pools, jobs
+        assert len(made) == pools, (forced, jobs)
 
 
-def test_survey_deterministic_across_jobs(cat, lattice_for):
+def test_planned_cells_pinned(cat, lattice_for):
+    # the bound the pool decision reads: (position 2 survivors) x
+    # m**(n-2) per task, summed over the run
+    def planned(names):
+        cfg = SearchConfig.make(ineqs="dfz")
+        plans = [search_engine._plan(cat.realize(n), cfg, lattice_for(n)) for n in names]
+        return sum(p.state.cells for p in plans if p.state)
+
+    assert planned(["S4"]) == 972_000
+    assert planned([n for o in range(2, 24) for n in cat.by_order.get(o, ())]) == 1_742_349
+
+
+def test_pool_starts_exactly_at_threshold(cat, lattice_for, monkeypatch):
+    made = _count_pools(monkeypatch)
+    g, lat = cat.realize("S4"), lattice_for("S4")
+    cfg = SearchConfig.make(ineqs="dfz", jobs=2)
+    outs = []
+    for threshold, pools in ((972_001, 0), (972_000, 1)):
+        made.clear()
+        monkeypatch.setattr(search_engine, "_POOL_CELLS", threshold)
+        outs.append(scan_group(g, cfg, lat)[0])
+        assert made == [2] * pools, threshold
+    assert outs[0] == outs[1]
+
+
+def test_survey_deterministic_across_jobs(cat, lattice_for, monkeypatch):
+    _force_pool(monkeypatch)
     one, two = (survey(cat, range(2, 24), SearchConfig.make(ineqs="dfz", jobs=jobs),
                        lattice_for=lambda g: lattice_for(g.name))
                 for jobs in (1, 2))
@@ -725,7 +774,9 @@ def test_survey_deterministic_across_jobs(cat, lattice_for):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_survey_finds_s4_witnesses(lattice_for, jobs):
+def test_survey_finds_s4_witnesses(lattice_for, monkeypatch, jobs):
+    _force_pool(monkeypatch)
+
     class OnlyS4:
         by_order = {24: ("S4",)}
 
