@@ -65,9 +65,10 @@ class LatticeCache:
     A file holds the subgroup masks alone, as decimal strings (they
     exceed 64 bits as soon as the group order does). A hit requires the
     stored hash to equal the recomputed one, the format version to be
-    current and the masks to pass `_meet_closed`; anything else is
-    treated as a miss and rebuilt. `get` refuses a group above its cap
-    before it looks in the cache, so a hit never bypasses --max-order.
+    current, and the masks to make a `SubgroupLattice` that builds its
+    meet and conjugation tables; anything else is treated as a miss and
+    rebuilt. `get` refuses a group above its cap before it looks in the
+    cache, so a hit never bypasses --max-order.
     """
 
     directory: Path
@@ -84,15 +85,15 @@ class LatticeCache:
         except (OSError, ValueError):
             return None
         try:
-            if data["format_version"] != CACHE_FORMAT_VERSION:
-                return None
-            if data["group_hash"] != group_hash(g):
+            if (data["format_version"] != CACHE_FORMAT_VERSION
+                    or data["group_hash"] != group_hash(g)):
                 return None
             lattice = SubgroupLattice(
                 g, tuple(g.subgroup(int(m)) for m in data["subgroup_masks"]))
+            lattice.meet, lattice.conjugation_table()  # raise unless closed under ∩, conjugation
         except (KeyError, TypeError, ValueError):
             return None
-        return lattice if _meet_closed(g, lattice) else None
+        return lattice
 
     def store(self, g: Group, lattice: SubgroupLattice) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -117,19 +118,6 @@ class LatticeCache:
         lattice = all_subgroups(g, cap=cap)
         self.store(g, lattice)
         return lattice
-
-
-def _meet_closed(g: Group, lattice: SubgroupLattice) -> bool:
-    """Whether the masks run from the trivial subgroup to G inside G's
-    elements, strictly increase in (order, mask), and are closed under
-    intersection, as a subgroup lattice's are."""
-    subs = lattice.subgroups
-    keys = [(s.order, s.mask) for s in subs]
-    index = lattice.index
-    return (bool(subs) and subs[0].mask == 1 and subs[-1].mask == g.full_mask
-            and all(0 < s.mask <= g.full_mask for s in subs)
-            and all(a < b for a, b in zip(keys, keys[1:]))
-            and all(a.mask & b.mask in index for a in subs for b in subs))
 
 
 def resolve_cache_dir(flag_value: Optional[str]) -> Path:

@@ -5,8 +5,8 @@ A Group materializes its full element list plus multiplication and inverse
 tables as Python lists, so everything downstream is index arithmetic. A
 Subgroup is a plain integer bitmask over the parent's element indices, so
 intersection is an AND.
-The subgroup lattice indexes every subgroup; scans read intersection orders
-from a meet table over lattice indices rather than from the masks.
+The subgroup lattice indexes every subgroup and owns the meet table (the
+lattice index of each Gi ∩ Gj) that scans read intersection orders from.
 
 Composition convention: (a * b) applies b first, then a.
 """
@@ -500,13 +500,23 @@ def is_abelian(g: Group) -> bool:
 class SubgroupLattice:
     """Every subgroup of a group, deduplicated and sorted by (order, mask).
 
-    The subgroup list is all a lattice stores. The mask -> index map, the
-    conjugation table, the conjugacy classes, the normal flags and the
-    Sylow index are derived from it on first use and kept.
+    The subgroup list is all a lattice stores, and construction checks its
+    shape. The mask -> index map, the meet and conjugation tables, the
+    conjugacy classes, the normal flags and the Sylow index are derived
+    from it on first use and kept.
     """
 
     group: Group = field(compare=False)
     subgroups: Tuple[Subgroup, ...]
+
+    def __post_init__(self) -> None:
+        g, subs = self.group, self.subgroups
+        keys = [(s.order, s.mask) for s in subs]
+        if not (keys and keys[0] == (1, 1) and keys[-1] == (g.order, g.full_mask)
+                and keys == sorted(set(keys))
+                and all(s.parent is g and 0 < s.mask <= g.full_mask for s in subs)):
+            raise ValueError(f"not a subgroup lattice of {g.name}: the subgroups must run "
+                             "from 1 to G, lie in G and strictly increase in (order, mask)")
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -516,16 +526,30 @@ class SubgroupLattice:
         """Lattice index of each subgroup, by mask."""
         return {s.mask: i for i, s in enumerate(self.subgroups)}
 
+    def _table(self, rows: Iterable[Iterable[int]], what: str) -> np.ndarray:
+        """The lattice index of each mask in `rows`, in the narrowest unsigned
+        type that holds every index; ValueError when the list misses one."""
+        try:
+            table = [[self.index[mask] for mask in row] for row in rows]
+        except KeyError:
+            raise ValueError(f"the subgroups of {self.group.name} miss {what}") from None
+        return np.array(table, dtype=np.min_scalar_type(len(self) - 1))
+
+    @cached_property
+    def meet(self) -> np.ndarray:
+        """(#subgroups, #subgroups) table: entry [i, j] is the lattice index of Gi ∩ Gj."""
+        masks = [s.mask for s in self.subgroups]
+        return self._table(((x & y for y in masks) for x in masks), "an intersection")
+
     def conjugation_table(self) -> np.ndarray:
         """(|G|, #subgroups) table: entry [x, s] is the lattice index of x S x^-1."""
         return self._conjugation
 
     @cached_property
     def _conjugation(self) -> np.ndarray:
-        index = self.index
         members = [s.member_indices() for s in self.subgroups]
-        return np.array([[index[_image_mask(perm, m)] for m in members]
-                         for perm in self.group.conj_perms()], dtype=np.int32)
+        return self._table(((_image_mask(perm, m) for m in members)
+                            for perm in self.group.conj_perms()), "a conjugate")
 
     @cached_property
     def conjugacy_classes(self) -> Tuple[Tuple[int, ...], ...]:

@@ -24,10 +24,8 @@ prune rules cut the space:
                       and the longer prefix has stabilizer
                       {x in C : fixes[x, s]} (x normalizes Gs).
   ineq_symmetry       per inequality, count only tuples least in their
-                      orbit under the inequality's variable symmetries.
-                      Every cell the other rules leave is still evaluated;
-                      the rule filters the violation and equality tallies
-                      and saves no arithmetic.
+                      orbit under its variable symmetries; the rule
+                      filters the tallies and saves no arithmetic.
 
 An inequality Σ_A c_A·H(X_A) >= 0 with H(X_A) = log(|G|/|G_A|) (the
 coefficients sum to 0) fails exactly when Σ_A c_A·log|G_A| > 0 and is
@@ -42,8 +40,8 @@ Python-int fallback is on the verdict path, at any order the lattice cap
 admits.
 
 Every intersection of subgroups is itself a subgroup, so a subset's
-intersection is a chain of lookups in a meet table (the lattice index of
-Gi ∩ Gj, held in the narrowest unsigned type), and each signed
+intersection is a chain of lookups in the lattice's own meet table
+(SubgroupLattice.meet, the lattice index of Gi ∩ Gj), and each signed
 coefficient c has a meet-log table holding c·ℓ(|Gi ∩ Gj|). The first n-3
 positions of a tuple are chosen one at a time; the last three are
 evaluated together as a (C, D, E) numpy block, C the surviving position
@@ -53,18 +51,18 @@ c·ℓ(|G_A|) is one gather of rows of its meet-log table per block, shared
 by every inequality. Each inequality adds its terms in groups that keep
 a small shape before it grows to the full block.
 
-An inequality with variable symmetries keeps a cell only if no
-symmetry's image is lexicographically smaller, one comparison per
-symmetry: lattice indices are digits of a base-m code, so "the image is
-smaller" is a linear form in the tuple being negative. When some
-selected inequality has no symmetry (dfz3, dfz4, dfz5, dfz7 and dfz10, or
-any scan without the ineq_symmetry rule), every live cell is evaluated,
-and the others' symmetries are tested only at their own tight and
-violating cells. Only when every selected inequality has symmetries
-(ingleton alone, say) does each distinct set of them build a canon mask
-over the block, whose union gives the evaluated count. The C axis is
-split so that a block holds at most _BLOCK_CELLS cells (a single D x E
-slice when that alone is larger), which bounds the scan's memory.
+An inequality with variable symmetries counts a tight or violating cell
+only if no symmetry's image is lexicographically smaller, tested at
+those cells alone, one comparison per symmetry: lattice indices are
+digits of a base-m code, so "the image is smaller" is a linear form in
+the tuple being negative. A cell is evaluated when some inequality keeps
+it, so every live cell is once one selected inequality has no symmetry
+(dfz3, dfz4, dfz5, dfz7 and dfz10, or any without the ineq_symmetry
+rule). Only when every one has symmetries (ingleton alone, say) does
+each distinct set of them build a canon mask over the block, for that
+count alone. The C axis is split so that a block holds at most
+_BLOCK_CELLS cells (a single D x E slice when that alone is larger),
+which bounds the scan's memory.
 
 A scan runs in three steps: plan (lattice, order class, scan state),
 run, finish (sum the tallies, rebuild and sort the witnesses, check the
@@ -427,16 +425,13 @@ class _Symmetry:
             parts.append(part.astype(dtype))
         self.c_part, self.d_part, self.e_part = parts
 
-    def prefix_part(self, chosen: Sequence[int]) -> int:
-        """The chosen positions' share of the sum."""
-        return sum(w * t for w, t in zip(self.weights, chosen))
-
-    def keeps(self, prefix_part: int, c: np.ndarray, d: np.ndarray,
+    def keeps(self, chosen: Sequence[int], c: np.ndarray, d: np.ndarray,
               e: np.ndarray) -> np.ndarray:
         """Whether each cell (c, d, e) (lattice indices at the block
-        positions, broadcast together) has an image that is not
-        lexicographically smaller."""
-        return self.d_part[d] + self.e_part[e] >= -(self.c_part[c] + prefix_part)
+        positions, broadcast together) after the prefix `chosen` has an
+        image that is not lexicographically smaller."""
+        prefix = sum(w * t for w, t in zip(self.weights, chosen))
+        return self.d_part[d] + self.e_part[e] >= -(self.c_part[c] + prefix)
 
 
 class _ScanState:
@@ -457,15 +452,9 @@ class _ScanState:
         # per plan, the variable symmetries ineq_symmetry quotients by
         self.sym_keys = [p.sym_sources if "ineq_symmetry" in cfg.prune_flags else ()
                          for p in self.plans]
-        masks = [s.mask for s in lattice.subgroups]
-        m = len(masks)
-        index = lattice.index
-        # meet[i, j]: lattice index of Gi ∩ Gj, in the narrowest unsigned
-        # type that holds m - 1 (uint8 up to 256 subgroups); the last
-        # subgroup is G itself
-        self.meet = np.array([[index[x & y] for y in masks] for x in masks],
-                             dtype=np.min_scalar_type(m - 1))
-        self.top = m - 1
+        m = len(lattice)
+        # meet[i, j]: lattice index of Gi ∩ Gj; the last subgroup is G itself
+        self.meet, self.top = lattice.meet, m - 1
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
         self.terms = {t for p in self.plans for t in p.terms}
         # meet_logs[c][i, j] = c·ℓ(|Gi ∩ Gj|). A plan's partial sums lie within
@@ -490,12 +479,12 @@ class _ScanState:
         # that is the identity alone, which prunes nothing.
         if "conjugacy" in cfg.prune_flags:
             table = lattice.conjugation_table()
-            own = np.arange(len(masks))
+            own = np.arange(m)
             self.lower, self.fixes = table < own, table == own
         else:
-            self.lower = np.zeros((1, len(masks)), dtype=bool)
+            self.lower = np.zeros((1, m), dtype=bool)
             self.fixes = ~self.lower
-        full = np.arange(len(masks), dtype=np.int64)
+        full = np.arange(m, dtype=np.int64)
         self.domains = [full] * n
         restricted = None
         if restricted_order is not None:
@@ -607,17 +596,15 @@ def _block_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
     """
     m = len(st.orders)
     lower, fixes = st.lower[cand], st.fixes[cand]
-    prefix_parts = {src: sym.prefix_part(chosen) for src, sym in st.symmetries.items()}
     step = max(1, _BLOCK_CELLS // (m * m))
     for start in range(0, len(firsts), step):
-        _evaluate_block(st, chosen, lower, fixes, prefix, prefix_parts,
-                        firsts[start:start + step], tally, cells)
+        _evaluate_block(st, chosen, lower, fixes, prefix, firsts[start:start + step],
+                        tally, cells)
 
 
 def _evaluate_block(st: _ScanState, chosen: List[int], lower: np.ndarray,
-                    fixes: np.ndarray, prefix: np.ndarray, prefix_parts: dict,
-                    dom_c: np.ndarray, tally: Dict[str, int], cells: List[tuple]
-                    ) -> None:
+                    fixes: np.ndarray, prefix: np.ndarray, dom_c: np.ndarray,
+                    tally: Dict[str, int], cells: List[tuple]) -> None:
     """One (C, D, E) block of _block_stage; its arrays die on return."""
     m = len(st.orders)
     # conjugacy: (c, d) dies when some x in cand normalizes Gc and moves Gd
@@ -646,42 +633,35 @@ def _evaluate_block(st: _ScanState, chosen: List[int], lower: np.ndarray,
         logs[(pm, c)] = (table[at] if hi & 6 else table[st.top, at])[_AXES[hi]]
     del sources
 
-    # ineq_symmetry. When every plan has symmetries, each distinct set of
-    # them builds one canon mask, one comparison per symmetry, and a cell
-    # is evaluated when some plan keeps it. Otherwise a plan without
-    # symmetries keeps every alive cell, so all of them are evaluated, and
-    # a plan with symmetries tests only its own tight and violating cells
-    canons = {}
-    if st.canon_masks:
-        every = st.domains[-1]   # D = E = the whole lattice
-        for key in set(st.sym_keys):
-            canons[key] = alive & _kept(st, key, prefix_parts, dom_c[:, None, None],
-                                        every[:, None], every)
-        evaluated_n = int(np.count_nonzero(np.logical_or.reduce(list(canons.values()))))
-    else:
-        evaluated_n = alive_n
+    # ineq_symmetry. Each plan with symmetries keeps only those of its
+    # tight and violating cells that no symmetry maps lower. A cell is
+    # evaluated when some plan keeps it: every alive cell once some plan
+    # has no symmetry, else the union of one canon mask per distinct set
+    # of symmetries, built over the block only for this count
+    evaluated_n = alive_n
+    if st.canon_masks:   # D = E = the whole lattice
+        evaluated_n = int(np.count_nonzero(alive & functools.reduce(operator.or_, (
+            _kept(st, key, chosen, dom_c[:, None, None], *np.ogrid[:m, :m])
+            for key in set(st.sym_keys)))))
     tally["evaluated"] += evaluated_n
     tally["ineq_symmetry"] += alive_n - evaluated_n
 
-    def kept_at(at: np.ndarray, key: tuple) -> np.ndarray:
-        # the flat block positions `at` whose cells the symmetries keep
+    def kept_at(found: np.ndarray, key: tuple) -> np.ndarray:
+        # the flat positions of the `found` cells that every symmetry in key keeps
+        at = np.flatnonzero(found)
         c, d, e = np.unravel_index(at, alive.shape)
-        return at[_kept(st, key, prefix_parts, dom_c[c], d, e)]
+        return at[_kept(st, key, chosen, dom_c[c], d, e)]
 
     for plan, key in zip(st.plans, st.sym_keys):
         # Σ_A c_A·ℓ(|G_A|): each group added at its own shape, then the
         # group sums in order; > 0 is a violation and 0 an equality.
         # Violations are rare, so one max rules most blocks out
         value = _sum(_sum(logs[t] for t in g) for g in plan.groups)
-        live = canons.get(key, alive)
-        violated = np.flatnonzero((value > 0) & live) if value.max() > 0 else ()
-        if key and not st.canon_masks:
-            tally["equalities"] += len(kept_at(np.flatnonzero((value == 0) & live), key))
-            if len(violated):
-                violated = kept_at(violated, key)
-        else:
-            tally["equalities"] += int(np.count_nonzero((value == 0) & live))
-        if len(violated):
+        tight = (value == 0) & alive
+        tally["equalities"] += len(kept_at(tight, key)) if key else int(np.count_nonzero(tight))
+        if value.max() > 0:
+            found = (value > 0) & alive
+            violated = kept_at(found, key) if key else np.flatnonzero(found)
             tally["violations"] += len(violated)
             c, d, e = np.unravel_index(violated, alive.shape)
             for cell in zip(dom_c[c].tolist(), d.tolist(), e.tolist()):
@@ -694,12 +674,12 @@ _AXES = ((), np.s_[:, None, None], np.s_[:, None], np.s_[:, :, None],
          (), np.s_[:, None, :], (), ())
 
 
-def _kept(st: _ScanState, key: tuple, prefix_parts: dict, c: np.ndarray,
+def _kept(st: _ScanState, key: tuple, chosen: Sequence[int], c: np.ndarray,
           d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Whether each cell (c, d, e), lattice indices at the block positions
-    that broadcast together, is kept by every symmetry in `key`."""
+    """Whether every symmetry in `key` keeps each cell (c, d, e) after the
+    prefix `chosen`; see _Symmetry.keeps."""
     return functools.reduce(operator.and_, (
-        st.symmetries[src].keeps(prefix_parts[src], c, d, e) for src in key))
+        st.symmetries[src].keeps(chosen, c, d, e) for src in key))
 
 
 _sum = functools.partial(functools.reduce, operator.add)

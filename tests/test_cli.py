@@ -355,9 +355,13 @@ def test_cache_rejects_corrupt_json(tmp_path):
     lambda masks: masks.pop(1),                   # an intersection dropped
     lambda masks: masks.insert(1, masks.pop(2)),  # out of (order, mask) order
     lambda masks: masks.insert(-1, str(int(masks[-2]) | 1 << 24)),  # outside G
-], ids=["duplicate", "not-a-subgroup", "dropped", "unsorted", "outside"])
+    lambda masks: masks.pop(25),                  # one of three conjugate D8s dropped
+    lambda masks: masks.insert(-1, str(int(masks[1]) - (1 << 24))),  # negative
+], ids=["duplicate", "not-a-subgroup", "dropped", "unsorted", "outside", "dropped-conjugate",
+        "negative"])
 def test_cache_rejects_corrupt_lattice(capsys, tmp_path, edit):
     # a file whose masks cannot be S4's lattice is a miss, not a scan error
+    # and not a scan over fewer subgroups
     d = tmp_path / "c"
     g = s4()
     path = cli.LatticeCache(d).path_for(g)
@@ -369,9 +373,12 @@ def test_cache_rejects_corrupt_lattice(capsys, tmp_path, edit):
     cache = cli.LatticeCache(d)
     lat = cache.get(g)
     assert (cache.misses, cache.hits, len(lat)) == (1, 0, 30)
-    path.write_text(corrupt)   # the miss above rewrote the file
-    code, doc, _ = run_json(["scan", "S4", "--cache-dir", str(d)], capsys)
-    assert code == 1 and len(doc["results"]["witnesses"]) == 4
+    for args, witnesses in ((["scan", "S4"], 4),
+                            (["scan", "S4", "--prune", "none", "--ineqs", "dfz1"], 72)):
+        path.write_text(corrupt)   # each miss rewrites the file
+        code, doc, _ = run_json(args + ["--cache-dir", str(d)], capsys)
+        assert (code, doc["results"]["subgroup_count"],
+                len(doc["results"]["witnesses"])) == (1, 30, witnesses), args
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from groupineq.perm_core import (
     AMBIENT_ORDER_CAP,
     Group,
     Permutation,
+    SubgroupLattice,
     all_subgroups,
     closure,
     conjugate_tuple,
@@ -249,6 +250,29 @@ def test_conjugation_table(cat):
         i = rng.randrange(len(lat.subgroups))
         (conj,) = conjugate_tuple(g, [lat.subgroups[i]], x)
         assert int(ct[x, i]) == lat.index[conj.mask]
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda subs, other: subs[::-1], "not a subgroup lattice"),
+    (lambda subs, other: subs[1:], "not a subgroup lattice"),
+    (lambda subs, other: subs[:-1], "not a subgroup lattice"),
+    (lambda subs, other: (other.trivial_subgroup(),) + subs[1:], "not a subgroup lattice"),
+    (lambda subs, other: subs[:-1] + (subs[1].parent.subgroup(subs[1].mask - (1 << 24)),)
+     + subs[-1:], "not a subgroup lattice"),
+    (lambda subs, other: subs[:1] + subs[2:], "miss an intersection"),
+    (lambda subs, other: subs[:25] + subs[26:], "miss a conjugate"),
+], ids=["unsorted", "no-trivial", "no-G", "other-group", "negative", "no-intersection",
+        "no-conjugate"])
+def test_lattice_checks_itself(edit, error):
+    # the list is checked on construction; a missing intersection (an
+    # order-2 subgroup of S4) or conjugate (one of its three D8s) shows
+    # when the meet or conjugation table is built
+    g = sym(4)
+    subs = edit(all_subgroups(g).subgroups, sym(4))
+    with pytest.raises(ValueError, match=error) as caught:
+        lattice = SubgroupLattice(g, subs)
+        lattice.meet, lattice.conjugation_table()
+    assert "S4" in str(caught.value)
 
 
 def test_conjugate_tuple_is_action(cat):

@@ -143,6 +143,20 @@ def tuple_key(g, lat):
     return lambda subs: oracles.canonical_tuple_key(elems, lattice, members(subs))
 
 
+def symmetry_orbits(g, lat, witnesses):
+    # each witness's orbit under conjugation and its inequality's variable
+    # symmetries, as (inequality id, least conjugacy key over the orbit)
+    key = tuple_key(g, lat)
+    out = set()
+    for w in witnesses:
+        t = [g.subgroup(mask) for mask in w.masks]
+        form = oracles.expand_inequality(builtin(w.inequality_id).source_text)
+        out.add((w.inequality_id,
+                 min(key([t[j] for j in p] + t[len(p):])
+                     for p in oracles.variable_symmetries(form))))
+    return out
+
+
 def test_scan_s4_finds_reference_witnesses(cat, lattice_for):
     g = cat.realize("S4")
     lat = lattice_for("S4")
@@ -189,23 +203,40 @@ def test_scan_a5_pinned(a5):
     rep.check_invariant()
     assert len(conj) == 12
     assert {w.sort_key() for w in full} <= {w.sort_key() for w in conj}
-
-    key = tuple_key(g, lat)
-
-    def orbits(witnesses):
-        out = set()
-        for w in witnesses:
-            t = [g.subgroup(mask) for mask in w.masks]
-            form = oracles.expand_inequality(builtin(w.inequality_id).source_text)
-            out.add((w.inequality_id,
-                     min(key([t[j] for j in p] + t[len(p):])
-                         for p in oracles.variable_symmetries(form))))
-        return out
-
     # each rule keeps the least tuple of its own orbits, so two of the
     # nine can share a joint orbit
-    assert orbits(full) == orbits(conj)
-    assert len(orbits(full)) == 8
+    assert symmetry_orbits(g, lat, full) == symmetry_orbits(g, lat, conj)
+    assert len(symmetry_orbits(g, lat, full)) == 8
+
+
+def test_a5_prune_subsets_keep_conjugacy_orbits(a5):
+    # every prune subset with conjugacy finds the conjugacy-only witnesses
+    # up to each inequality's variable symmetries. The rules are filters
+    # on the tuple, so with ineq_symmetry the witnesses are exactly the
+    # conjugacy-only ones that no variable symmetry maps to a smaller
+    # tuple of lattice indices: 9 of the 12 (dfz1 4 of 6, dfz9 1 of 2).
+    # On S4 that rule drops no witness, so only a group like A5 shows a
+    # symmetry filter that keeps too few tuples or too many
+    g, lat = a5
+
+    def least(w):
+        t = [lat.index[mask] for mask in w.masks]
+        form = oracles.expand_inequality(builtin(w.inequality_id).source_text)
+        return all([t[j] for j in p] + t[len(p):] >= t
+                   for p in oracles.variable_symmetries(form))
+
+    conj, _ = scan_group(g, SearchConfig.make(ineqs="dfz", prune="conjugacy"), lat)
+    kept = [w for w in conj if least(w)]
+    assert (len(conj), len(kept)) == (12, 9)
+    assert symmetry_orbits(g, lat, kept) == symmetry_orbits(g, lat, conj)
+    others = ("theory_common_info", "order_class", "ineq_symmetry")
+    for extra in itertools.chain.from_iterable(
+            itertools.combinations(others, k) for k in range(1, len(others) + 1)):
+        cfg = SearchConfig.make(ineqs="dfz", prune=("conjugacy",) + extra, jobs=2)
+        witnesses, report = scan_group(g, cfg, lat)
+        report.check_invariant()
+        expected = kept if "ineq_symmetry" in extra else conj
+        assert [w.sort_key() for w in witnesses] == [w.sort_key() for w in expected], extra
 
 
 @pytest.mark.parametrize("name", ["S4", "A5"])
@@ -396,14 +427,16 @@ def test_ineq_symmetry_counts_match_oracle(cat, lattice_for, name, ineqs, prune)
 
 
 def test_meet_table_past_eight_bits():
-    # C2^5 has 374 subgroups, so lattice indexes need 16 bits
+    # C2^5 has 374 subgroups, so lattice indexes need 16 bits; the scan
+    # reads the lattice's own meet table
     g = realize(functools.reduce(direct_product, [cyclic(2)] * 5))
     lat = all_subgroups(g)
     masks = [s.mask for s in lat.subgroups]
     assert len(masks) == 374
+    assert lat.meet.dtype == np.uint16
+    assert lat.meet.tolist() == [[lat.index[x & y] for y in masks] for x in masks]
     state = _ScanState(g, lat, SearchConfig.make(ineqs="dfz", prune="none"), None)
-    assert state.meet.dtype == np.uint16
-    assert state.meet.tolist() == [[lat.index[x & y] for y in masks] for x in masks]
+    assert state.meet is lat.meet
 
 
 def test_block_memory_stays_lean(cat, lattice_for):
@@ -654,24 +687,27 @@ def test_survey_small_orders(cat, lattice_for):
 def test_survey_records_errors(monkeypatch, jobs):
     _force_pool(monkeypatch)
 
+    # D8 is scanned (order 8 is neither pq nor p^2 q, and D8 is not
+    # abelian), so at jobs 2 its tasks go through the pool
     class Broken:
-        by_order = {6: ("ok", "broken")}
+        by_order = {8: ("ok", "broken")}
 
         def realize(self, name):
             if name == "broken":
                 raise ValueError("deliberately unbuildable")
-            return load_catalog().realize("S3")
+            return load_catalog().realize("D8")
 
-    results = survey(Broken(), [6], SearchConfig.make(ineqs="dfz", jobs=jobs))
+    results = survey(Broken(), [8], SearchConfig.make(ineqs="dfz", jobs=jobs))
     assert results["ok"].error is None
+    assert results["ok"].report.tuples_evaluated > 0
     assert "deliberately unbuildable" in results["broken"].error
     assert results["broken"].report is None
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_survey_propagates_assertion_errors(monkeypatch, jobs):
-    _force_pool(monkeypatch)
-    # an internal consistency failure is a bug, not a bad catalog entry
+def test_survey_propagates_assertion_errors():
+    # an internal consistency failure is a bug, not a bad catalog entry.
+    # This one is raised while the survey sets up, before any task runs;
+    # test_survey_propagates_scan_assertion_errors covers the pool
     class Inconsistent:
         by_order = {6: ("broken",)}
 
@@ -679,7 +715,7 @@ def test_survey_propagates_assertion_errors(monkeypatch, jobs):
             raise AssertionError("deliberately inconsistent")
 
     with pytest.raises(AssertionError, match="deliberately inconsistent"):
-        survey(Inconsistent(), [6], SearchConfig.make(ineqs="dfz", jobs=jobs))
+        survey(Inconsistent(), [6], SearchConfig.make(ineqs="dfz"))
 
 
 def _fail_scanning(monkeypatch, group_name, error):
