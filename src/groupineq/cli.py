@@ -8,7 +8,8 @@ catalog, and `verify-paper` reruns every headline numeric claim in one shot.
 Reports print as markdown or JSON; large integers (side products, subgroup
 bitmasks) are emitted as decimal strings in JSON so nothing is rounded on
 the consumer side. Subgroup lattices are cached on disk per group, keyed by
-a hash of the full element table.
+a hash of the full element table; a file holds the subgroup masks and one
+digest over them, the format version and that hash.
 
 Exit codes: 0 clean, 1 violation found, 2 error (bad input, unknown name),
 3 internal error (a consistency check inside groupineq failed).
@@ -39,7 +40,7 @@ from .perm_core import (LATTICE_ORDER_CAP, Group, Subgroup, SubgroupLattice,
 from .search_engine import (PruneReport, SearchConfig, Witness,
                             check_simultaneous, scan_group, survey)
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 class CliError(ValueError):
@@ -58,17 +59,25 @@ def group_hash(g: Group) -> str:
     return h.hexdigest()
 
 
+def _digest(g: Group, masks: object) -> str:
+    """sha256 of the format version, the group hash and the mask strings."""
+    text = json.dumps([CACHE_FORMAT_VERSION, group_hash(g), masks])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @dataclass
 class LatticeCache:
     """One JSON file per group under `directory`, named by group hash.
 
-    A file holds the subgroup masks alone, as decimal strings (they
-    exceed 64 bits as soon as the group order does). A hit requires the
-    stored hash to equal the recomputed one, the format version to be
-    current, and the masks to make a `SubgroupLattice` that builds its
-    meet and conjugation tables; anything else is treated as a miss and
-    rebuilt. `get` refuses a group above its cap before it looks in the
-    cache, so a hit never bypasses --max-order.
+    A file holds two keys: `subgroup_masks`, the masks as decimal strings
+    (they exceed 64 bits as soon as the group order does), and `digest`,
+    the sha256 of the format version, the group hash and those strings. A
+    hit requires the digest to match and the masks to make a
+    `SubgroupLattice`; anything else is treated as a miss and rebuilt. A
+    hit builds no table: the meet and conjugation tables are built by
+    whatever reads them, as for a fresh lattice. `get` refuses a group
+    above its cap before it looks in the cache, so a hit never bypasses
+    --max-order.
     """
 
     directory: Path
@@ -79,33 +88,20 @@ class LatticeCache:
         return self.directory / f"{group_hash(g)}.json"
 
     def load(self, g: Group) -> Optional[SubgroupLattice]:
-        path = self.path_for(g)
         try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        try:
-            if (data["format_version"] != CACHE_FORMAT_VERSION
-                    or data["group_hash"] != group_hash(g)):
+            data = json.loads(self.path_for(g).read_text())
+            masks = data["subgroup_masks"]
+            if data["digest"] != _digest(g, masks):
                 return None
-            lattice = SubgroupLattice(
-                g, tuple(g.subgroup(int(m)) for m in data["subgroup_masks"]))
-            lattice.meet, lattice.conjugation_table()  # raise unless closed under ∩, conjugation
-        except (KeyError, TypeError, ValueError):
+            return SubgroupLattice(g, tuple(g.subgroup(int(m)) for m in masks))
+        except (OSError, KeyError, TypeError, ValueError):
             return None
-        return lattice
 
     def store(self, g: Group, lattice: SubgroupLattice) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        data = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "group_hash": group_hash(g),
-            "group_name": g.name,
-            "group_order": g.order,
-            "subgroup_masks": [str(s.mask) for s in lattice.subgroups],
-        }
+        masks = [str(s.mask) for s in lattice.subgroups]
         tmp = self.path_for(g).with_suffix(".tmp")
-        tmp.write_text(json.dumps(data))
+        tmp.write_text(json.dumps({"subgroup_masks": masks, "digest": _digest(g, masks)}))
         tmp.replace(self.path_for(g))
 
     def get(self, g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
@@ -572,22 +568,13 @@ def _claim_catalog_counts() -> str:
     return " ".join(f"{n}:{c}" for n, c in sorted(got.items()))
 
 
-def _claim_s4_dfz1() -> str:
-    g, subs = realize_paper_tuple("s4-dfz1")
-    v = evaluate(builtin("dfz1"), entropy_vector(g, subs))
-    if not (v.lhs_product == 128 and v.rhs_product == 96 and v.is_violation):
+def _claim_side_products(tuple_name: str, ineq: str, lhs: int, rhs: int) -> str:
+    g, subs = realize_paper_tuple(tuple_name)
+    v = evaluate(builtin(ineq), entropy_vector(g, subs))
+    if not (v.lhs_product == lhs and v.rhs_product == rhs and v.is_violation):
         raise AssertionError(
-            f"expected 128 > 96, got {v.lhs_product} vs {v.rhs_product}")
-    return "side products 128 > 96"
-
-
-def _claim_s4_dfz3() -> str:
-    g, subs = realize_paper_tuple("s4-dfz3")
-    v = evaluate(builtin("dfz3"), entropy_vector(g, subs))
-    if not (v.lhs_product == 64 and v.rhs_product == 48 and v.is_violation):
-        raise AssertionError(
-            f"expected 64 > 48, got {v.lhs_product} vs {v.rhs_product}")
-    return "side products 64 > 48"
+            f"expected {lhs} > {rhs}, got {v.lhs_product} vs {v.rhs_product}")
+    return f"side products {lhs} > {rhs}"
 
 
 def _claim_d20_gi() -> str:
@@ -601,32 +588,33 @@ def _claim_d20_gi() -> str:
     return "gi(G1,G2) = 5, gi(G1,G5) = 5/2"
 
 
+def _group_lattice(cache: LatticeCache, name: str) -> Tuple[Group, SubgroupLattice]:
+    g = load_catalog().realize(name)
+    return g, cache.get(g)
+
+
 def _claim_no_simultaneous(cache: LatticeCache) -> str:
-    cat = load_catalog()
-    g = cat.realize("S4")
-    hits = check_simultaneous(g, (builtin("dfz1"), builtin("dfz3")),
-                              lattice=cache.get(g))
+    g, lattice = _group_lattice(cache, "S4")
+    hits = check_simultaneous(g, (builtin("dfz1"), builtin("dfz3")), lattice=lattice)
     if hits:
         raise AssertionError(f"{len(hits)} simultaneous violator(s) found")
     return "no tuple violates dfz1 and dfz3 together"
 
 
 def _claim_s4_scan(jobs: int, cache: LatticeCache) -> str:
-    cat = load_catalog()
-    g = cat.realize("S4")
+    g, lattice = _group_lattice(cache, "S4")
     cfg = SearchConfig.make(ineqs="dfz", prune="all", jobs=jobs)
-    witnesses, _ = scan_group(g, cfg, cache.get(g))
+    witnesses, _ = scan_group(g, cfg, lattice)
     violated = sorted({w.inequality_id for w in witnesses})
     if violated != ["dfz1", "dfz3"]:
         raise AssertionError(f"violated ids {violated}, expected dfz1+dfz3")
     return f"{len(witnesses)} witnesses, exactly dfz1 and dfz3 violated"
 
 
-def _claim_a4_exhaustive(jobs: int) -> str:
-    cat = load_catalog()
-    g = cat.realize("A4")
+def _claim_a4_exhaustive(jobs: int, cache: LatticeCache) -> str:
+    g, lattice = _group_lattice(cache, "A4")
     cfg = SearchConfig.make(ineqs="dfz", prune="none", jobs=jobs)
-    witnesses, rep = scan_group(g, cfg)
+    witnesses, rep = scan_group(g, cfg, lattice)
     if witnesses or rep.tuples_evaluated != rep.tuples_total:
         raise AssertionError(
             f"{len(witnesses)} witnesses, {rep.tuples_evaluated} of "
@@ -646,13 +634,12 @@ def _claim_survey_small(jobs: int, cache: LatticeCache) -> str:
 
 
 def _claim_s5_ingleton(jobs: int, cache: LatticeCache) -> str:
-    cat = load_catalog()
-    g = cat.realize("S5")
+    g, lattice = _group_lattice(cache, "S5")
     cfg = SearchConfig.make(ineqs="ingleton", prune="all", jobs=jobs)
-    witnesses, _ = scan_group(g, cfg, cache.get(g))
+    witnesses, _ = scan_group(g, cfg, lattice)
     if not witnesses:
         raise AssertionError("no witness found")
-    return f"{len(witnesses)} witnesses over {len(cache.get(g))} subgroups"
+    return f"{len(witnesses)} witnesses over {len(lattice)} subgroups"
 
 
 # S5's dfz witnesses: how many violate each of the ten, and the sha256 of
@@ -663,10 +650,9 @@ S5_DFZ_DIGEST = "78f72b4c4c19e09d4275af9ff7e01a485a85ccd68425d2a67dac3fbcc5843dd
 
 
 def _claim_s5_dfz(jobs: int, cache: LatticeCache) -> str:
-    cat = load_catalog()
-    g = cat.realize("S5")
+    g, lattice = _group_lattice(cache, "S5")
     cfg = SearchConfig.make(ineqs="dfz", prune="all", jobs=jobs)
-    witnesses, _ = scan_group(g, cfg, cache.get(g))
+    witnesses, _ = scan_group(g, cfg, lattice)
     counts = Counter(w.inequality_id for w in witnesses)
     if counts != S5_DFZ_COUNTS:
         raise AssertionError(f"witnesses per inequality {dict(counts)}, "
@@ -682,12 +668,12 @@ def cmd_verify_paper(args) -> Tuple[Report, int]:
     jobs = args.jobs
     claims = [
         ("catalog-counts", _claim_catalog_counts),
-        ("s4-dfz1-violation", _claim_s4_dfz1),
-        ("s4-dfz3-violation", _claim_s4_dfz3),
+        ("s4-dfz1-violation", lambda: _claim_side_products("s4-dfz1", "dfz1", 128, 96)),
+        ("s4-dfz3-violation", lambda: _claim_side_products("s4-dfz3", "dfz3", 64, 48)),
         ("d20-gi-values", _claim_d20_gi),
         ("no-simultaneous-violator", lambda: _claim_no_simultaneous(cache)),
         ("s4-scan-witnesses", lambda: _claim_s4_scan(jobs, cache)),
-        ("a4-exhaustive-scan", lambda: _claim_a4_exhaustive(jobs)),
+        ("a4-exhaustive-scan", lambda: _claim_a4_exhaustive(jobs, cache)),
         ("smallest-violator-survey", lambda: _claim_survey_small(jobs, cache)),
     ]
     if args.stretch:

@@ -67,10 +67,6 @@ class ExactVerdict:
     def is_violation(self) -> bool:
         return not self.holds
 
-    @property
-    def is_equality(self) -> bool:
-        return self.lhs_product == self.rhs_product
-
 
 def entropy_vector(g: Group, subgroups: Sequence[Subgroup]) -> EntropyVector:
     """Intersection orders of every nonempty subset of a subgroup tuple.

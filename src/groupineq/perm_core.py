@@ -664,7 +664,7 @@ def is_isomorphic(g: Group, h: Group) -> bool:
         return False
     if _element_order_histogram(g) != _element_order_histogram(h):
         return False
-    if g.order <= LATTICE_ORDER_CAP and h.order <= LATTICE_ORDER_CAP and g.order <= 100:
+    if g.order <= 100:
         hist_g: Dict[int, int] = {}
         for s in all_subgroups(g).subgroups:
             hist_g[s.order] = hist_g.get(s.order, 0) + 1

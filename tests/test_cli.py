@@ -313,30 +313,51 @@ def test_cache_hit_counted(tmp_path):
     assert cache.hits == 1 and cache.misses == 1
 
 
-def test_cache_rejects_stale_version(tmp_path):
+def test_cache_rejects_stale_version(tmp_path, monkeypatch):
     cache = cli.LatticeCache(tmp_path / "c")
     g = s4()
     cache.get(g)
-    path = cache.path_for(g)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = cli.CACHE_FORMAT_VERSION + 1
-    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "CACHE_FORMAT_VERSION", cli.CACHE_FORMAT_VERSION + 1)
     cache2 = cli.LatticeCache(tmp_path / "c")
     cache2.get(g)
     assert cache2.misses == 1
 
 
 def test_cache_rejects_hash_mismatch(tmp_path):
+    # A4's file under S4's name: its digest names A4's hash, so S4 misses
+    cache = cli.LatticeCache(tmp_path / "c")
+    g, a4 = s4(), load_catalog().realize("A4")
+    cache.get(a4)
+    cache.path_for(g).write_text(cache.path_for(a4).read_text())
+    cache2 = cli.LatticeCache(tmp_path / "c")
+    lat = cache2.get(g)
+    assert (cache2.misses, cache2.hits, len(lat)) == (1, 0, 30)
+
+
+def test_cache_file_layout_and_v2_miss(tmp_path):
+    # a file in the version-2 layout (no digest) is a miss, and get
+    # rewrites it as masks plus digest
     cache = cli.LatticeCache(tmp_path / "c")
     g = s4()
     cache.get(g)
     path = cache.path_for(g)
-    doc = json.loads(path.read_text())
-    doc["group_hash"] = "0" * 64
-    path.write_text(json.dumps(doc))
+    stored = json.loads(path.read_text())
+    assert sorted(stored) == ["digest", "subgroup_masks"]
+    path.write_text(json.dumps({"format_version": 2, "group_hash": cli.group_hash(g),
+                                "group_name": g.name, "group_order": g.order,
+                                "subgroup_masks": stored["subgroup_masks"]}))
     cache2 = cli.LatticeCache(tmp_path / "c")
-    cache2.get(g)
-    assert cache2.misses == 1
+    assert len(cache2.get(g)) == 30 and cache2.misses == 1
+    assert json.loads(path.read_text()) == stored
+
+
+def test_cache_hit_builds_no_table(tmp_path):
+    # the meet and conjugation tables are built by whoever reads them
+    cli.LatticeCache(tmp_path / "c").get(s4())
+    cache = cli.LatticeCache(tmp_path / "c")
+    lat = cache.get(s4())
+    assert cache.hits == 1
+    assert "meet" not in vars(lat) and "_conjugation" not in vars(lat)
 
 
 def test_cache_rejects_corrupt_json(tmp_path):
@@ -357,8 +378,9 @@ def test_cache_rejects_corrupt_json(tmp_path):
     lambda masks: masks.insert(-1, str(int(masks[-2]) | 1 << 24)),  # outside G
     lambda masks: masks.pop(25),                  # one of three conjugate D8s dropped
     lambda masks: masks.insert(-1, str(int(masks[1]) - (1 << 24))),  # negative
+    lambda masks: masks.pop(28),                  # A4, a normal subgroup, dropped
 ], ids=["duplicate", "not-a-subgroup", "dropped", "unsorted", "outside", "dropped-conjugate",
-        "negative"])
+        "negative", "dropped-normal"])
 def test_cache_rejects_corrupt_lattice(capsys, tmp_path, edit):
     # a file whose masks cannot be S4's lattice is a miss, not a scan error
     # and not a scan over fewer subgroups
@@ -431,12 +453,12 @@ def test_claim_s4_dfz1_detects_wrong_inequality(monkeypatch):
     saved = fresh_dfz1(monkeypatch, _BUILTIN_TEXTS["dfz2"])
     try:
         with pytest.raises(AssertionError):
-            cli._claim_s4_dfz1()
+            cli._claim_side_products("s4-dfz1", "dfz1", 128, 96)
     finally:
         _BUILTIN_CACHE.clear()
         _BUILTIN_CACHE.update(saved)
     # and with the real text it passes
-    assert "128" in cli._claim_s4_dfz1()
+    assert "128" in cli._claim_side_products("s4-dfz1", "dfz1", 128, 96)
 
 
 def test_claim_catalog_counts_detects_missing_entry(monkeypatch):
