@@ -2,9 +2,10 @@
 
 The registry (data/catalog.json) holds one permutation realization per
 isomorphism class of order up to 24, plus S5. load_catalog() re-validates
-the whole file: every entry must close to its advertised order, entries of
-equal order must be pairwise non-isomorphic, and the per-order class counts
-must match the known table. The named constructors below cover the common
+the whole file: every entry must close to its advertised order and carry
+the "abelian" tag exactly when it is abelian, entries of equal order must be
+pairwise non-isomorphic, and the per-order class counts must match the
+known table. The named constructors below cover the common
 families; classes they cannot reach (most of order 16) live only in the
 data file, regenerated by tools/build_catalog.py.
 """
@@ -17,8 +18,8 @@ from math import factorial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .perm_core import (Group, Permutation, Subgroup, closure, is_isomorphic, is_prime,
-                        prime_factors)
+from .perm_core import (Group, Permutation, Subgroup, closure, is_abelian, is_isomorphic,
+                        is_prime, prime_factors)
 
 __all__ = [
     "EXPECTED_CLASS_COUNTS",
@@ -221,12 +222,6 @@ class CatalogIndex:
     def canonical_name(self, name: str) -> str:
         return self.aliases.get(name, name)
 
-    def __contains__(self, name: str) -> bool:
-        return self.canonical_name(name) in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def get(self, name: str) -> GroupDef:
         canon = self.canonical_name(name)
         if canon not in self.entries:
@@ -250,9 +245,10 @@ def load_catalog(path: Optional[str] = None) -> CatalogIndex:
     """Load and fully validate a catalog file (default: the shipped one).
 
     Validation failures raise CatalogError naming the offending entry:
-    unparseable file, an entry whose closure misses expected_order, two
-    entries of one order that are isomorphic, or a per-order class count
-    differing from the known table.
+    unparseable file, an entry whose closure misses expected_order or
+    whose "abelian" tag disagrees with the group, two entries of one order
+    that are isomorphic, or a per-order class count differing from the
+    known table.
     """
     resolved = Path(path) if path is not None else _DATA_PATH
     key = str(resolved.resolve())
@@ -288,6 +284,8 @@ def load_catalog(path: Optional[str] = None) -> CatalogIndex:
             raise CatalogError(
                 f"entry {gdef.name!r} closes to order {g.order}, "
                 f"expected {gdef.expected_order}")
+        if gdef.has_tag("abelian") != is_abelian(g):
+            raise CatalogError(f"entry {gdef.name!r} has a wrong abelian tag")
         entries[gdef.name] = gdef
         realized[gdef.name] = g
         order_names.setdefault(gdef.expected_order, []).append(gdef.name)

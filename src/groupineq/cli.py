@@ -206,7 +206,7 @@ class Report:
 
     def to_markdown(self) -> str:
         lines = [f"# gil {self.command}", ""]
-        lines.extend(_md_results(self.command, self.results, self.timings))
+        lines.extend(_MD[self.command](self.results, self.timings))
         if self.timings:
             parts = ", ".join(f"{k} {v:.2f}s" for k, v in self.timings.items())
             lines += ["", f"_timings: {parts}_"]
@@ -224,11 +224,9 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> List[
     return out
 
 
-def _subset_key(subset_orders: Dict) -> List[Tuple[str, int]]:
-    items = []
-    for a in sorted(subset_orders, key=lambda s: (len(s), tuple(sorted(s)))):
-        items.append(("".join(str(i) for i in sorted(a)), subset_orders[a]))
-    return items
+def _subset_names(subset_orders: Dict) -> Dict[str, int]:
+    """The same orders keyed "12"-style, in `entropy_vector`'s order."""
+    return {"".join(str(i) for i in sorted(a)): o for a, o in subset_orders.items()}
 
 
 def witness_dict(w: Witness) -> Dict[str, object]:
@@ -240,7 +238,7 @@ def witness_dict(w: Witness) -> Dict[str, object]:
         "subgroup_orders": [ev.order([i]) for i in range(1, ev.n + 1)],
         "lhs_product": str(w.lhs_product),
         "rhs_product": str(w.rhs_product),
-        "subset_orders": {name: order for name, order in _subset_key(ev.subset_orders)},
+        "subset_orders": _subset_names(ev.subset_orders),
         "masks": [str(m) for m in w.masks],
     }
 
@@ -261,23 +259,7 @@ def prune_report_dict(rep: PruneReport) -> Dict[str, object]:
     }
 
 
-def _md_results(command: str, results, timings: Dict[str, float]) -> List[str]:
-    if command == "check":
-        return _md_check(results)
-    if command == "scan":
-        return _md_scan(results)
-    if command == "survey":
-        return _md_survey(results)
-    if command == "parse":
-        return _md_parse(results)
-    if command == "groups":
-        return _md_groups(results)
-    if command == "verify-paper":
-        return _md_verify(results, timings)
-    return [json.dumps(results, indent=2)]
-
-
-def _md_check(res: Dict) -> List[str]:
+def _md_check(res: Dict, timings: Dict[str, float]) -> List[str]:
     lines = [f"group {res['group']} of order {res['order']}", ""]
     rows = [(f"G{i + 1}", s["order"], ", ".join(s["generators"]))
             for i, s in enumerate(res["subgroups"])]
@@ -293,7 +275,7 @@ def _md_check(res: Dict) -> List[str]:
     return lines
 
 
-def _md_scan(res: Dict) -> List[str]:
+def _md_scan(res: Dict, timings: Dict[str, float]) -> List[str]:
     rep = res["prune_report"]
     lines = [f"group {res['group']} of order {res['order']}: "
              f"{rep['violations_found']} violation(s) over "
@@ -313,7 +295,7 @@ def _md_scan(res: Dict) -> List[str]:
     return lines
 
 
-def _md_survey(res: Dict) -> List[str]:
+def _md_survey(res: Dict, timings: Dict[str, float]) -> List[str]:
     lines = [f"orders {res['orders']}: {res['total_witnesses']} witness(es) "
              f"across {len(res['entries'])} group(s)", ""]
     rows = []
@@ -324,7 +306,7 @@ def _md_survey(res: Dict) -> List[str]:
     return lines
 
 
-def _md_parse(res: Dict) -> List[str]:
+def _md_parse(res: Dict, timings: Dict[str, float]) -> List[str]:
     lines = [f"input: {res['text']}",
              f"canonical: {res['canonical']}",
              f"variables: {res['n_vars']}, symmetry order: {res['symmetry_order']}",
@@ -336,7 +318,7 @@ def _md_parse(res: Dict) -> List[str]:
     return lines
 
 
-def _md_groups(res: Dict) -> List[str]:
+def _md_groups(res: Dict, timings: Dict[str, float]) -> List[str]:
     if "entries" in res:
         rows = [(e["name"], e["order"], e["degree"],
                  "yes" if e["abelian"] else "no", ", ".join(e["tags"]))
@@ -358,6 +340,11 @@ def _md_verify(res: Dict, timings: Dict[str, float]) -> List[str]:
         lines.append(f"{mark}  {c['claim']:<28} {timings[c['claim']]:.2f}s  {c['detail']}")
     lines += ["", f"{res['passed']}/{res['total']} claims passed"]
     return lines
+
+
+# markdown renderer of each command's results
+_MD = {"check": _md_check, "scan": _md_scan, "survey": _md_survey, "parse": _md_parse,
+       "groups": _md_groups, "verify-paper": _md_verify}
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +399,7 @@ def cmd_check(args) -> Tuple[Report, int]:
                        "generators": list(s.generator_strings()),
                        "order": s.order} for i, s in enumerate(subs)],
         "verdicts": verdicts,
-        "subset_orders": {k: v for k, v in _subset_key(ev.subset_orders)},
+        "subset_orders": _subset_names(ev.subset_orders),
     }
     config = {"group": g.name, "ineqs": list(ids),
               "tuple": args.tuple, "subgroups": args.subgroups}
@@ -498,9 +485,8 @@ def cmd_survey(args) -> Tuple[Report, int]:
 def cmd_parse(args) -> Tuple[Report, int]:
     t0 = time.perf_counter()
     spec = parse(args.text)
-    coeffs = [{"subset": "".join(str(i) for i in sorted(a)), "coefficient": c}
-              for a, c in sorted(spec.coeffs.items(),
-                                 key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))]
+    coeffs = [{"subset": "".join(str(i) for i in sorted(a)), "coefficient": spec.coeffs[a]}
+              for a in spec.subsets()]
     results = {
         "text": args.text,
         "canonical": pretty_print(spec),
@@ -781,6 +767,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, ParseError, CatalogError, ValueError, KeyError) as e:
         msg = e.args[0] if e.args else str(e)
         print(f"gil: error: {msg}", file=sys.stderr)
+        return 2
+    except OSError as e:  # e.g. a --cache-dir that is not a directory
+        print(f"gil: error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:
         print(f"gil: internal error: {str(e) or 'assertion failed'}", file=sys.stderr)

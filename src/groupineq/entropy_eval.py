@@ -73,7 +73,8 @@ def entropy_vector(g: Group, subgroups: Sequence[Subgroup]) -> EntropyVector:
 
     Orders are computed incrementally: the mask of A ∪ {j} is one AND of
     the mask of A with the mask of position j, so each of the 2^n - 1
-    subsets costs a single AND plus popcount.
+    subsets costs a single AND plus popcount. The subsets are listed by
+    size, then lexicographically.
     """
     n = len(subgroups)
     if not 1 <= n <= 5:

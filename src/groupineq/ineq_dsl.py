@@ -82,10 +82,6 @@ def _subset_key(subset: Subset) -> Tuple[int, Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_KINDS = ("INT", "H", "I", "VAR", "LPAREN", "RPAREN", "PIPE", "SEMI",
-                "COMMA", "PLUS", "MINUS", "GE", "LE", "END")
-
-
 @dataclass(frozen=True)
 class _Token:
     kind: str
@@ -316,7 +312,7 @@ def _normalize_tokens(text: str) -> str:
     return "".join(out)
 
 
-def group_form(spec: InequalitySpec, parent_order: Optional[int] = None) -> str:
+def group_form(spec: InequalitySpec) -> str:
     """The inequality as a product comparison of subgroup orders.
 
     Each H(X_A) = log(|G|/|G_A|) turns the linear form into
@@ -332,11 +328,10 @@ def group_form(spec: InequalitySpec, parent_order: Optional[int] = None) -> str:
         label = "|G" + "".join(str(i) for i in sorted(subset)) + "|"
         target, power = (lhs, c) if c > 0 else (rhs, -c)
         target.append(label if power == 1 else f"{label}^{power}")
-    g_label = "|G|" if parent_order is None else str(parent_order)
     if balance > 0:
-        rhs.insert(0, g_label if balance == 1 else f"{g_label}^{balance}")
+        rhs.insert(0, "|G|" if balance == 1 else f"|G|^{balance}")
     elif balance < 0:
-        lhs.insert(0, g_label if balance == -1 else f"{g_label}^{-balance}")
+        lhs.insert(0, "|G|" if balance == -1 else f"|G|^{-balance}")
     left = "".join(lhs) if lhs else "1"
     right = "".join(rhs) if rhs else "1"
     return f"{left} <= {right}"

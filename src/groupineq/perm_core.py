@@ -14,6 +14,7 @@ Composition convention: (a * b) applies b first, then a.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -110,22 +111,8 @@ class Permutation:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         return Permutation(tuple(self.images[other.images[x]] for x in range(self.degree)))
 
-    def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for x, y in enumerate(self.images):
-            out[y] = x
-        return Permutation(tuple(out))
-
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images))
-
-    def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
 
     def cycles(self) -> List[Tuple[int, ...]]:
         """Nontrivial cycles as tuples of 1-based points, each starting at
@@ -260,44 +247,34 @@ class Group:
             right = [operator.itemgetter(*b.images) for b in self.elements]
         self._mul_rows: List[List[int]] = [
             [self._index[f(a.images)] for f in right] for a in self.elements]
-        self._inv: List[int] = [self._index[a.inverse().images] for a in self.elements]
+        self._inv: List[int] = [row.index(0) for row in self._mul_rows]
         self._element_orders: Optional[Tuple[int, ...]] = None
         self._conj_perms: Optional[List[List[int]]] = None
         self.full_mask = (1 << self.order) - 1
 
     @staticmethod
     def from_generators(name: str, generators: Sequence[Permutation],
-                        degree: Optional[int] = None,
-                        max_order: int = AMBIENT_ORDER_CAP) -> "Group":
-        """Close a generator list into a full Group, breadth-first."""
-        if degree is None:
-            degree = max((g.degree for g in generators), default=1)
-        gens = []
-        for g in generators:
-            if g.degree > degree:
-                raise ValueError(f"generator degree {g.degree} exceeds group degree {degree}")
-            if g.degree < degree:
-                g = Permutation(g.images + tuple(range(g.degree, degree)))
-            gens.append(g)
+                        degree: int) -> "Group":
+        """Close generators of the given degree into a full Group, breadth-first."""
         ident = Permutation.identity(degree)
         seen: Dict[Tuple[int, ...], Permutation] = {ident.images: ident}
         frontier = [ident]
         while frontier:
             nxt: List[Permutation] = []
             for a in frontier:
-                for g in gens:
+                for g in generators:
                     b = g * a
                     if b.images not in seen:
                         seen[b.images] = b
                         nxt.append(b)
-                        if len(seen) > max_order:
-                            raise ValueError(
-                                f"group {name!r} exceeds the ambient order cap {max_order}")
+                        if len(seen) > AMBIENT_ORDER_CAP:
+                            raise ValueError(f"group {name!r} exceeds the ambient "
+                                             f"order cap {AMBIENT_ORDER_CAP}")
             frontier = nxt
         ordered = [ident] + sorted(
             (p for p in seen.values() if not p.is_identity()), key=lambda p: p.images)
         index = {p.images: i for i, p in enumerate(ordered)}
-        gen_idx = sorted({index[g.images] for g in gens if not g.is_identity()})
+        gen_idx = sorted({index[g.images] for g in generators if not g.is_identity()})
         return Group(name, ordered, gen_idx)
 
     def element_index(self, perm: Permutation) -> int:
@@ -308,9 +285,6 @@ class Group:
 
     def mul(self, i: int, j: int) -> int:
         return self._mul_rows[i][j]
-
-    def inv(self, i: int) -> int:
-        return self._inv[i]
 
     def element_orders(self) -> Tuple[int, ...]:
         if self._element_orders is None:
@@ -334,9 +308,6 @@ class Group:
 
     def subgroup(self, mask: int) -> "Subgroup":
         return Subgroup(self, mask, mask.bit_count())
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return self.subgroup(1)
 
     def full_subgroup(self) -> "Subgroup":
         return self.subgroup(self.full_mask)
@@ -368,12 +339,6 @@ class Subgroup:
             i += 1
         return out
 
-    def contains(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
-    def permutations(self) -> List[Permutation]:
-        return [self.parent.elements[i] for i in self.member_indices()]
-
     def generator_indices(self) -> List[int]:
         """A small deterministic generating list (greedy, ascending indices)."""
         gens: List[int] = []
@@ -390,15 +355,12 @@ class Subgroup:
     def generator_strings(self) -> List[str]:
         return [self.parent.elements[i].cycle_string() for i in self.generator_indices()]
 
-    def same_parent(self, other: "Subgroup") -> bool:
-        return self.parent is other.parent
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
 
 def _require_same_parent(h: Subgroup, k: Subgroup, op: str) -> None:
-    if not h.same_parent(k):
+    if h.parent is not k.parent:
         raise ValueError(
             f"{op} needs subgroups of the same parent, got {h.parent.name!r} and {k.parent.name!r}")
 
@@ -616,13 +578,6 @@ def all_subgroups(g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
     return SubgroupLattice(g, subs)
 
 
-def _element_order_histogram(g: Group) -> Dict[int, int]:
-    hist: Dict[int, int] = {}
-    for n in g.element_orders():
-        hist[n] = hist.get(n, 0) + 1
-    return hist
-
-
 def _extend_isomorphism(g: Group, h: Group, gens: List[int], images: List[int]) -> bool:
     """Check that mapping gens[i] -> images[i] extends to an isomorphism.
 
@@ -662,17 +617,11 @@ def is_isomorphic(g: Group, h: Group) -> bool:
         return False
     if is_abelian(g) != is_abelian(h):
         return False
-    if _element_order_histogram(g) != _element_order_histogram(h):
+    if Counter(g.element_orders()) != Counter(h.element_orders()):
         return False
-    if g.order <= 100:
-        hist_g: Dict[int, int] = {}
-        for s in all_subgroups(g).subgroups:
-            hist_g[s.order] = hist_g.get(s.order, 0) + 1
-        hist_h: Dict[int, int] = {}
-        for s in all_subgroups(h).subgroups:
-            hist_h[s.order] = hist_h.get(s.order, 0) + 1
-        if hist_g != hist_h:
-            return False
+    if g.order <= 100 and (Counter(s.order for s in all_subgroups(g).subgroups)
+                           != Counter(s.order for s in all_subgroups(h).subgroups)):
+        return False
     gens = g.full_subgroup().generator_indices()
     g_orders = g.element_orders()
     h_orders = h.element_orders()

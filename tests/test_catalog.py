@@ -117,7 +117,7 @@ def write_catalog(tmp_path, records, name="cat.json"):
 
 BASE = [
     {"name": "C1", "degree": 1, "generators": [], "expected_order": 1,
-     "tags": ["order:1"]},
+     "tags": ["order:1", "abelian"]},
 ]
 
 
@@ -160,10 +160,22 @@ def test_load_catalog_wrong_order(tmp_path):
         load_catalog(path)
 
 
+@pytest.mark.parametrize("name, tags", [
+    ("S3", ["order:6", "abelian", "symmetric"]),
+    ("C6", ["order:6", "cyclic"]),
+], ids=["tagged-nonabelian", "untagged-abelian"])
+def test_load_catalog_wrong_abelian_tag(tmp_path, name, tags):
+    full = json.load(open("src/groupineq/data/catalog.json"))
+    edited = [dict(r, tags=tags) if r["name"] == name else r for r in full]
+    path = write_catalog(tmp_path, edited)
+    with pytest.raises(CatalogError, match=f"entry '{name}' has a wrong abelian tag"):
+        load_catalog(path)
+
+
 def test_load_catalog_isomorphic_duplicates(tmp_path):
     full = json.load(open("src/groupineq/data/catalog.json"))
     clone = {"name": "C2-again", "degree": 4, "generators": ["(3,4)"],
-             "expected_order": 2, "tags": ["order:2"]}
+             "expected_order": 2, "tags": ["order:2", "abelian"]}
     path = write_catalog(tmp_path, full + [clone])
     with pytest.raises(CatalogError, match="isomorphic duplicates"):
         load_catalog(path)

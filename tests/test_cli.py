@@ -555,6 +555,44 @@ def test_markdown_default_format(capsys, cache_dir):
     assert not out.lstrip().startswith("{")
 
 
+@pytest.mark.parametrize("argv, code, lines", [
+    (["scan", "S4"], 1,
+     ["# gil scan",
+      "group S4 of order 24: 4 violation(s) over 24300000 tuples (526140 evaluated)",
+      "| prune rule | tuples |", "| inequality | lhs | rhs | subgroups |"]),
+    (["survey", "2..8"], 0,
+     ["# gil survey", "orders 2..8: 0 witness(es) across 13 group(s)",
+      "| group | order | witnesses | violated / error |", "| C2 | 2 | 0 | - |"]),
+    (["groups", "list"], 0,
+     ["# gil groups", "| name | order | degree | abelian | tags |",
+      "| C1 | 1 | 1 | yes | order:1, abelian, cyclic |"]),
+    (["groups", "show", "S4"], 0,
+     ["# gil groups", "S4: order 24, degree 4", "generators: (1,2), (1,2,3,4)",
+      "subgroups: 30 in 11 conjugacy classes, 4 normal"]),
+    (["verify-paper"], 0, ["# gil verify-paper", "8/8 claims passed"]),
+], ids=["scan", "survey", "groups-list", "groups-show", "verify-paper"])
+def test_markdown_reports(capsys, cache_dir, argv, code, lines):
+    got, out, _ = run(argv, capsys)
+    assert got == code
+    out_lines = out.splitlines()
+    for line in lines:
+        assert line in out_lines
+    assert out_lines[-1].startswith("_timings: ")
+
+
+# a --cache-dir below a regular file, or that is one, cannot be made
+@pytest.mark.parametrize("argv, below", [(["scan", "S3"], "sub"), (["groups", "show", "S4"], "")],
+                         ids=["scan", "groups-show"])
+def test_bad_cache_dir_is_usage_error(capsys, tmp_path, argv, below):
+    f = tmp_path / "F"
+    f.write_text("")
+    code, out, err = run(argv + ["--cache-dir", str(f / below)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("gil: error: ")
+    assert "Traceback" not in err and "Errno" in err
+
+
 # every scan, in `scan` and in `survey`, runs _scan_chunk (inline at
 # --jobs 1); at the default --ineqs dfz order_class skips both order-6
 # groups, so the survey selects every inequality to reach a scan

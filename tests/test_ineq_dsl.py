@@ -104,7 +104,7 @@ def test_group_form_dfz3_factor_multiset():
 def test_group_form_with_balance():
     # H(X1) >= 0 alone is unbalanced: |G| appears on one side
     s = parse("H(X1) >= 0")
-    assert group_form(s, parent_order=24) == "24 <= |G1|" or "|G1| <= 24" in group_form(s, parent_order=24)
+    assert group_form(s) == "|G1| <= |G|"
     t = parse("0 >= 0")
     assert group_form(t) == "1 <= 1"
 

@@ -66,14 +66,6 @@ def test_permutation_mul_matches_oracle():
         rng.shuffle(b)
         pa, pb = Permutation(tuple(a)), Permutation(tuple(b))
         assert (pa * pb).images == oracles.p_mul(tuple(a), tuple(b))
-        assert pa.inverse().images == oracles.p_inv(tuple(a))
-        assert (pa * pa.inverse()).is_identity()
-
-
-def test_permutation_order():
-    assert Permutation.from_cycles("(1,2,3)(4,5)", 5).order() == 6
-    assert Permutation.identity(3).order() == 1
-    assert Permutation.from_cycles("(1,2,3,4)", 4).order() == 4
 
 
 def p_order(p):
@@ -101,7 +93,7 @@ def test_mul_table_consistency():
         i, j = rng.randrange(24), rng.randrange(24)
         k = g.mul(i, j)
         assert elems[k] == oracles.p_mul(elems[i], elems[j])
-        assert g.mul(g.inv(i), i) == 0
+        assert elems[g._inv[i]] == oracles.p_inv(elems[i])
 
 
 @pytest.mark.parametrize("name", ["C1", "C2", "S3", "Q8", "A4", "SL(2,3)"])
@@ -256,7 +248,7 @@ def test_conjugation_table(cat):
     (lambda subs, other: subs[::-1], "not a subgroup lattice"),
     (lambda subs, other: subs[1:], "not a subgroup lattice"),
     (lambda subs, other: subs[:-1], "not a subgroup lattice"),
-    (lambda subs, other: (other.trivial_subgroup(),) + subs[1:], "not a subgroup lattice"),
+    (lambda subs, other: (other.subgroup(1),) + subs[1:], "not a subgroup lattice"),
     (lambda subs, other: subs[:-1] + (subs[1].parent.subgroup(subs[1].mask - (1 << 24)),)
      + subs[-1:], "not a subgroup lattice"),
     (lambda subs, other: subs[:1] + subs[2:], "miss an intersection"),
@@ -321,13 +313,12 @@ def test_subgroup_generators_roundtrip(cat):
 
 def test_subgroup_misc(cat):
     g = cat.realize("S4")
-    t = g.trivial_subgroup()
+    t = g.subgroup(1)
     f = g.full_subgroup()
     assert t.order == 1 and f.order == 24
-    assert t.contains(0) and not t.contains(5)
-    assert f.same_parent(t)
+    assert t.member_indices() == [0]
     h = closure(g, [1])
-    assert list(h.permutations())[0].is_identity()
+    assert g.elements[h.member_indices()[0]].is_identity()
 
 
 def test_prime_factors_and_valuation():

@@ -600,6 +600,10 @@ def test_scan_theory_prunes_sound_on_d20(cat, lattice_for):
     pytest.param(semidirect_cyclic(7, 9, 2), "p2q_normal_sylow_q", 3, 7, id="C7:C9"),
     pytest.param(semidirect_cyclic(13, 4, 5), "p2q_normal_sylow_q", 2, 13, id="C13:C4"),
     pytest.param(dihedral(14), "p2q_normal_sylow_q", 2, 7, id="D28"),
+    pytest.param(semidirect_cyclic(19, 9, 4), "p2q_normal_sylow_q", 3, 19, id="C19:C9"),
+    pytest.param(dihedral(22), "p2q_normal_sylow_q", 2, 11, id="D44"),
+    pytest.param(direct_product(cyclic(3), semidirect_cyclic(7, 3, 2)), "p2q_normal_sylow_q",
+                 3, 7, id="C3x(C7:C3)"),
     pytest.param(dihedral(25), "pq2_normal_sylow_q", 2, 5, id="D50"),
     pytest.param(direct_product(cyclic(5), dihedral(5)), "pq2_normal_sylow_q", 2, 5,
                  id="C5xD10")])
