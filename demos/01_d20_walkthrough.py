@@ -35,7 +35,7 @@ def main():
 
     ev = entropy_vector(g, [a, b, c])
     print("\nsubset intersection orders:")
-    for subset in sorted(ev.subset_orders, key=lambda s: (len(s), sorted(s))):
+    for subset in ev.subset_orders:
         print(f"  G_{''.join(map(str, sorted(subset)))} has order {ev.order(subset)}")
 
 

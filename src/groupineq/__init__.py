@@ -12,17 +12,12 @@ from .perm_core import (
     Subgroup,
     SubgroupLattice,
     closure,
-    intersect,
-    set_product_order,
-    is_product_subgroup,
-    is_normal,
     all_subgroups,
     is_abelian,
     is_isomorphic,
-    conjugate_tuple,
 )
 from .ineq_dsl import InequalitySpec, parse, pretty_print, group_form, symmetry_group, builtin, BUILTIN_IDS
-from .entropy_eval import EntropyVector, ExactVerdict, entropy_vector, evaluate, gi, valuation
+from .entropy_eval import EntropyVector, ExactVerdict, entropy_vector, evaluate, gi
 from .catalog import GroupDef, CatalogIndex, cyclic, dihedral, symmetric, alternating, direct_product, semidirect_cyclic, load_catalog, paper_tuple, realize
 from .search_engine import SearchConfig, Witness, PruneReport, scan_group, order_class, check_simultaneous, survey
 

@@ -454,6 +454,8 @@ def cmd_survey(args) -> Tuple[Report, int]:
     lo, hi = parse_order_range(args.orders)
     if hi > args.max_order:
         raise CliError(f"order range ends at {hi}, above --max-order {args.max_order}")
+    if not any(lo <= o <= hi for o in cat.by_order):
+        raise CliError(f"no catalog group has an order in {lo}..{hi}")
     cfg = SearchConfig.make(ineqs=args.ineqs, prune=args.prune, jobs=args.jobs)
     t0 = time.perf_counter()
     entries = survey(cat, range(lo, hi + 1), cfg,

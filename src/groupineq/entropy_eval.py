@@ -16,7 +16,7 @@ from math import gcd
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence
 
 from .ineq_dsl import InequalitySpec
-from .perm_core import Group, Subgroup, int_valuation, is_prime
+from .perm_core import Group, Subgroup
 
 __all__ = [
     "EntropyVector",
@@ -24,7 +24,6 @@ __all__ = [
     "entropy_vector",
     "evaluate",
     "gi",
-    "valuation",
 ]
 
 Subset = FrozenSet[int]
@@ -144,10 +143,3 @@ def gi(g: Group, a: Subgroup, b: Subgroup, c: Optional[Subgroup] = None) -> Frac
     bc = (b.mask & c.mask).bit_count()
     abc = (a.mask & b.mask & c.mask).bit_count()
     return Fraction(abc * c.order, ac * bc)
-
-
-def valuation(x: Fraction, q: int) -> int:
-    """The q-adic valuation of a positive rational: v_q(num) - v_q(den)."""
-    if not is_prime(q):
-        raise ValueError(f"valuation requires a prime, got {q}")
-    return int_valuation(x.numerator, q) - int_valuation(x.denominator, q)

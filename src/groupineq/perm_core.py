@@ -5,8 +5,9 @@ A Group materializes its full element list plus multiplication and inverse
 tables as Python lists, so everything downstream is index arithmetic. A
 Subgroup is a plain integer bitmask over the parent's element indices, so
 intersection is an AND.
-The subgroup lattice indexes every subgroup and owns the meet table (the
-lattice index of each Gi ∩ Gj) that scans read intersection orders from.
+The subgroup lattice indexes every subgroup and owns the two tables that
+scans read: the meet table (the lattice index of each Gi ∩ Gj) and the
+conjugation table (the lattice index of each x Gi x^-1).
 
 Composition convention: (a * b) applies b first, then a.
 """
@@ -30,14 +31,9 @@ __all__ = [
     "Subgroup",
     "SubgroupLattice",
     "closure",
-    "intersect",
-    "set_product_order",
-    "is_product_subgroup",
-    "is_normal",
     "all_subgroups",
     "is_abelian",
     "is_isomorphic",
-    "conjugate_tuple",
     "prime_factors",
     "int_valuation",
 ]
@@ -66,7 +62,7 @@ def prime_factors(n: int) -> Dict[int, int]:
 def int_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in n >= 1."""
     if n < 1:
-        raise ValueError(f"valuation needs a positive integer, got {n}")
+        raise ValueError(f"int_valuation needs a positive integer, got {n}")
     v = 0
     while n % p == 0:
         n //= p
@@ -249,7 +245,6 @@ class Group:
             [self._index[f(a.images)] for f in right] for a in self.elements]
         self._inv: List[int] = [row.index(0) for row in self._mul_rows]
         self._element_orders: Optional[Tuple[int, ...]] = None
-        self._conj_perms: Optional[List[List[int]]] = None
         self.full_mask = (1 << self.order) - 1
 
     @staticmethod
@@ -297,14 +292,6 @@ class Group:
                 orders.append(n)
             self._element_orders = tuple(orders)
         return self._element_orders
-
-    def conj_perms(self) -> List[List[int]]:
-        """Row x is the permutation i -> x i x^-1 of element indices."""
-        if self._conj_perms is None:
-            mul = self._mul_rows
-            self._conj_perms = [[mul[xi][self._inv[x]] for xi in mul[x]]
-                                for x in range(self.order)]
-        return self._conj_perms
 
     def subgroup(self, mask: int) -> "Subgroup":
         return Subgroup(self, mask, mask.bit_count())
@@ -359,12 +346,6 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
 
-def _require_same_parent(h: Subgroup, k: Subgroup, op: str) -> None:
-    if h.parent is not k.parent:
-        raise ValueError(
-            f"{op} needs subgroups of the same parent, got {h.parent.name!r} and {k.parent.name!r}")
-
-
 def closure(parent: Group, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup of `parent` containing the given element indices.
 
@@ -389,61 +370,9 @@ def closure(parent: Group, generators: Iterable[int]) -> Subgroup:
     return parent.subgroup(mask)
 
 
-def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
-    """Intersection of two subgroups; a bitwise AND, always a subgroup."""
-    _require_same_parent(h, k, "intersect")
-    return h.parent.subgroup(h.mask & k.mask)
-
-
-def set_product_order(h: Subgroup, k: Subgroup) -> int:
-    """Cardinality of the product set HK, which is |H||K| / |H n K|."""
-    _require_same_parent(h, k, "set_product_order")
-    inter = (h.mask & k.mask).bit_count()
-    num = h.order * k.order
-    assert num % inter == 0
-    return num // inter
-
-
-def is_product_subgroup(h: Subgroup, k: Subgroup) -> bool:
-    """True iff the set product HK is itself a subgroup.
-
-    Checked explicitly: enumerate HK and test closure under multiplication.
-    (A subset of a finite group containing the identity and closed under
-    multiplication is a subgroup.)
-    """
-    _require_same_parent(h, k, "is_product_subgroup")
-    parent = h.parent
-    mul = parent._mul_rows
-    k_members = k.member_indices()
-    mask = 0
-    for a in h.member_indices():
-        row = mul[a]
-        for b in k_members:
-            mask |= 1 << row[b]
-    if parent.order % mask.bit_count() != 0:
-        return False
-    members = parent.subgroup(mask).member_indices()
-    return all(mask >> mul[a][b] & 1 for a in members for b in members)
-
-
-def is_normal(h: Subgroup, ambient: Subgroup) -> bool:
-    """True iff g h g^-1 = h for every g in `ambient`; requires h <= ambient.
-
-    It suffices to conjugate by a generating set of the ambient subgroup,
-    since the normalizer of h is itself a subgroup.
-    """
-    _require_same_parent(h, ambient, "is_normal")
-    if h.mask & ~ambient.mask:
-        raise ValueError("is_normal expects the first subgroup inside the second")
-    conj = h.parent.conj_perms()
-    members = h.member_indices()
-    return all(_image_mask(conj[g], members) == h.mask
-               for g in ambient.generator_indices())
-
-
 def _image_mask(perm: Sequence[int], members: Iterable[int]) -> int:
-    """Bitmask of the image of a subgroup's members under one row of
-    `Group.conj_perms`, i.e. of x H x^-1."""
+    """Bitmask of the image of a subgroup's members under a permutation of
+    element indices; under conjugation by x that is x H x^-1."""
     m = 0
     for i in members:
         m |= 1 << perm[i]
@@ -509,9 +438,12 @@ class SubgroupLattice:
 
     @cached_property
     def _conjugation(self) -> np.ndarray:
+        mul, inv = self.group._mul_rows, self.group._inv
         members = [s.member_indices() for s in self.subgroups]
-        return self._table(((_image_mask(perm, m) for m in members)
-                            for perm in self.group.conj_perms()), "a conjugate")
+        # row x of `perms` maps element index i to that of x i x^-1
+        perms = ([mul[xi][inv[x]] for xi in mul[x]] for x in range(self.group.order))
+        return self._table(((_image_mask(perm, m) for m in members) for perm in perms),
+                           "a conjugate")
 
     @cached_property
     def conjugacy_classes(self) -> Tuple[Tuple[int, ...], ...]:
@@ -643,13 +575,3 @@ def is_isomorphic(g: Group, h: Group) -> bool:
     if not gens:
         return True  # both trivial
     return backtrack(0, [])
-
-
-def conjugate_tuple(g: Group, subs: Sequence[Subgroup], x: int) -> Tuple[Subgroup, ...]:
-    """Map every subgroup H in the tuple to x H x^-1."""
-    if not 0 <= x < g.order:
-        raise ValueError(f"element index {x} outside 0..{g.order - 1}")
-    if any(s.parent is not g for s in subs):
-        raise ValueError("conjugate_tuple needs subgroups of the given group")
-    perm = g.conj_perms()[x]
-    return tuple(g.subgroup(_image_mask(perm, s.member_indices())) for s in subs)

@@ -157,6 +157,9 @@ class SearchConfig:
                 flags = frozenset()
             else:
                 flags = frozenset(s.strip() for s in prune.split(",") if s.strip())
+                if not flags:
+                    raise ValueError(f"no prune rules selected by {prune!r}; "
+                                     "use all, none or a comma list of rules")
         else:
             flags = frozenset(prune)
         return SearchConfig(inequality_ids=ids, prune_flags=flags,

@@ -12,6 +12,7 @@ factor first, matching the package convention: (a * b)(x) = a(b(x)).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
@@ -107,6 +108,36 @@ def is_closed_under_mul(subset: Set[Perm]) -> bool:
     return all(p_mul(a, b) in subset for a in subset for b in subset)
 
 
+def conjugate_set(x: Perm, h: Iterable[Perm]) -> FrozenSet[Perm]:
+    """x H x^-1."""
+    return frozenset(p_mul(p_mul(x, a), p_inv(x)) for a in h)
+
+
+def is_normal_in(h: FrozenSet[Perm], ambient: Iterable[Perm]) -> bool:
+    """Whether conjugating H by every element of `ambient` leaves it as it is."""
+    return all(conjugate_set(x, h) == h for x in ambient)
+
+
+@lru_cache(maxsize=None)
+def is_prime(q: int) -> bool:
+    return q >= 2 and all(q % d for d in range(2, q))
+
+
+def valuation(x: Fraction, q: int) -> int:
+    """The q-adic valuation of a positive rational, for a prime q."""
+    num, den = x.numerator, x.denominator
+    if num <= 0 or not is_prime(q):
+        raise ValueError(f"valuation needs a positive rational and a prime, got {x} and {q}")
+    v = 0
+    while num % q == 0:
+        num //= q
+        v += 1
+    while den % q == 0:
+        den //= q
+        v -= 1
+    return v
+
+
 def canonical_tuple_key(elements: Iterable[Perm], lattice: Sequence[FrozenSet[Perm]],
                         subgroups: Sequence[FrozenSet[Perm]]) -> Tuple[int, ...]:
     """Least tuple of positions in `lattice` over the orbit of `subgroups`
@@ -115,9 +146,7 @@ def canonical_tuple_key(elements: Iterable[Perm], lattice: Sequence[FrozenSet[Pe
     Two tuples are conjugate exactly when their keys coincide.
     """
     position = {s: i for i, s in enumerate(lattice)}
-    return min(tuple(position[frozenset(p_mul(p_mul(x, h), p_inv(x)) for h in s)]
-                     for s in subgroups)
-               for x in elements)
+    return min(tuple(position[conjugate_set(x, s)] for s in subgroups) for x in elements)
 
 
 def evaluate_fraction(parent_order: int,

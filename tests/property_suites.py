@@ -15,19 +15,9 @@ from groupineq.catalog import (
     realize,
     semidirect_cyclic,
 )
-from groupineq.entropy_eval import gi, valuation
-from groupineq.perm_core import (
-    all_subgroups,
-    conjugate_tuple,
-    int_valuation,
-    intersect,
-    is_isomorphic,
-    is_normal,
-    is_prime,
-    is_product_subgroup,
-    prime_factors,
-    set_product_order,
-)
+from groupineq.entropy_eval import gi
+from groupineq.perm_core import all_subgroups, int_valuation, is_isomorphic, is_prime, prime_factors
+from oracles import valuation
 
 
 class Checker:
@@ -64,6 +54,32 @@ def _catalog_names(max_order=24):
     return names
 
 
+def _meet(x, y):
+    return x.parent.subgroup(x.mask & y.mask)
+
+
+def _product_order(a, b):
+    """|AB| = |A||B| / |A ∩ B|."""
+    return a.order * b.order // (a.mask & b.mask).bit_count()
+
+
+def product_is_subgroup(h, k):
+    """Whether the set HK is closed under Group.mul (a finite subset of a
+    group that holds 1 and is closed is a subgroup); Lagrange settles most
+    pairs first."""
+    g, ks = h.parent, k.member_indices()
+    hk = {g.mul(a, b) for a in h.member_indices() for b in ks}
+    return g.order % len(hk) == 0 and all(g.mul(a, b) in hk for a in hk for b in hk)
+
+
+def _normal_in(h, k):
+    """Whether H is normal in K, for H <= K: xH = Hx for every x in K, by Group.mul."""
+    g = h.parent
+    hs = h.member_indices()
+    return all({g.mul(x, a) for a in hs} == {g.mul(a, x) for a in hs}
+               for x in k.member_indices())
+
+
 def _abelian_subgroup(g, s):
     els = [i for i in range(g.order) if s.mask >> i & 1]
     return all(g.mul(x, y) == g.mul(y, x) for x in els for y in els)
@@ -90,12 +106,12 @@ def suite_product_chain():
         normal = {s.mask for s, f in zip(subs, lat.normal_flags) if f}
         for x in subs:
             for y in subs:
-                xy = intersect(x, y)
+                xy = _meet(x, y)
                 for z in subs:
-                    xz = intersect(x, z)
-                    xyz = intersect(xy, z)
+                    xz = _meet(x, z)
+                    xyz = _meet(xy, z)
                     c.ok(xy.order * xz.order <= x.order * xyz.order, name)
-                    c.ok(x.order * xyz.order <= x.order * intersect(y, z).order, name)
+                    c.ok(x.order * xyz.order <= x.order * _meet(y, z).order, name)
                     if xy.mask in normal or xz.mask in normal:
                         product = xy.order * xz.order // xyz.order
                         c.ok(x.order % product == 0, name)
@@ -117,7 +133,7 @@ def suite_gi_bounds():
         rel = {}
         for a in subs:
             for cc in subs:
-                rel[a.mask, cc.mask] = is_normal(intersect(a, cc), cc)
+                rel[a.mask, cc.mask] = _normal_in(_meet(a, cc), cc)
         for a in subs:
             for b in subs:
                 r0 = gi(g, a, b)
@@ -133,12 +149,12 @@ def suite_gi_bounds():
         rel = {}
         for a in subs:
             for cc in subs:
-                rel[a.mask, cc.mask] = is_normal(intersect(a, cc), cc)
+                rel[a.mask, cc.mask] = _normal_in(_meet(a, cc), cc)
         for a in subs:
             for b in subs:
                 for cc in subs:
                     for d in subs:
-                        cd = intersect(cc, d)
+                        cd = _meet(cc, d)
                         r = gi(g, a, b, cd)
                         c.ok(r.numerator >= r.denominator, name)
                         if rel[a.mask, cd.mask] or rel[b.mask, cd.mask]:
@@ -162,14 +178,14 @@ def suite_sylow_valuation():
             vg = int_valuation(g.order, q)
             for a in subs:
                 for b in subs:
-                    c.ok(int_valuation(set_product_order(a, b), q) <= vg, name)
+                    c.ok(int_valuation(_product_order(a, b), q) <= vg, name)
                     for cc in subs:
                         c.ok(valuation(gi(g, a, b, cc), q) >= 0, name)
     g, lat = _lat("S4")
     subs = lat.subgroups
     c.ok(
         any(
-            int_valuation(set_product_order(a, b), 2) > int_valuation(g.order, 2)
+            int_valuation(_product_order(a, b), 2) > int_valuation(g.order, 2)
             for a in subs
             for b in subs
         ),
@@ -205,7 +221,7 @@ def suite_pq_values():
                 c.ok(lat.normal_flags[i], name)
         for a in subs:
             for b in subs:
-                if not is_product_subgroup(a, b):
+                if not product_is_subgroup(a, b):
                     c.ok(a.mask != b.mask and a.order == p and b.order == p, name)
                 r0 = gi(g, a, b)
                 c.ok(r0 in allowed, name)
@@ -251,9 +267,9 @@ def suite_ppq_values():
         for a in subs:
             for b in subs:
                 for cc in subs:
-                    ac = intersect(a, cc)
-                    bc = intersect(b, cc)
-                    abc = intersect(ac, bc)
+                    ac = _meet(a, cc)
+                    bc = _meet(b, cc)
+                    abc = _meet(ac, bc)
                     f = gi(g, a, b, cc)
                     c.ok(f in allowed, name)
                     lo, hi = sorted((ac.order, bc.order))
@@ -316,7 +332,7 @@ def suite_pqq_values():
         for a in subs:
             for b in subs:
                 if p < q:
-                    closed = is_product_subgroup(a, b)
+                    closed = product_is_subgroup(a, b)
                     if a.order in always_closed or b.order in always_closed:
                         c.ok(closed, name)
                     if q in (a.order, b.order) and a.order % q == 0 and b.order % q == 0:
@@ -374,7 +390,7 @@ def suite_sylow_intersections():
         c.ok(has_np == TRICHOTOMY_EXPECT[tag], tag)
         meet = p if has_np else 1
         pairwise = {
-            intersect(s, t).order for s in syl for t in syl if s.mask != t.mask
+            _meet(s, t).order for s in syl for t in syl if s.mask != t.mask
         }
         c.ok(pairwise == {meet}, tag)
         if has_np:
@@ -384,13 +400,14 @@ def suite_sylow_intersections():
             for s in syl:
                 for t in syl:
                     if s.mask != t.mask:
-                        c.ok(intersect(s, t).mask == n0.mask, tag)
-        conj = [conjugate_tuple(g, (syl[0],), x)[0] for x in range(g.order)]
+                        c.ok(_meet(s, t).mask == n0.mask, tag)
+        column = lat.conjugation_table()[:, lat.sylow_index[p][0]].tolist()
+        conj = [subs[i] for i in column]
         c.ok({s.mask for s in conj} == {s.mask for s in syl}, tag)
         for px in conj:
             for py in conj:
                 if px.mask != py.mask:
-                    c.ok(intersect(px, py).order == meet, tag)
+                    c.ok(_meet(px, py).order == meet, tag)
     return c.count
 
 
@@ -425,7 +442,7 @@ def suite_trivial_intersections():
         found_overlap = False
         for i, h in enumerate(proper):
             for k in proper[i + 1 :]:
-                trivial = intersect(h, k).order == 1
+                trivial = _meet(h, k).order == 1
                 all_trivial = all_trivial and trivial
                 found_overlap = found_overlap or not trivial
                 if two:

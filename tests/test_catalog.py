@@ -22,6 +22,9 @@ from groupineq.catalog import (
 )
 from groupineq.perm_core import is_abelian, is_isomorphic
 
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_CATALOG = ROOT / "src" / "groupineq" / "data" / "catalog.json"
+
 
 def test_class_counts(cat):
     for order, want in EXPECTED_CLASS_COUNTS.items():
@@ -165,7 +168,7 @@ def test_load_catalog_wrong_order(tmp_path):
     ("C6", ["order:6", "cyclic"]),
 ], ids=["tagged-nonabelian", "untagged-abelian"])
 def test_load_catalog_wrong_abelian_tag(tmp_path, name, tags):
-    full = json.load(open("src/groupineq/data/catalog.json"))
+    full = json.loads(SHIPPED_CATALOG.read_text())
     edited = [dict(r, tags=tags) if r["name"] == name else r for r in full]
     path = write_catalog(tmp_path, edited)
     with pytest.raises(CatalogError, match=f"entry '{name}' has a wrong abelian tag"):
@@ -173,7 +176,7 @@ def test_load_catalog_wrong_abelian_tag(tmp_path, name, tags):
 
 
 def test_load_catalog_isomorphic_duplicates(tmp_path):
-    full = json.load(open("src/groupineq/data/catalog.json"))
+    full = json.loads(SHIPPED_CATALOG.read_text())
     clone = {"name": "C2-again", "degree": 4, "generators": ["(3,4)"],
              "expected_order": 2, "tags": ["order:2", "abelian"]}
     path = write_catalog(tmp_path, full + [clone])
@@ -182,7 +185,7 @@ def test_load_catalog_isomorphic_duplicates(tmp_path):
 
 
 def test_load_catalog_count_mismatch(tmp_path):
-    full = json.load(open("src/groupineq/data/catalog.json"))
+    full = json.loads(SHIPPED_CATALOG.read_text())
     trimmed = [r for r in full if r["name"] != "Q8"]
     path = write_catalog(tmp_path, trimmed)
     with pytest.raises(CatalogError, match="order 8"):
@@ -212,10 +215,9 @@ def test_paper_tuples_realize(cat):
 
 def test_build_catalog_reproduces_shipped_file():
     # tools/build_catalog.py must regenerate the shipped registry byte for byte
-    root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
-        "build_catalog", root / "tools" / "build_catalog.py")
+        "build_catalog", ROOT / "tools" / "build_catalog.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    shipped = (root / "src" / "groupineq" / "data" / "catalog.json").read_bytes()
+    shipped = SHIPPED_CATALOG.read_bytes()
     assert tool.render(tool.build_defs()).encode("utf-8") == shipped

@@ -239,6 +239,19 @@ def test_survey_bad_range(capsys, cache_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "S4", "--prune", ","], "no prune rules selected by ','"),
+    (["scan", "S4", "--prune", ""], "no prune rules selected by ''"),
+    (["survey", "30..40"], "no catalog group has an order in 30..40"),
+    (["survey", "25..119"], "no catalog group has an order in 25..119"),
+], ids=["prune-comma", "prune-empty", "survey-30-40", "survey-25-119"])
+def test_empty_selection_is_usage_error(capsys, cache_dir, argv, message):
+    # nothing to scan is an error, not a silent --prune none or a clean survey
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"gil: error: {message}")
+
+
 def test_parse_order_range():
     assert cli.parse_order_range("15") == (15, 15)
     assert cli.parse_order_range("2..23") == (2, 23)

@@ -11,15 +11,10 @@ from groupineq.perm_core import (
     SubgroupLattice,
     all_subgroups,
     closure,
-    conjugate_tuple,
     int_valuation,
-    intersect,
     is_abelian,
     is_isomorphic,
-    is_normal,
-    is_product_subgroup,
     prime_factors,
-    set_product_order,
 )
 
 import oracles
@@ -142,47 +137,37 @@ def test_intersect_and_product():
     rng = random.Random(13)
     elems = [tuple(p.images) for p in g.elements]
     for _ in range(80):
-        h = rng.choice(lat.subgroups)
-        k = rng.choice(lat.subgroups)
-        hs = {elems[i] for i in h.member_indices()}
-        ks = {elems[i] for i in k.member_indices()}
-        m = intersect(h, k)
-        assert {elems[i] for i in m.member_indices()} == hs & ks
+        i, j = rng.randrange(len(lat)), rng.randrange(len(lat))
+        h, k, m = lat.subgroups[i], lat.subgroups[j], lat.subgroups[lat.meet[i, j]]
+        hs = {elems[x] for x in h.member_indices()}
+        ks = {elems[x] for x in k.member_indices()}
+        assert {elems[x] for x in m.member_indices()} == hs & ks
         ps = oracles.product_set(hs, ks)
-        assert set_product_order(h, k) == len(ps)
-        # dual route: closure under multiplication vs the order formula
-        assert is_product_subgroup(h, k) == oracles.is_closed_under_mul(ps)
-        assert (set_product_order(h, k) == h.order * k.order // m.order)
+        assert h.order * k.order // m.order == len(ps)
+        # dual route: closure under multiplication vs HK filling the join <H, K>
+        join = closure(g, h.member_indices() + k.member_indices())
+        assert (len(ps) == join.order) == oracles.is_closed_under_mul(ps)
 
 
 def test_is_normal_by_conjugation():
     g = sym(4)
     lat = all_subgroups(g)
     elems = [tuple(p.images) for p in g.elements]
-    full = g.full_subgroup()
     for idx, h in enumerate(lat.subgroups):
-        hs = {elems[i] for i in h.member_indices()}
-        brute = all(
-            oracles.p_mul(oracles.p_mul(x, m), oracles.p_inv(x)) in hs
-            for x in elems for m in hs
-        )
-        assert is_normal(h, full) == brute == lat.normal_flags[idx]
+        hs = frozenset(elems[i] for i in h.member_indices())
+        assert oracles.is_normal_in(hs, elems) == lat.normal_flags[idx]
 
 
 def test_is_normal_relative():
-    g = sym(4)
-    # V4 normal in S4 hence in any overgroup; C2 = <(1,2)> not normal in S3 copy
-    v4 = closure(g, [g.element_index(Permutation.from_cycles(c, 4))
-                     for c in ("(1,2)(3,4)", "(1,3)(2,4)")])
-    d8 = closure(g, [g.element_index(Permutation.from_cycles(c, 4))
-                     for c in ("(1,2)(3,4)", "(1,3)")])
-    assert is_normal(v4, d8)
-    c2 = closure(g, [g.element_index(Permutation.from_cycles("(1,2)", 4))])
-    s3 = closure(g, [g.element_index(Permutation.from_cycles("(1,2)", 4)),
-                     g.element_index(Permutation.from_cycles("(1,2,3)", 4))])
-    assert not is_normal(c2, s3)
-    with pytest.raises(ValueError):
-        is_normal(d8, v4)  # not contained
+    # V4 is normal in D8; C2 = <(1,2)> is not normal in S3
+    for ambient, sub, normal in ((("(1,2)(3,4)", "(1,3)"), ("(1,2)(3,4)", "(1,3)(2,4)"), True),
+                                 (("(1,2)", "(1,2,3)"), ("(1,2)",), False)):
+        g = Group.from_generators("H", [Permutation.from_cycles(c, 4) for c in ambient], 4)
+        lat = all_subgroups(g)
+        h = closure(g, [g.element_index(Permutation.from_cycles(c, 4)) for c in sub])
+        elems = [p.images for p in g.elements]
+        hs = frozenset(elems[i] for i in h.member_indices())
+        assert lat.normal_flags[lat.index[h.mask]] == oracles.is_normal_in(hs, elems) == normal
 
 
 def test_all_subgroups_against_brute_force_sample(cat):
@@ -236,12 +221,19 @@ def test_conjugation_table(cat):
     lat = all_subgroups(g)
     ct = lat.conjugation_table()
     assert ct.shape == (24, len(lat.subgroups))
+    elems = [tuple(p.images) for p in g.elements]
+    members = [frozenset(elems[m] for m in s.member_indices()) for s in lat.subgroups]
+    position = {s: i for i, s in enumerate(members)}
     rng = random.Random(3)
     for _ in range(200):
         x = rng.randrange(24)
         i = rng.randrange(len(lat.subgroups))
-        (conj,) = conjugate_tuple(g, [lat.subgroups[i]], x)
-        assert int(ct[x, i]) == lat.index[conj.mask]
+        assert int(ct[x, i]) == position[oracles.conjugate_set(elems[x], members[i])]
+    # conjugation is an action: x (y S y^-1) x^-1 = (xy) S (xy)^-1, and 1 S 1 = S
+    for x in range(24):
+        for y in range(24):
+            assert ct[x, ct[y]].tolist() == ct[g.mul(x, y)].tolist()
+    assert ct[0].tolist() == list(range(len(lat.subgroups)))
 
 
 @pytest.mark.parametrize("edit, error", [
@@ -265,19 +257,6 @@ def test_lattice_checks_itself(edit, error):
         lattice = SubgroupLattice(g, subs)
         lattice.meet, lattice.conjugation_table()
     assert "S4" in str(caught.value)
-
-
-def test_conjugate_tuple_is_action(cat):
-    g = cat.realize("S4")
-    lat = all_subgroups(g)
-    rng = random.Random(17)
-    subs = tuple(rng.choice(lat.subgroups) for _ in range(3))
-    for _ in range(50):
-        x, y = rng.randrange(24), rng.randrange(24)
-        one = conjugate_tuple(g, conjugate_tuple(g, subs, y), x)
-        both = conjugate_tuple(g, subs, g.mul(x, y))
-        assert [s.mask for s in one] == [s.mask for s in both]
-    assert [s.mask for s in conjugate_tuple(g, subs, 0)] == [s.mask for s in subs]
 
 
 def test_is_abelian(cat):
@@ -432,9 +411,10 @@ def test_normal_flags_match_is_normal(cat, lattice_for):
         if g.order >= 120:
             continue
         lat = lattice_for(name)
-        full = g.full_subgroup()
+        elems = [p.images for p in g.elements]
         for i, s in enumerate(lat.subgroups):
-            assert lat.normal_flags[i] == is_normal(s, full), (name, i)
+            hs = frozenset(elems[m] for m in s.member_indices())
+            assert lat.normal_flags[i] == oracles.is_normal_in(hs, elems), (name, i)
 
 
 def test_s5_lattice_counts(lattice_for):

@@ -12,8 +12,7 @@ from groupineq.catalog import (alternating, cyclic, dihedral, direct_product, lo
 from groupineq.entropy_eval import entropy_vector, evaluate
 from groupineq import search_engine
 from groupineq.ineq_dsl import DFZ_IDS, builtin
-from groupineq.perm_core import (all_subgroups, conjugate_tuple, is_product_subgroup,
-                                 prime_factors)
+from groupineq.perm_core import all_subgroups, prime_factors
 from groupineq.search_engine import (
     PRUNE_RULES,
     OrderClass,
@@ -26,6 +25,7 @@ from groupineq.search_engine import (
 )
 
 import oracles
+from property_suites import product_is_subgroup
 
 
 def test_prune_rules_constant():
@@ -49,6 +49,10 @@ def test_search_config_validation():
         SearchConfig.make(prune="bogus")
     with pytest.raises(ValueError, match="no inequalities"):
         SearchConfig.make(ineqs="")
+    # a prune list that names no rule is refused, not read as "none"
+    for prune in (",", "", " , "):
+        with pytest.raises(ValueError, match="no prune rules"):
+            SearchConfig.make(prune=prune)
     with pytest.raises(ValueError, match="worker_count"):
         SearchConfig.make(jobs=0)
     with pytest.raises(ValueError, match="unknown inequality id"):
@@ -129,7 +133,7 @@ def test_prune_applicable_matches_oracle(cat):
             lat, prunable = pair_prunable(cat.realize(name))
             for i, h in enumerate(lat.subgroups):
                 for j, k in enumerate(lat.subgroups):
-                    assert prunable[i, j] == is_product_subgroup(h, k), (name, i, j)
+                    assert prunable[i, j] == product_is_subgroup(h, k), (name, i, j)
 
 
 def tuple_key(g, lat):
@@ -664,11 +668,12 @@ def test_canonical_tuple_key(cat, lattice_for):
     g = cat.realize("S4")
     lat = lattice_for("S4")
     key = tuple_key(g, lat)
+    ct = lat.conjugation_table()
     rng = random.Random(4)
     for _ in range(30):
         subs = tuple(rng.choice(lat.subgroups) for _ in range(4))
         x = rng.randrange(g.order)
-        assert key(conjugate_tuple(g, subs, x)) == key(subs)
+        assert key([lat.subgroups[ct[x, lat.index[s.mask]]] for s in subs]) == key(subs)
     a = (lat.subgroups[1], lat.subgroups[2])
     b = (lat.subgroups[1], lat.subgroups[1])
     assert key(a) != key(b)
