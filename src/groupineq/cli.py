@@ -454,11 +454,12 @@ def cmd_survey(args) -> Tuple[Report, int]:
     lo, hi = parse_order_range(args.orders)
     if hi > args.max_order:
         raise CliError(f"order range ends at {hi}, above --max-order {args.max_order}")
-    if not any(lo <= o <= hi for o in cat.by_order):
+    orders = [o for o in cat.by_order if lo <= o <= hi]
+    if not orders:
         raise CliError(f"no catalog group has an order in {lo}..{hi}")
     cfg = SearchConfig.make(ineqs=args.ineqs, prune=args.prune, jobs=args.jobs)
     t0 = time.perf_counter()
-    entries = survey(cat, range(lo, hi + 1), cfg,
+    entries = survey(cat, orders, cfg,
                      lattice_for=lambda g: cache.get(g, cap=args.max_order))
     t1 = time.perf_counter()
     rows = []
@@ -691,8 +692,13 @@ def cmd_verify_paper(args) -> Tuple[Report, int]:
 # ---------------------------------------------------------------------------
 # Entry point
 
+class _ArgParser(argparse.ArgumentParser):
+    def error(self, message):   # one "gil: error:" line, as main prints
+        self.exit(2, f"{self.format_usage()}gil: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgParser(
         prog="gil",
         description="entropy vectors of finite groups: exact inequality "
                     "checks, violation scans, catalog surveys")

@@ -61,7 +61,6 @@ class InequalitySpec:
     n_vars: int
     coeffs: Dict[Subset, int]
     id: str = ""
-    source_text: str = ""
 
     def same_coeffs(self, other: "InequalitySpec") -> bool:
         return self.coeffs == other.coeffs
@@ -240,8 +239,7 @@ class _Parser:
                 _add(coeffs, k, -v)
         else:
             coeffs = lhs
-        end = self.expect("END", "end of input")
-        del end
+        self.expect("END", "end of input")
         return {k: v for k, v in coeffs.items() if v != 0}
 
 
@@ -260,56 +258,24 @@ def parse(text: str, id: str = "") -> InequalitySpec:
     parser = _Parser(text)
     coeffs = parser.parse_ineq()
     n_vars = max(parser.max_var, 1)
-    return InequalitySpec(n_vars=n_vars, coeffs=coeffs, id=id, source_text=text)
+    return InequalitySpec(n_vars=n_vars, coeffs=coeffs, id=id)
 
 
 # ---------------------------------------------------------------------------
 # Printers
 
 def pretty_print(spec: InequalitySpec) -> str:
-    """Canonical text for a spec; parsing the result reproduces its coeffs.
-
-    Specs that came from parse() are re-rendered from their source tokens
-    with normalized spacing, so information-measure terms survive. Specs
-    built directly from coefficients fall back to a joint-entropy form.
-    """
-    if spec.source_text:
-        return _normalize_tokens(spec.source_text)
-    pos_terms = [(s, c) for s, c in sorted(spec.coeffs.items(), key=lambda kv: _subset_key(kv[0])) if c > 0]
-    neg_terms = [(s, -c) for s, c in sorted(spec.coeffs.items(), key=lambda kv: _subset_key(kv[0])) if c < 0]
-    return f"{_render_side(pos_terms)} >= {_render_side(neg_terms)}"
+    """Canonical joint-entropy text for a spec, positive terms on the left;
+    parsing the result reproduces its coeffs."""
+    terms = sorted(spec.coeffs.items(), key=lambda kv: _subset_key(kv[0]))
+    return (f"{_render_side([(s, c) for s, c in terms if c > 0])} >= "
+            f"{_render_side([(s, -c) for s, c in terms if c < 0])}")
 
 
 def _render_side(terms: Sequence[Tuple[Subset, int]]) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for subset, c in terms:
-        varlist = ",".join(f"X{i}" for i in sorted(subset))
-        head = "" if c == 1 else f"{c} "
-        parts.append(f"{head}H({varlist})")
-    return " + ".join(parts)
-
-
-def _normalize_tokens(text: str) -> str:
-    tokens = _tokenize(text)
-    out: List[str] = []
-    depth = 0
-    for i, tok in enumerate(tokens):
-        if tok.kind == "END":
-            break
-        if tok.kind == "LPAREN":
-            depth += 1
-        elif tok.kind == "RPAREN":
-            depth -= 1
-        piece = tok.text
-        if tok.kind in ("PLUS", "MINUS", "GE", "LE") and depth == 0:
-            out.append(f" {piece} ")
-        elif tok.kind == "INT" and depth == 0 and tokens[i + 1].kind in ("H", "I"):
-            out.append(f"{piece} ")
-        else:
-            out.append(piece)
-    return "".join(out)
+    parts = [("" if c == 1 else f"{c} ") + "H(" + ",".join(f"X{i}" for i in sorted(subset)) + ")"
+             for subset, c in terms]
+    return " + ".join(parts) or "0"
 
 
 def group_form(spec: InequalitySpec) -> str:
@@ -401,5 +367,6 @@ def resolve_ids(ids: Sequence[str] | str) -> Tuple[str, ...]:
             out.append(name)
         else:
             raise ValueError(f"unknown inequality id {name!r}; known: {', '.join(BUILTIN_IDS)}")
-    seen = dict.fromkeys(out)
-    return tuple(seen)
+    if not out:
+        raise ValueError("no inequalities selected")
+    return tuple(dict.fromkeys(out))

@@ -69,15 +69,17 @@ run, finish (sum the tallies, rebuild and sort the witnesses, check the
 prune accounting). scan_group does them for one group; survey plans
 every group first, runs all of their tasks, then finishes each. A task
 is one first-position subgroup of one group, the least of its conjugacy
-class when the conjugacy rule is on (plan charges the rest to the rule,
-so no task starts only to be pruned). Plan also bounds the block cells
-of each task. The tasks run inline at jobs 1, and at jobs >= 2 too unless
-the bounds of all the run's tasks sum to at least _POOL_CELLS: below
-that, a fork pool's start-up and result round trips cost more than a
-second worker saves. When a pool does start, it is one fork pool for
-the whole run, started after every group's state is built; the workers
-inherit the states through fork, and the pool hands out tasks as
-workers free up.
+class when the conjugacy rule is on. Plan computes each task's prefix
+once: the subgroup, its stabilizer and its position 2 survivors, with
+what positions 1 and 2 prune charged to the plan's tally, so no task
+starts only to be pruned. Those survivors bound the block cells of each
+task. The tasks run inline at jobs 1, and at jobs >= 2 too unless the
+bounds of all the run's tasks sum to at least _POOL_CELLS: below that,
+a fork pool's start-up and result round trips cost more than a second
+worker saves. When a pool does start, it is one fork pool for the whole
+run, started after every group's state is built; the workers inherit
+the states through fork, and the pool hands out tasks as workers free
+up.
 """
 
 from __future__ import annotations
@@ -148,8 +150,6 @@ class SearchConfig:
     def make(ineqs: Sequence[str] | str = "all", prune: Sequence[str] | str = "all",
              jobs: int = 1, emit_limit: Optional[int] = None) -> "SearchConfig":
         ids = resolve_ids(ineqs)
-        if not ids:
-            raise ValueError("no inequalities selected")
         if isinstance(prune, str):
             if prune == "all":
                 flags = frozenset(PRUNE_RULES)
@@ -448,7 +448,7 @@ class _ScanState:
     """
 
     def __init__(self, g: Group, lattice: SubgroupLattice, cfg: SearchConfig,
-                 restricted_order: Optional[int]) -> None:
+                 restricted_order: Optional[int], tally: Dict[str, int]) -> None:
         self.group = g
         self.n = n = cfg.tuple_arity
         self.plans = [_compile_spec(builtin(i), n) for i in cfg.inequality_ids]
@@ -501,10 +501,17 @@ class _ScanState:
                            for key in self.sym_keys for src in key}
         # whether every plan has symmetries, so that blocks build canon masks
         self.canon_masks = all(self.sym_keys)
-        # the position 1 subgroups left after the conjugacy rule, and an
-        # upper bound on the block cells their tasks evaluate; set by _plan
-        self.firsts = self.domains[0]
-        self.cells = 0
+        # at position 1 the conjugacy rule keeps the least subgroup of each
+        # class. Each is one task (first, its stabilizer, its position 2
+        # survivors), pruned here once and charged to the plan's tally; the
+        # task's blocks hold at most those survivors times the m**(n-2)
+        # tuples of the later positions
+        cand = np.arange(len(self.lower))
+        self.tasks = []
+        for f in _survivors(self, 0, [], cand, tally).tolist():
+            stab = cand[self.fixes[cand, f]]
+            self.tasks.append((f, stab, _survivors(self, 1, [f], stab, tally)))
+        self.cells = self.tails[1] * sum(len(found) for *_, found in self.tasks)
 
 
 def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -545,33 +552,35 @@ def _survivors(st: _ScanState, depth: int, chosen: List[int], cand: np.ndarray,
     return domain[~hit]
 
 
-def _scan_chunk(st: _ScanState, first: int) -> Tuple[List[tuple], Dict[str, int]]:
-    """Scan all of st's tuples whose first position is subgroup `first`,
-    one of st.firsts.
+def _scan_chunk(st: _ScanState, i: int) -> Tuple[List[tuple], Dict[str, int]]:
+    """Scan all of st's tuples that extend task i's prefix, starting from
+    the position 2 survivors the plan stored with it.
 
     Returns raw violation cells (spec_id, index tuple) and one tally:
-    tuples pruned per rule, tuples evaluated, and (tuple, inequality)
-    violations and equalities.
+    tuples pruned per rule past position 2, tuples evaluated, and
+    (tuple, inequality) violations and equalities.
     """
     n = st.n
     tally = dict.fromkeys(_TALLY_KEYS, 0)
     cells: List[tuple] = []
 
     def descend(depth: int, chosen: List[int], cand: np.ndarray,
-                prefix: np.ndarray) -> None:
+                prefix: np.ndarray, found: np.ndarray) -> None:
         # prefix[pm] is the lattice index of the intersection of the chosen
-        # subgroups at the positions in bitmask pm (pm = 0 gives G)
-        found = _survivors(st, depth, chosen, cand, tally)
+        # subgroups at the positions in bitmask pm (pm = 0 gives G); found
+        # holds the position-depth survivors
         if depth == n - 3:
             _block_stage(st, chosen, cand, prefix, found, tally, cells)
             return
         for s in found.tolist():
-            descend(depth + 1, chosen + [s], cand[st.fixes[cand, s]],
-                    np.concatenate((prefix, st.meet[prefix, s])))
+            stab = cand[st.fixes[cand, s]]
+            descend(depth + 1, chosen + [s], stab,
+                    np.concatenate((prefix, st.meet[prefix, s])),
+                    _survivors(st, depth + 1, chosen + [s], stab, tally))
 
-    cand = np.arange(len(st.lower))
-    descend(1, [first], cand[st.fixes[cand, first]],
-            np.array([st.top, st.meet[st.top, first]], dtype=np.intp))
+    first, stab, found = st.tasks[i]
+    descend(1, [first], stab, np.array([st.top, st.meet[st.top, first]], dtype=np.intp),
+            found)
     return cells, tally
 
 
@@ -738,19 +747,8 @@ def _plan(g: Group, cfg: SearchConfig,
     if by_class and cls.skips_group:
         tally["order_class"] = total
     else:
-        state = _ScanState(g, lattice, cfg, cls.pair_order if by_class else None)
+        state = _ScanState(g, lattice, cfg, cls.pair_order if by_class else None, tally)
         tally["order_class"] = total - math.prod(state.sizes)
-        # at position 1 the conjugacy rule keeps the least subgroup of each
-        # class; only those become tasks
-        cand = np.arange(len(state.lower))
-        state.firsts = _survivors(state, 0, [], cand, tally)
-        # a task's blocks hold at most its position 2 survivors times the
-        # m**(n-2) tuples of the later positions; those survivors are
-        # counted as _scan_chunk counts them, on a throwaway tally
-        state.cells = state.tails[1] * sum(
-            len(_survivors(state, 1, [f], cand[state.fixes[cand, f]],
-                           dict.fromkeys(_TALLY_KEYS, 0)))
-            for f in state.firsts.tolist())
     return _Plan(g, lattice, cls, by_class, tally, state, time.perf_counter() - t0)
 
 
@@ -775,57 +773,48 @@ def _fork_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"))
 
 
-def _run_task(task: Tuple[int, int]) -> Tuple[List[tuple], Dict[str, int], float]:
-    """_scan_chunk over the i-th surviving first-position subgroup of
-    _STATES[k], timed."""
+def _run_task(task: Tuple[int, int]
+              ) -> Tuple[List[tuple], Dict[str, int], float] | Exception:
+    """_scan_chunk over task i of _STATES[k], timed; an error other than an
+    AssertionError is returned as the task's result."""
     k, i = task
-    st = _STATES[k]
     t0 = time.perf_counter()
-    cells, tally = _scan_chunk(st, int(st.firsts[i]))
+    try:
+        cells, tally = _scan_chunk(_STATES[k], i)
+    except AssertionError:
+        raise
+    except Exception as e:  # noqa: BLE001 - charged to plan k alone
+        return e
     return cells, tally, time.perf_counter() - t0
 
 
 def _run(plans: List[_Plan], jobs: int) -> List[list]:
-    """Scan every plan's tuples, one task per first-position subgroup that
-    survived the conjugacy rule in _plan.
+    """Scan every plan's tuples, one task per prefix that _plan stored.
 
-    The tasks run inline unless jobs >= 2, there are at least two tasks
-    and the plans' bounds on their block cells sum to at least
-    _POOL_CELLS; then one fork pool hands them to its workers as they
-    free up. Returns, per plan, what each of its tasks returned or
-    raised, in task order; an AssertionError propagates.
+    The tasks run inline through map unless jobs >= 2, there are at least
+    two tasks and the plans' bounds on their block cells sum to at least
+    _POOL_CELLS; then they run through one fork pool's map, which hands
+    them to its workers as they free up. Returns, per plan, each of its
+    tasks' results or errors, in task order; an AssertionError cancels the
+    pending tasks and propagates.
     """
     global _STATES
     tasks = [(k, i) for k, p in enumerate(plans) if p.state
-             for i in range(len(p.state.firsts))]
+             for i in range(len(p.state.tasks))]
     cells = sum(p.state.cells for p in plans if p.state)
     out: List[list] = [[] for _ in plans]
-
-    def take(k: int, result) -> None:
-        try:
-            out[k].append(result())
-        except AssertionError:
-            raise
-        except Exception as e:  # noqa: BLE001 - charged to plan k alone
-            out[k].append(e)
-
     _STATES = [p.state for p in plans]
+    pool = None
     try:
-        if jobs == 1 or len(tasks) <= 1 or cells < _POOL_CELLS:
-            for t in tasks:
-                take(t[0], functools.partial(_run_task, t))
-            return out
-        with _fork_pool(min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_run_task, t) for t in tasks]
-            try:
-                for t, f in zip(tasks, futures):
-                    take(t[0], f.result)
-            except AssertionError:
-                pool.shutdown(cancel_futures=True)
-                raise
+        if jobs >= 2 and len(tasks) >= 2 and cells >= _POOL_CELLS:
+            pool = _fork_pool(min(jobs, len(tasks)))
+        for (k, _), result in zip(tasks, (pool.map if pool else map)(_run_task, tasks)):
+            out[k].append(result)
         return out
     finally:
         _STATES = []
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _finish(plan: _Plan, cfg: SearchConfig, results: list

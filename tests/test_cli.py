@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from groupineq import cli, search_engine
 from groupineq.catalog import load_catalog
 from groupineq.entropy_eval import entropy_vector, evaluate
-from groupineq.ineq_dsl import _BUILTIN_CACHE, _BUILTIN_TEXTS, builtin
+from groupineq.ineq_dsl import _BUILTIN_CACHE, _BUILTIN_TEXTS, builtin, parse
 from groupineq.perm_core import Permutation, all_subgroups, closure
 from groupineq.search_engine import SearchConfig, scan_group
 
@@ -232,6 +234,17 @@ def test_survey_single_order(capsys, cache_dir):
     assert entry["group"] == "C15"
 
 
+def test_survey_range_past_the_catalog(capsys, cache_dir, monkeypatch):
+    # a range may end far past the catalog's largest order; only catalog
+    # orders reach the survey, so the range itself is never expanded
+    seen = []
+    monkeypatch.setattr(cli, "survey", lambda cat, orders, cfg, lattice_for: seen.append(orders) or {})
+    huge = str(10 ** 24)
+    code, _, _ = run(["survey", f"100..{huge}", "--max-order", huge], capsys)
+    assert code == 0
+    assert [sorted(o) for o in seen] == [[o for o in sorted(load_catalog().by_order) if o >= 100]]
+
+
 def test_survey_bad_range(capsys, cache_dir):
     code, _, err = run(["survey", "five"], capsys)
     assert code == 2
@@ -244,9 +257,13 @@ def test_survey_bad_range(capsys, cache_dir):
     (["scan", "S4", "--prune", ""], "no prune rules selected by ''"),
     (["survey", "30..40"], "no catalog group has an order in 30..40"),
     (["survey", "25..119"], "no catalog group has an order in 25..119"),
-], ids=["prune-comma", "prune-empty", "survey-30-40", "survey-25-119"])
+    (["check", "--tuple", "s4-dfz1", "--ineqs", ","], "no inequalities selected"),
+    (["check", "--tuple", "s4-dfz1", "--ineqs", ""], "no inequalities selected"),
+], ids=["prune-comma", "prune-empty", "survey-30-40", "survey-25-119",
+        "check-ineqs-comma", "check-ineqs-empty"])
 def test_empty_selection_is_usage_error(capsys, cache_dir, argv, message):
-    # nothing to scan is an error, not a silent --prune none or a clean survey
+    # nothing to scan or check is an error, not a silent --prune none, a
+    # clean survey or an empty verdict table
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith(f"gil: error: {message}")
@@ -265,7 +282,8 @@ def test_parse_order_range():
 # parse / groups
 
 def test_parse_command(capsys, cache_dir):
-    code, doc, _ = run_json(["parse", "I(X1;X2) <= I(X1;X2|X3) + I(X1;X2|X4) + I(X3;X4)"], capsys)
+    text = "I(X1;X2) <= I(X1;X2|X3) + I(X1;X2|X4) + I(X3;X4)"
+    code, doc, _ = run_json(["parse", text], capsys)
     assert code == 0
     r = doc["results"]
     assert r["n_vars"] == 4
@@ -275,6 +293,10 @@ def test_parse_command(capsys, cache_dir):
     want = {"".join(str(i) for i in sorted(k)): v for k, v in spec.coeffs.items()}
     assert got == want
     assert "<=" in r["group_form"]
+    # text echoes the input; canonical is the joint-entropy form, and it
+    # parses back to the builtin's coefficients
+    assert r["text"] == text
+    assert parse(r["canonical"]).same_coeffs(spec)
 
 
 def test_parse_command_error(capsys, cache_dir):
@@ -622,3 +644,116 @@ def test_internal_error_exit_code(capsys, tmp_path, monkeypatch, argv):
     assert code == 3
     assert out == ""
     assert err == "gil: internal error: deliberately inconsistent\n"
+
+
+# ---------------------------------------------------------------------------
+# argument grammar fuzz
+
+def _fuzz_argv(rng, small):
+    # one command line from a subcommand's grammar; each value is a valid
+    # one most of the time, else a near miss or an integer at or past its
+    # limit. Scans and surveys name only groups of order <= 12, so every
+    # case is cheap
+    huge = "1" + "0" * 24
+
+    def pick(valid, invalid):
+        return rng.choice(valid if rng.random() < 0.7 else invalid)
+
+    def num():
+        return pick(["1", "2", "3", "12", "1000"],
+                    ["-1", "0", "1001", huge, "9" * 5000, "1.5", "x", ""])
+
+    def some(valid, invalid):
+        words = [pick(valid, invalid) for _ in range(rng.randint(0, 3))]
+        return rng.choice([",", ", ", " ,"]).join(words)
+
+    def group():
+        return pick(small, ["", "S9", "C0", "c4", " D8", "A4xA4", "s4-dfz1"])
+
+    def ineq_ids():
+        return some(["all", "dfz", "ingleton", "dfz1", "dfz3", "dfz10"],
+                    ["dfz11", "Ingleton", "", " "])
+
+    def orders():
+        lo, hi = pick([("1", "12"), ("2", "8"), ("7", ""), ("12", "12"), ("9", "10")],
+                      [("0", "4"), ("12", "1"), ("121", "1000"), (huge, huge),
+                       ("9" * 5000, ""), ("1", "-3"), ("", "")])
+        return pick([f"{lo}..{hi}" if hi else lo], [f"{lo}...{hi}", f"-{lo}", ".."])
+
+    def cycles():
+        text = rng.choice(["(1 2)", "G1=(1 2 3); G2=(1 2)", "(1,2),(3 4)", "()"])
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(["(1 1)", "(0 2)", "(1 99)", f"(1 {huge})",
+                                          "(", "x", ",", ";", "G9=", " "]) + text[i:]
+        return text
+
+    def ineq_text():
+        text = rng.choice(["I(X1;X2) <= I(X1;X2|X3) + I(X3;X4)", "H(X1|X2) >= 0",
+                           "2 I(X1;X2,X3) - H(X5)", "0 >= 0"])
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(["H(", "I(", "X0", "X9", "X", ";", "|", ")",
+                                          " + ", " >= ", "0", "2 ", huge + " ",
+                                          "9" * 5000]) + text[i:]
+        return text
+
+    command = rng.choice(["check", "scan", "survey", "parse", "groups"])
+    if command == "check":
+        if rng.random() < 0.5:
+            argv = ["check", "--tuple", pick(["s4-dfz1", "s4-dfz3", "d20-example"],
+                                             ["s4-dfz2", ""])]
+        else:
+            argv = ["check", group(), "--subgroups", cycles()]
+    elif command == "scan":
+        argv = ["scan", group()]
+    elif command == "survey":
+        argv = ["survey", orders()]
+    elif command == "parse":
+        argv = ["parse", ineq_text()]
+    else:
+        argv = ["groups"] + pick([["list"], ["show", group()]], [["bogus"], ["show"]])
+    prune = lambda: some(list(search_engine.PRUNE_RULES) + ["all", "none"], ["", "bogus"])
+    options = {"check": [("--ineqs", ineq_ids)],
+               "scan": [("--ineqs", ineq_ids), ("--prune", prune), ("--jobs", num),
+                        ("--limit", num), ("--max-order", num)],
+               "survey": [("--ineqs", ineq_ids), ("--prune", prune), ("--jobs", num),
+                          ("--max-order", num)],
+               "groups": [("--max-order", num)]}.get(command, [])
+    for flag, value in options:
+        if rng.random() < 0.4:
+            argv += [flag, value()]
+    if rng.random() < 0.3:
+        argv += ["--format", pick(["md", "json"], ["xml"])]
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--bogus", "--jobs", "-h"]))
+    return argv
+
+
+def test_argument_grammar_fuzz(capsys, cache_dir, monkeypatch):
+    # every command line ends in exit 0, 1 or 2, and a usage error is one
+    # "gil: error:" line (after argparse's usage, for a bad command line),
+    # never a traceback. Runs in process, and no scan may start a pool
+    def no_pool(workers):
+        pytest.fail("a fuzz case started a pool")
+
+    monkeypatch.setattr(search_engine, "_fork_pool", no_pool)
+    cat = load_catalog()
+    small = [n for o, names in sorted(cat.by_order.items()) if o <= 12 for n in names]
+    rng = random.Random(19)
+    codes = Counter()
+    for _ in range(200):
+        argv = _fuzz_argv(rng, small)
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:   # argparse: a bad command line, or -h
+            code = e.code
+        err = capsys.readouterr().err
+        codes[code] += 1
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err, argv
+        if code == 2:
+            lines = err.splitlines()
+            assert [l for l in lines if l.startswith("gil: error: ")] == lines[-1:], argv
+            assert len(lines) == 1 or lines[0].startswith("usage: gil"), argv
+    assert all(codes[c] for c in (0, 1, 2)), codes

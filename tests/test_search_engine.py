@@ -11,7 +11,7 @@ from groupineq.catalog import (alternating, cyclic, dihedral, direct_product, lo
                                realize, realize_paper_tuple, semidirect_cyclic, symmetric)
 from groupineq.entropy_eval import entropy_vector, evaluate
 from groupineq import search_engine
-from groupineq.ineq_dsl import DFZ_IDS, builtin
+from groupineq.ineq_dsl import _BUILTIN_TEXTS, DFZ_IDS, builtin
 from groupineq.perm_core import all_subgroups, prime_factors
 from groupineq.search_engine import (
     PRUNE_RULES,
@@ -108,9 +108,15 @@ def test_order_class_q_is_the_normal_sylow(cat):
         assert lat.normal_flags[i], name
 
 
+def scan_state(g, lat, cfg):
+    # a group's scan state with order_class off; what positions 1 and 2
+    # prune goes to a tally of its own
+    return _ScanState(g, lat, cfg, None, dict.fromkeys(search_engine._TALLY_KEYS, 0))
+
+
 def pair_prunable(g):
     lat = all_subgroups(g)
-    state = _ScanState(g, lat, SearchConfig.make(ineqs="dfz"), None)
+    state = scan_state(g, lat, SearchConfig.make(ineqs="dfz"))
     return lat, state.pair_prunable
 
 
@@ -154,7 +160,7 @@ def symmetry_orbits(g, lat, witnesses):
     out = set()
     for w in witnesses:
         t = [g.subgroup(mask) for mask in w.masks]
-        form = oracles.expand_inequality(builtin(w.inequality_id).source_text)
+        form = oracles.expand_inequality(_BUILTIN_TEXTS[w.inequality_id])
         out.add((w.inequality_id,
                  min(key([t[j] for j in p] + t[len(p):])
                      for p in oracles.variable_symmetries(form))))
@@ -225,7 +231,7 @@ def test_a5_prune_subsets_keep_conjugacy_orbits(a5):
 
     def least(w):
         t = [lat.index[mask] for mask in w.masks]
-        form = oracles.expand_inequality(builtin(w.inequality_id).source_text)
+        form = oracles.expand_inequality(_BUILTIN_TEXTS[w.inequality_id])
         return all([t[j] for j in p] + t[len(p):] >= t
                    for p in oracles.variable_symmetries(form))
 
@@ -253,7 +259,7 @@ def test_canon_paths_agree(cat, lattice_for, a5, name):
     g, lat = a5 if name == "A5" else (cat.realize(name), lattice_for(name))
     sym, alone, mixed = ("dfz1,dfz2,dfz6,dfz8,dfz9", "dfz3",
                          "dfz1,dfz2,dfz3,dfz6,dfz8,dfz9")
-    assert [_ScanState(g, lat, SearchConfig.make(ineqs=i), None).canon_masks
+    assert [scan_state(g, lat, SearchConfig.make(ineqs=i)).canon_masks
             for i in (sym, alone, mixed)] == [True, False, False]
     (sym_w, sym), (alone_w, alone), (mixed_w, mixed) = (
         scan_group(g, SearchConfig.make(ineqs=i), lat) for i in (sym, alone, mixed))
@@ -403,7 +409,7 @@ def test_ineq_symmetry_counts_match_oracle(cat, lattice_for, name, ineqs, prune)
     _, report = scan_group(g, cfg, lat)
     region = order_class(g).pair_order if "order_class" in prune else None
     specs = [builtin(i) for i in cfg.inequality_ids]
-    forms = [oracles.expand_inequality(s.source_text) for s in specs]
+    forms = [oracles.expand_inequality(_BUILTIN_TEXTS[s.id]) for s in specs]
     assert [len(oracles.variable_symmetries(f)) for f in forms] == [
         len(search_engine._compile_spec(s, cfg.tuple_arity).sym_sources) + 1
         for s in specs]
@@ -439,7 +445,7 @@ def test_meet_table_past_eight_bits():
     assert len(masks) == 374
     assert lat.meet.dtype == np.uint16
     assert lat.meet.tolist() == [[lat.index[x & y] for y in masks] for x in masks]
-    state = _ScanState(g, lat, SearchConfig.make(ineqs="dfz", prune="none"), None)
+    state = scan_state(g, lat, SearchConfig.make(ineqs="dfz", prune="none"))
     assert state.meet is lat.meet
 
 
@@ -462,18 +468,45 @@ def test_block_memory_stays_lean(cat, lattice_for):
 
 def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
     # at position 1 the conjugacy rule keeps the least subgroup of each
-    # class; _plan charges the rest to its tally and makes tasks of those
+    # class and charges the rest; _plan makes tasks of those
     g, lat = cat.realize("S4"), lattice_for("S4")
     cfg = SearchConfig.make(ineqs="dfz")
-    plan = search_engine._plan(g, cfg, lat)
+    st = search_engine._plan(g, cfg, lat).state
     table = lat.conjugation_table()
     classes = {frozenset(table[:, s].tolist()) for s in range(len(lat.subgroups))}
-    assert sorted(plan.state.firsts.tolist()) == sorted(min(c) for c in classes)
-    assert plan.tally["conjugacy"] == (30 - len(classes)) * 30 ** 4
+    tally = dict.fromkeys(search_engine._TALLY_KEYS, 0)
+    firsts = search_engine._survivors(st, 0, [], np.arange(len(st.lower)), tally)
+    assert [first for first, *_ in st.tasks] == firsts.tolist()
+    assert sorted(firsts.tolist()) == sorted(min(c) for c in classes)
+    assert tally["conjugacy"] == (30 - len(classes)) * 30 ** 4
     _, report = scan_group(g, cfg, lat)
     assert report.tuples_pruned_by_rule == {
         "theory_common_info": 6_129_000, "order_class": 0,
         "conjugacy": 17_644_860, "ineq_symmetry": 0}
+
+
+def test_plan_prunes_positions_1_and_2_once(cat, lattice_for, monkeypatch):
+    # _plan stores each task's position 2 survivors and charges their cuts
+    # to the plan's tally; the task starts from them and prunes only later
+    # positions, so position 2 is pruned once per task
+    calls = []
+    real = search_engine._survivors
+
+    def survivors(st, depth, chosen, cand, tally):
+        calls.append((depth, tally))
+        return real(st, depth, chosen, cand, tally)
+
+    monkeypatch.setattr(search_engine, "_survivors", survivors)
+    g, lat = cat.realize("S4"), lattice_for("S4")
+    cfg = SearchConfig.make(ineqs="dfz")
+    plan = search_engine._plan(g, cfg, lat)
+    assert [d for d, _ in calls] == [0] + [1] * 11
+    assert all(tally is plan.tally for _, tally in calls)
+    assert plan.tally["theory_common_info"] == 6_129_000
+    calls.clear()
+    for i in range(len(plan.state.tasks)):
+        search_engine._scan_chunk(plan.state, i)
+    assert calls and {d for d, _ in calls} == {2}
 
 
 @pytest.mark.parametrize("name, ineqs", [("S4", "dfz"), ("S4", "ingleton"),
@@ -529,7 +562,7 @@ def test_log_tables_are_narrow(cat, lattice_for):
                                         ("D8", "dfz", (1,), np.int8),
                                         ("C16", "dfz", (1,), np.int8)):
         g, lat = cat.realize(name), lattice_for(name)
-        st = _ScanState(g, lat, SearchConfig.make(ineqs=ineqs), None)
+        st = scan_state(g, lat, SearchConfig.make(ineqs=ineqs))
         w = log_weights(g.order, max(p.degree for p in st.plans))
         assert tuple(w.values()) == weights, (name, ineqs)
         assert {t.dtype for t in st.meet_logs.values()} == {np.dtype(dtype)}, (name, ineqs)
