@@ -21,7 +21,6 @@ A bare expr with no comparator is read as "expr >= 0".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -312,10 +311,38 @@ def _apply_perm(subset: Subset, perm: Tuple[int, ...]) -> Subset:
 
 def symmetry_group(spec: InequalitySpec) -> Tuple[Tuple[int, ...], ...]:
     """All permutations of the variable indices fixing the coefficient vector,
-    as 1-based image tuples, the identity first."""
-    return tuple(perm for perm in iter_permutations(range(1, spec.n_vars + 1))
-                 if all(spec.coeffs.get(_apply_perm(s, perm), 0) == c
-                        for s, c in spec.coeffs.items()))
+    as 1-based image tuples in lexicographic order, the identity first.
+
+    Images are chosen for variables 1, 2, ... in turn. A variable can only
+    go to one whose terms have the same sizes and coefficients, and once
+    every variable of a term has its image, the image term must carry the
+    same coefficient, so a partial choice that breaks either is dropped.
+    """
+    n = spec.n_vars
+    profile = [sorted((len(s), c) for s, c in spec.coeffs.items() if i in s)
+               for i in range(n + 1)]
+    # the terms whose largest variable is i, checked once i has its image
+    closing: List[List[Tuple[Subset, int]]] = [[] for _ in range(n + 1)]
+    for s, c in spec.coeffs.items():
+        closing[max(s, default=0)].append((s, c))
+    out: List[Tuple[int, ...]] = []
+    images: List[int] = []
+
+    def extend() -> None:
+        i = len(images) + 1
+        if i > n:
+            out.append(tuple(images))
+            return
+        for j in range(1, n + 1):
+            if j in images or profile[j] != profile[i]:
+                continue
+            images.append(j)
+            if all(spec.coeffs.get(_apply_perm(s, images), 0) == c for s, c in closing[i]):
+                extend()
+            images.pop()
+
+    extend()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

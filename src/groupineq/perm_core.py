@@ -438,12 +438,33 @@ class SubgroupLattice:
 
     @cached_property
     def _conjugation(self) -> np.ndarray:
-        mul, inv = self.group._mul_rows, self.group._inv
+        g = self.group
+        mul, inv = g._mul_rows, g._inv
         members = [s.member_indices() for s in self.subgroups]
-        # row x of `perms` maps element index i to that of x i x^-1
-        perms = ([mul[xi][inv[x]] for xi in mul[x]] for x in range(self.group.order))
-        return self._table(((_image_mask(perm, m) for m in members) for perm in perms),
-                           "a conjugate")
+        gens = g.generator_indices or range(1, g.order)
+        # the generators' rows by their masks: row x of `perms` maps element
+        # index i to that of x i x^-1. The list is closed under conjugation
+        # exactly when it is closed under the generators', so a missing
+        # conjugate shows here
+        perms = ([mul[xi][inv[x]] for xi in mul[x]] for x in gens)
+        gen_rows = self._table(((_image_mask(perm, m) for m in members) for perm in perms),
+                               "a conjugate")
+        # conjugation is an action, so row[x·y] = row_x[row_y]: every other
+        # row follows breadth-first from the identity's
+        table = np.empty((g.order, len(self)), dtype=gen_rows.dtype)
+        table[0] = np.arange(len(self))
+        reached = [0]
+        seen = 1
+        for x in reached:
+            for y, row in zip(gens, gen_rows):
+                z = mul[x][y]
+                if not seen >> z & 1:
+                    seen |= 1 << z
+                    reached.append(z)
+                    table[z] = table[x][row]
+        if len(reached) != g.order:
+            raise ValueError(f"the generators of {g.name} do not generate it")
+        return table
 
     @cached_property
     def conjugacy_classes(self) -> Tuple[Tuple[int, ...], ...]:

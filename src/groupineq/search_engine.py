@@ -44,25 +44,31 @@ intersection is a chain of lookups in the lattice's own meet table
 (SubgroupLattice.meet, the lattice index of Gi ∩ Gj), and each signed
 coefficient c has a meet-log table holding c·ℓ(|Gi ∩ Gj|). The first n-3
 positions of a tuple are chosen one at a time; the last three are
-evaluated together as a (C, D, E) numpy block, C the surviving position
-n-3 subgroups and D = E the whole lattice. A subset's logs broadcast over
-only the block axes it contains, and each distinct signed log
-c·ℓ(|G_A|) is one gather of rows of its meet-log table per block, shared
-by every inequality. Each inequality adds its terms in groups that keep
-a small shape before it grows to the full block.
+evaluated together in (rows, D, E) numpy blocks, D = E the whole lattice.
+A row is one surviving position n-3 subgroup after its prefix, and it
+carries that prefix's meets, chosen indices and stabilizer, so one block
+packs the rows of consecutive prefixes of a task up to _BLOCK_CELLS
+cells, which bounds the scan's memory; a prefix whose rows alone exceed
+that is split, and a D x E slice larger than the budget is a block alone. A subset's logs broadcast over only the block axes it
+contains. The logs of every inequality's terms are gathered in one call
+per term group, and each inequality sums each group at its small shape
+before it adds them up over the full block. The conjugacy products run
+only for rows whose stabilizer holds an element that moves some subgroup
+lower; a block without one has no dead cell and skips the live-cell
+masks.
 
 An inequality with variable symmetries counts a tight or violating cell
-only if no symmetry's image is lexicographically smaller, tested at
-those cells alone, one comparison per symmetry: lattice indices are
-digits of a base-m code, so "the image is smaller" is a linear form in
-the tuple being negative. A cell is evaluated when some inequality keeps
-it, so every live cell is once one selected inequality has no symmetry
-(dfz3, dfz4, dfz5, dfz7 and dfz10, or any without the ineq_symmetry
-rule). Only when every one has symmetries (ingleton alone, say) does
-each distinct set of them build a canon mask over the block, for that
-count alone. The C axis is split so that a block holds at most
-_BLOCK_CELLS cells (a single D x E slice when that alone is larger),
-which bounds the scan's memory.
+only if no symmetry's image is lexicographically smaller. When its
+symmetries are the full products of the symmetric groups on some blocks
+of positions (ingleton, dfz1, dfz8 and dfz9), that is the tuple ascending
+along each block: a few broadcast comparisons of the rows' subgroups and
+the D and E axes. Otherwise each symmetry is one comparison: lattice
+indices are digits of a base-m code, so "the image is smaller" is a
+linear form in the tuple being negative. A cell is evaluated when some
+inequality keeps it, so every live cell is once one selected inequality
+has no symmetry (dfz3, dfz4, dfz5, dfz7 and dfz10, or any without the
+ineq_symmetry rule); when every one has symmetries (ingleton alone, say),
+the union of their canon masks is what a block counts.
 
 A scan runs in three steps: plan (lattice, order class, scan state),
 run, finish (sum the tallies, rebuild and sort the witnesses, check the
@@ -277,17 +283,13 @@ class _SpecPlan:
     """One inequality compiled for block evaluation at a fixed arity."""
 
     spec_id: str
-    # the signed terms (position bitmask, coefficient) of Σ_A c_A·ℓ(|G_A|),
-    # added within a group first, then group by group (see _compile_spec)
+    # the signed terms (position bitmask, coefficient) of Σ_A c_A·ℓ(|G_A|)
+    # in four groups by the block axes they hold (see _compile_spec)
     groups: Tuple[Tuple[Tuple[int, int], ...], ...]
     degree: int   # positive coefficients' sum: each side is at most |G|**degree
     # each symmetry as source indices: coordinate j of the permuted tuple
     # is coordinate src[j] of the original (identity omitted)
     sym_sources: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def terms(self) -> Tuple[Tuple[int, int], ...]:
-        return sum(self.groups, ())
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,9 +300,10 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
     assert sum(spec.coeffs.values()) == 0, spec.id
     # A term broadcasts over the block axes (C, D, E) among its positions.
     # The signed terms of both sides fall in groups whose sum keeps a small
-    # shape: those within {C, D}, those within {C, E} that hold E, those on
-    # exactly {D, E}; then each term on all three axes stands alone. Adding
-    # group by group leaves 32 full-block additions per block for dfz.
+    # shape: those without E, those with E but not D, those on exactly
+    # {D, E}; the last group holds the terms on all three axes. A block
+    # sums each of the first three at its own shape, then adds the group
+    # sums and the terms of the last one by one at the full block's.
     groups: List[List[Tuple[int, int]]] = [[], [], [], []]
     for subset, c in sorted(spec.coeffs.items(),
                             key=lambda kv: (sum(i > arity - 3 for i in kv[0]),
@@ -314,9 +317,7 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
         src = tuple(ext.index(j + 1) for j in range(arity))
         if src != tuple(range(arity)):
             sources.append(src)
-    return _SpecPlan(spec_id=spec.id,
-                     groups=(tuple(tuple(g) for g in groups[:3] if g)
-                             + tuple((t,) for t in groups[3])),
+    return _SpecPlan(spec_id=spec.id, groups=tuple(tuple(g) for g in groups),
                      degree=sum(c for c in spec.coeffs.values() if c > 0),
                      sym_sources=tuple(sources))
 
@@ -383,14 +384,45 @@ def _log_weights(signature: Tuple[Tuple[int, int], ...], degree: int) -> Tuple[i
         k += 1
 
 
-class _Symmetry:
-    """One variable symmetry's canon test as one comparison over block cells.
+@functools.lru_cache(maxsize=None)
+def _product_blocks(key: Tuple[Tuple[int, ...], ...], restricted: bool
+                    ) -> Optional[List[List[int]]]:
+    """The position blocks B (each sorted, two or more positions) when the
+    symmetries in `key` with the identity are exactly the product of the
+    symmetric groups on them; None when they are not, and under order_class
+    (`restricted`) when a block mixes positions 1 or 2 with later ones.
 
-    The symmetry maps a tuple t to t' with t'_j = t_src[j]. Lattice
-    indices lie in [0, m), so t' is lexicographically smaller than t
-    exactly when its base-m code is: Σ_i t_i·w_i < 0 with
-    w_i = m^(n-1-j) - m^(n-1-i) for src[j] = i. Over a (C, D, E) block
-    the sum splits into the prefix part, c_part[c], d_part[d] and
+    A tuple is least in its orbit under such a group exactly when it
+    ascends (not strictly) along each block: a descent at two positions of
+    one block is undone by the transposition of them, which makes the
+    tuple smaller, and the tuple sorted along each block is the least
+    arrangement. Under order_class an image must also lie in the scan
+    space, which a block within positions 1 and 2, or within the later
+    ones, guarantees.
+    """
+    # key with the identity is a group, so a position's orbit is its images
+    orbits = {frozenset({j, *(src[j] for src in key)}) for j in range(len(key[0]))}
+    blocks = sorted(sorted(o) for o in orbits if len(o) > 1)
+    if len(key) + 1 != math.prod(math.factorial(len(b)) for b in blocks):
+        return None
+    if restricted and any(b[0] < 2 <= b[-1] for b in blocks):
+        return None
+    return blocks
+
+
+class _Canon:
+    """The ineq_symmetry canon test of one set of variable symmetries (a
+    plan's sym_sources) over (rows, D, E) blocks: mask() is True at the
+    cells that no symmetry maps to a lexicographically smaller tuple.
+
+    When the symmetries form a product of symmetric groups on position
+    blocks (_product_blocks), a cell is canonical when it ascends along
+    each block, a few comparisons between the row values and the D and E
+    axes. Otherwise each symmetry is one linear form: a symmetry maps t to
+    t' with t'_j = t_src[j], and lattice indices lie in [0, m), so t' is
+    lexicographically smaller than t exactly when its base-m code is:
+    Σ_i t_i·w_i < 0 with w_i = m^(n-1-j) - m^(n-1-i) for src[j] = i. Over a
+    block the sum splits into the prefix part, c_part[c], d_part[d] and
     e_part[e], and the symmetry keeps a cell when
     d_part + e_part >= -(prefix part + c_part). With M = m^n, every
     partial sum is a difference of two base-m codes, so it lies strictly
@@ -406,35 +438,104 @@ class _Symmetry:
     C part puts the threshold below -2M.
     """
 
-    def __init__(self, src: Tuple[int, ...], m: int,
+    def __init__(self, key: Tuple[Tuple[int, ...], ...], m: int,
                  restricted: Optional[np.ndarray]) -> None:
-        n = len(src)
+        n = len(key[0])
+        blocks = _product_blocks(key, restricted is not None)
+        self.ascents = None
+        if blocks is not None:
+            # product form: each (a, b) with t_a <= t_b, adjacent in a block.
+            # Positions n-2 and n-1 are the D and E axes; an ascent between
+            # them is the same (m, m) mask in every block
+            self.ascents = [(a, b) for blk in blocks for a, b in zip(blk, blk[1:])]
+            idx = np.arange(m)
+            self.axes = (idx[:, None], idx)
+            self.de = (idx[:, None] <= idx) if (n - 2, n - 1) in self.ascents else None
+            return
         big = m ** n
-        self.weights = [m ** (n - 1 - j) - m ** (n - 1 - i) for j, i in
-                        sorted(enumerate(src), key=lambda ji: ji[1])]
-        # positions whose subgroups the image moves to positions 1 and 2
-        need = {i for i in src[:2] if i > 1} if restricted is not None else set()
-        assert all(i >= n - 3 for i in need), src
         dtype = np.min_scalar_type(-4 * big - 1)
         if dtype.kind != "i":
             raise ValueError(f"{m} subgroups are too many for symmetry masks "
                              f"at arity {n}")
-        idx = np.arange(m, dtype=np.int64)
-        parts = []
-        for pos, outside in zip(range(n - 3, n), (3 * big, 2 * big, 2 * big)):
-            part = self.weights[pos] * idx
-            if pos in need:
-                part = np.where(restricted, part, outside)
-            parts.append(part.astype(dtype))
-        self.c_part, self.d_part, self.e_part = parts
+        # weights[k, i] = m^(n-1-j) - m^(n-1-i) for src[k, j] = i
+        powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        weights = np.empty((len(key), n), dtype=np.int64)
+        np.put_along_axis(weights, np.array(key), powers[None, :], axis=1)
+        weights -= powers
+        self.prefix_weights = weights[:, :n - 3]
+        # parts[k, a, x]: symmetry k's part for block axis a (C, D, E) at index x
+        parts = weights[:, n - 3:, None] * np.arange(m, dtype=np.int64)
+        if restricted is not None:
+            # positions whose subgroups the image moves to positions 1 and 2
+            need = np.zeros((len(key), 3), dtype=bool)
+            for k, s in enumerate(key):
+                for i in s[:2]:
+                    if i > 1:
+                        assert i >= n - 3, s
+                        need[k, i - (n - 3)] = True
+            outside = np.array([3 * big, 2 * big, 2 * big], dtype=np.int64)[:, None]
+            parts = np.where(need[:, :, None] & ~restricted, outside, parts)
+        parts = parts.astype(dtype)
+        self.c_part = parts[:, 0]
+        # d_part[d] + e_part[e] per symmetry, shared by every block
+        self.de_part = parts[:, 1, :, None] + parts[:, 2, None, :]
 
-    def keeps(self, chosen: Sequence[int], c: np.ndarray, d: np.ndarray,
-              e: np.ndarray) -> np.ndarray:
-        """Whether each cell (c, d, e) (lattice indices at the block
-        positions, broadcast together) after the prefix `chosen` has an
-        image that is not lexicographically smaller."""
-        prefix = sum(w * t for w, t in zip(self.weights, chosen))
-        return self.d_part[d] + self.e_part[e] >= -(self.c_part[c] + prefix)
+    def mask(self, chosen: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Canonical cells of the block whose rows hold prefixes `chosen`
+        ((rows, n-3) lattice indices) and position n-3 subgroups `c`; a
+        bool array that broadcasts to (rows, m, m)."""
+        if self.ascents is not None:
+            n = chosen.shape[1] + 3
+            # each position's lattice indices, broadcast over the block
+            at = [*(x[:, None, None] for x in chosen.T), c[:, None, None], *self.axes]
+            masks = [at[a] <= at[b] for a, b in self.ascents if (a, b) != (n - 2, n - 1)]
+            if self.de is not None:
+                masks.append(self.de)
+            return functools.reduce(operator.and_, masks)
+        floor = -(self.c_part[:, c] + self.prefix_weights @ chosen.T)
+        return functools.reduce(operator.and_, (
+            de >= f.astype(de.dtype)[:, None, None] for de, f in zip(self.de_part, floor)))
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(plans: Tuple[_SpecPlan, ...], n: int) -> tuple:
+    """Where a block finds the logs of the plans' terms (cached: a
+    survey's scans share it).
+
+    Returns the distinct coefficients, in the order _ScanState stacks
+    their meet-log tables, and per term group (table, column, own): the
+    group's distinct terms, plan after plan, each gathering row
+    table[t]·m + x of the stacked tables, x the lattice index in column[t]
+    of the block's `at`. For pm = low | hi << (n-3) that column is low,
+    the prefix meet, or width + low, that meet with C; table[t] is k for
+    coefficient k, or K + k, whose rows hold the G entries, for a term on
+    neither D nor E. own[p] picks plan p's terms (a slice when they are
+    consecutive; None when it has none; a list for the last group, whose
+    terms a plan adds one by one).
+    """
+    coeffs = sorted({c for p in plans for grp in p.groups for _, c in grp})
+    width = 1 << (n - 3)
+    groups = []
+    for j in range(4):
+        terms = list(dict.fromkeys(t for p in plans for t in p.groups[j]))
+        table, column = [], []
+        for pm, c in terms:
+            hi, low = divmod(pm, width)
+            table.append(coeffs.index(c) + len(coeffs) * (not hi & 6))
+            column.append(low + width * (hi & 1))
+        own = []
+        for p in plans:
+            at = [terms.index(t) for t in p.groups[j]]
+            if j == 3:
+                own.append(at)
+            elif not at:
+                own.append(None)
+            elif at == list(range(at[0], at[-1] + 1)):
+                own.append(slice(at[0], at[-1] + 1))
+            else:
+                own.append(np.array(at, dtype=np.intp))
+        groups.append((np.array(table, dtype=np.intp), np.array(column, dtype=np.intp), own))
+    return coeffs, groups
 
 
 class _ScanState:
@@ -459,10 +560,8 @@ class _ScanState:
         # meet[i, j]: lattice index of Gi ∩ Gj; the last subgroup is G itself
         self.meet, self.top = lattice.meet, m - 1
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
-        self.terms = {t for p in self.plans for t in p.terms}
-        # meet_logs[c][i, j] = c·ℓ(|Gi ∩ Gj|). A plan's partial sums lie within
-        # ±degree·ℓ(|G|), so the tables take the narrowest signed type
-        # that holds twice that
+        # A plan's partial sums lie within ±degree·ℓ(|G|), so the meet-log
+        # tables take the narrowest signed type that holds twice that
         degree = max(p.degree for p in self.plans)
         signature = tuple(sorted(prime_factors(g.order).items()))
         weights = _log_weights(signature, degree)
@@ -475,8 +574,15 @@ class _ScanState:
             raise ValueError(f"integer logs of order {g.order} at degree {degree} "
                              "do not fit in 64 bits")
         ells = np.array([ell(s.order) for s in lattice.subgroups], dtype=np.int64)
-        self.meet_logs = {c: (c * ells).astype(dtype)[self.meet]
-                          for c in {c for _, c in self.terms}}
+        coeffs, groups = _layout(tuple(self.plans), n)
+        # the meet-log tables, tables[k][i, j] = coeffs[k]·ℓ(|Gi ∩ Gj|), as
+        # the rows blocks gather: row k·m + i is row i of tables[k], and row
+        # (K + k)·m + i holds its entry at G, coeffs[k]·ℓ(|Gi|), m times over
+        tables = (np.array(coeffs)[:, None] * ells).astype(dtype)[:, self.meet]
+        self.log_rows = np.concatenate((tables, np.repeat(tables[:, :, -1:], m, axis=2))
+                                       ).reshape(-1, m)
+        # per term group: first rows, columns and each plan's terms (_layout)
+        self.groups = [(table * m, column, own) for table, column, own in groups]
         # lower[x, s]: x Gs x^-1 precedes Gs; fixes[x, s]: x normalizes Gs.
         # Rows are the elements the scan quotients by; with conjugacy off
         # that is the identity alone, which prunes nothing.
@@ -487,6 +593,8 @@ class _ScanState:
         else:
             self.lower = np.zeros((1, m), dtype=bool)
             self.fixes = ~self.lower
+        # the elements that move some subgroup lower; only they prune
+        self.moves = self.lower.any(axis=1)
         full = np.arange(m, dtype=np.int64)
         self.domains = [full] * n
         restricted = None
@@ -497,8 +605,7 @@ class _ScanState:
         self.tails = [math.prod(self.sizes[d + 1:]) for d in range(n)]
         self.pair_prunable = (_pair_prunable_matrix(self.meet, self.orders)
                               if _theory_armed(cfg, "theory_common_info") else None)
-        self.symmetries = {src: _Symmetry(src, m, restricted)
-                           for key in self.sym_keys for src in key}
+        self.canons = {key: _Canon(key, m, restricted) for key in set(self.sym_keys) if key}
         # whether every plan has symmetries, so that blocks build canon masks
         self.canon_masks = all(self.sym_keys)
         # at position 1 the conjugacy rule keeps the least subgroup of each
@@ -520,18 +627,18 @@ def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
     Gi Gj has |Gi||Gj| / |Gi ∩ Gj| elements and lies inside the join
     Gi ∨ Gj, so it is a subgroup exactly when |Gi||Gj| = |Gi ∩ Gj|·|Gi ∨ Gj|.
     The join is the first subgroup of the (order, mask)-sorted lattice
-    that contains both, found one row at a time. The ten five-variable
-    inequalities hold on every tuple with such a (G1, G2) pair, whatever
-    occupies the other positions.
+    that contains both, found for a band of rows i at a time, so that the
+    (rows, m, m) containment products stay near 2**20 cells. The ten
+    five-variable inequalities hold on every tuple with such a (G1, G2)
+    pair, whatever occupies the other positions.
     """
     m = len(orders)
     # contains[j, k]: Gj is a subgroup of Gk
     contains = meet == np.arange(m)[:, None]
-    out = np.empty((m, m), dtype=bool)
-    for i in range(m):
-        join = np.argmax(contains & contains[i], axis=1)
-        out[i] = orders[i] * orders == orders[meet[i]] * orders[join]
-    return out
+    step = max(1, (1 << 20) // (m * m))
+    join = np.concatenate([np.argmax(contains[i:i + step, None] & contains, axis=2)
+                           for i in range(0, m, step)])
+    return orders[:, None] * orders == orders[meet] * orders[join]
 
 
 _TALLY_KEYS = PRUNE_RULES + ("evaluated", "violations", "equalities")
@@ -565,133 +672,182 @@ def _scan_chunk(st: _ScanState, i: int) -> Tuple[List[tuple], Dict[str, int]]:
     cells: List[tuple] = []
 
     def descend(depth: int, chosen: List[int], cand: np.ndarray,
-                prefix: np.ndarray, found: np.ndarray) -> None:
+                prefix: np.ndarray, found: np.ndarray) -> Iterable[_Rows]:
         # prefix[pm] is the lattice index of the intersection of the chosen
         # subgroups at the positions in bitmask pm (pm = 0 gives G); found
         # holds the position-depth survivors
         if depth == n - 3:
-            _block_stage(st, chosen, cand, prefix, found, tally, cells)
+            yield chosen, cand[st.moves[cand]], prefix, found
             return
         for s in found.tolist():
             stab = cand[st.fixes[cand, s]]
-            descend(depth + 1, chosen + [s], stab,
-                    np.concatenate((prefix, st.meet[prefix, s])),
-                    _survivors(st, depth + 1, chosen + [s], stab, tally))
+            yield from descend(depth + 1, chosen + [s], stab,
+                               np.concatenate((prefix, st.meet[prefix, s])),
+                               _survivors(st, depth + 1, chosen + [s], stab, tally))
 
     first, stab, found = st.tasks[i]
-    descend(1, [first], stab, np.array([st.top, st.meet[st.top, first]], dtype=np.intp),
-            found)
+    prefixes = descend(1, [first], stab,
+                       np.array([st.top, st.meet[st.top, first]], dtype=np.intp), found)
+    for block in _pack(len(st.orders), prefixes):
+        _evaluate_block(st, block, tally, cells)
     return cells, tally
 
 
-# most cells in one (C, D, E) block. An S4 dfz block takes about 20 bytes
-# a cell at its peak: one log per distinct signed full-block term,
-# gathered straight from a meet-log table, and the running sums, all
-# int16 for S4 and S5 (int8 for 2-groups), plus the bool live and compare
-# masks; a canon mask per distinct symmetry set only when every plan has
-# symmetries. numpy's cost per call, not arithmetic, bounds the kernel,
-# so larger blocks run faster: 2**15 cells make each S4 prefix, 30 x 30
-# x 30 = 27,000 cells, one block, and stay near 0.5 MB.
+# most cells in one (rows, D, E) block. An S4 dfz block takes about 20
+# bytes a cell at its peak: one log per distinct signed full-block term,
+# gathered straight from a meet-log table, and the running sums, all int16
+# for S4 and S5 (int8 for 2-groups), plus the bool masks. numpy's cost per
+# call, not arithmetic, bounds the kernel, so larger blocks run faster:
+# 2**15 cells hold an S4 prefix, 30 x 30 x 30 = 27,000 cells, and stay
+# near 0.5 MB.
 _BLOCK_CELLS = 1 << 15
 
+# one prefix's block rows: its chosen subgroups, the elements of its
+# stabilizer that move some subgroup lower, its meets (as in descend) and
+# position n-3 subgroups
+_Rows = Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]
 
-def _block_stage(st: _ScanState, chosen: List[int], cand: np.ndarray,
-                 prefix: np.ndarray, firsts: np.ndarray, tally: Dict[str, int],
-                 cells: List[tuple]) -> None:
-    """Vectorized evaluation over the last three tuple positions.
 
-    `firsts` are the position n-3 subgroups that survived the prefix;
-    they are split so that each (C, D, E) block holds at most
-    _BLOCK_CELLS cells, or one of them when a D x E slice alone is
-    larger. Positions n-2 and n-1 range over the whole lattice
-    (order_class only restricts positions 1 and 2), so D = E = m.
+def _pack(m: int, prefixes: Iterable[_Rows]) -> Iterable[List[_Rows]]:
+    """Group the rows of consecutive prefixes into blocks of at most
+    _BLOCK_CELLS cells (one row when a D x E slice alone is larger). A
+    prefix that fits in a block but not in the current one starts the
+    next; one whose rows alone exceed a block fills the current one and
+    carries on into the next."""
+    budget = max(1, _BLOCK_CELLS // (m * m))
+    block: List[_Rows] = []
+    room = budget
+    for chosen, movers, prefix, found in prefixes:
+        if room < len(found) <= budget:
+            yield block
+            block, room = [], budget
+        while len(found):
+            block.append((chosen, movers, prefix, found[:room]))
+            found = found[room:]
+            room -= len(block[-1][3])
+            if not room:
+                yield block
+                block, room = [], budget
+    if block:
+        yield block
+
+
+def _conjugacy_alive(st: _ScanState, block: List[_Rows], seg: np.ndarray,
+                     dom_c: np.ndarray) -> Optional[np.ndarray]:
+    """The (rows, D, E) cells of a block that the conjugacy rule keeps, or
+    None when no row's stabilizer holds an element that moves some
+    subgroup lower, so that it keeps them all.
+
+    (c, d) dies when some x in its prefix's stabilizer normalizes Gc and
+    moves Gd lower; (c, d, e) when some x normalizes Gc and Gd and moves
+    Ge lower.
+    """
+    if not any(len(x) for _, x, *_ in block):
+        return None
+    # member[k, x]: x is a mover of prefix k
+    member = np.zeros((len(block), len(st.lower)), dtype=bool)
+    for k, (_, x, *_) in enumerate(block):
+        member[k, x] = True
+    movers = np.flatnonzero(member.any(axis=0))
+    fixes, lower = st.fixes[movers], st.lower[movers]
+    fix_c = member[seg][:, movers] & fixes[:, dom_c].T
+    return ~((fix_c @ lower)[:, :, None] | ((fix_c[:, None, :] & fixes.T) @ lower))
+
+
+def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
+                    cells: List[tuple]) -> None:
+    """Vectorized evaluation over the last three tuple positions of one
+    (rows, D, E) block; its arrays die on return.
+
+    Each row is one position n-3 subgroup after its own prefix. Positions
+    n-2 and n-1 range over the whole lattice (order_class only restricts
+    positions 1 and 2), so D = E = m.
     """
     m = len(st.orders)
-    lower, fixes = st.lower[cand], st.fixes[cand]
-    step = max(1, _BLOCK_CELLS // (m * m))
-    for start in range(0, len(firsts), step):
-        _evaluate_block(st, chosen, lower, fixes, prefix, firsts[start:start + step],
-                        tally, cells)
+    dom_c = np.concatenate([found for *_, found in block])
+    # seg[r]: the prefix of row r
+    seg = np.repeat(np.arange(len(block)), [len(found) for *_, found in block])
+    chosen = np.array([c for c, *_ in block], dtype=np.intp)[seg]
+    prefixes = np.array([p for _, _, p, _ in block])
+    shape = (len(dom_c), m, m)
+    size = math.prod(shape)
 
+    alive, alive_n = _conjugacy_alive(st, block, seg, dom_c), size
+    if alive is not None:
+        alive_n = int(np.count_nonzero(alive))
+        tally["conjugacy"] += size - alive_n
+        if not alive_n:
+            return
+        if alive_n == size:
+            alive = None
 
-def _evaluate_block(st: _ScanState, chosen: List[int], lower: np.ndarray,
-                    fixes: np.ndarray, prefix: np.ndarray, dom_c: np.ndarray,
-                    tally: Dict[str, int], cells: List[tuple]) -> None:
-    """One (C, D, E) block of _block_stage; its arrays die on return."""
-    m = len(st.orders)
-    # conjugacy: (c, d) dies when some x in cand normalizes Gc and moves Gd
-    # lower; (c, d, e) when some x normalizes Gc and Gd and moves Ge lower
-    fix_c = fixes[:, dom_c]
-    fix_cd = (fix_c[:, :, None] & fixes[:, None, :]).reshape(len(fixes), -1)
-    alive = ~((fix_c.T @ lower)[:, :, None] | (fix_cd.T @ lower).reshape(-1, m, m))
-    alive_n = int(np.count_nonzero(alive))
-    tally["conjugacy"] += alive.size - alive_n
-    if not alive_n:
-        return
+    # the logs c·ℓ(|G_A|) of the plans' distinct terms, one row gather per
+    # term group (see _layout). A term's row is indexed by the
+    # intersection of the subgroups it holds off the axes it spans: a
+    # prefix meet, or one met with C (a column of `at`); terms on D and E
+    # alone are one (m, m) slice per prefix
+    rows = prefixes[seg]
+    at = np.concatenate((rows, st.meet[rows, dom_c[:, None]]), axis=1)
+    (d_row, d_col, d_own), (e_row, e_col, e_own), (de_row, de_col, de_own), \
+        (full_row, full_col, full_own) = st.groups
+    d_logs = st.log_rows[d_row[:, None] + at[:, d_col].T][:, :, :, None]
+    e_logs = st.log_rows[e_row[:, None] + at[:, e_col].T][:, :, None, :]
+    de_logs = st.log_rows[de_row[:, None, None] + st.meet[prefixes[:, de_col].T]]
+    full = st.log_rows[full_row[:, None, None] + st.meet[at[:, full_col].T]]
 
-    # each distinct signed log c·ℓ(|G_A|) once, shared by every plan. For
-    # pm = low | hi << (n-3), the prefix subsets low meet the block pattern
-    # hi: a term whose hi holds D or E is one row gather of the meet-log
-    # table, indexed by the intersection of the rest; one on prefix and C
-    # alone reads the row of G
-    rows = st.meet[prefix]
-    with_c = rows[:, dom_c]
-    sources = (prefix, with_c, prefix, with_c, prefix, with_c, rows, st.meet[with_c])
-    logs = {}
-    for pm, c in st.terms:
-        hi, low = divmod(pm, len(prefix))
-        table = st.meet_logs[c]
-        at = sources[hi][low]
-        logs[(pm, c)] = (table[at] if hi & 6 else table[st.top, at])[_AXES[hi]]
-    del sources
-
-    # ineq_symmetry. Each plan with symmetries keeps only those of its
+    # ineq_symmetry. Each plan with symmetries counts only those of its
     # tight and violating cells that no symmetry maps lower. A cell is
     # evaluated when some plan keeps it: every alive cell once some plan
-    # has no symmetry, else the union of one canon mask per distinct set
-    # of symmetries, built over the block only for this count
+    # has no symmetry, else the union of the plans' canon masks
+    def keep(key: tuple) -> Optional[np.ndarray]:
+        # the cells a plan with symmetries `key` counts, None for all
+        if not key:
+            return alive
+        canon = st.canons[key].mask(chosen, dom_c)
+        return canon if alive is None else alive & canon
+
+    masks = {}
     evaluated_n = alive_n
-    if st.canon_masks:   # D = E = the whole lattice
-        evaluated_n = int(np.count_nonzero(alive & functools.reduce(operator.or_, (
-            _kept(st, key, chosen, dom_c[:, None, None], *np.ogrid[:m, :m])
-            for key in set(st.sym_keys)))))
+    if st.canon_masks:
+        masks = {key: keep(key) for key in set(st.sym_keys)}
+        evaluated_n = _count(functools.reduce(operator.or_, masks.values()), size)
     tally["evaluated"] += evaluated_n
     tally["ineq_symmetry"] += alive_n - evaluated_n
 
-    def kept_at(found: np.ndarray, key: tuple) -> np.ndarray:
-        # the flat positions of the `found` cells that every symmetry in key keeps
-        at = np.flatnonzero(found)
-        c, d, e = np.unravel_index(at, alive.shape)
-        return at[_kept(st, key, chosen, dom_c[c], d, e)]
-
-    for plan, key in zip(st.plans, st.sym_keys):
-        # Σ_A c_A·ℓ(|G_A|): each group added at its own shape, then the
-        # group sums in order; > 0 is a violation and 0 an equality.
-        # Violations are rare, so one max rules most blocks out
-        value = _sum(_sum(logs[t] for t in g) for g in plan.groups)
-        tight = (value == 0) & alive
-        tally["equalities"] += len(kept_at(tight, key)) if key else int(np.count_nonzero(tight))
+    def count(p: int, plan: _SpecPlan, key: tuple) -> None:
+        # Σ_A c_A·ℓ(|G_A|): the group sums, the per-prefix one spread to
+        # the block's rows, then each term on all three axes; > 0 is a
+        # violation and 0 an equality. Violations are rare, so one max
+        # rules most blocks out
+        parts = [np.add.reduce(logs[own[p]], axis=0, dtype=logs.dtype) for logs, own
+                 in ((d_logs, d_own), (e_logs, e_own), (de_logs, de_own))
+                 if own[p] is not None]
+        if de_own[p] is not None and 1 < len(de_logs[0]) < len(seg):
+            parts[-1] = parts[-1][seg]
+        parts += [full[k] for k in full_own[p]]
+        # after the first sum a value spans the whole block, so the rest
+        # add in place
+        value = parts[0] + parts[1] if len(parts) > 1 else parts[0]
+        for x in parts[2:]:
+            value += x
+        mask = masks[key] if st.canon_masks else keep(key)
+        tight = value == 0
+        tally["equalities"] += _count(tight if mask is None else tight & mask, size)
         if value.max() > 0:
-            found = (value > 0) & alive
-            violated = kept_at(found, key) if key else np.flatnonzero(found)
-            tally["violations"] += len(violated)
-            c, d, e = np.unravel_index(violated, alive.shape)
-            for cell in zip(dom_c[c].tolist(), d.tolist(), e.tolist()):
-                cells.append((plan.spec_id, (*chosen, *cell)))
+            found = value > 0 if mask is None else (value > 0) & mask
+            r, d, e = np.nonzero(np.broadcast_to(found, shape))
+            tally["violations"] += len(r)
+            for pre, cde in zip(chosen[r].tolist(),
+                                zip(dom_c[r].tolist(), d.tolist(), e.tolist())):
+                cells.append((plan.spec_id, (*pre, *cde)))
+
+    for p, (plan, key) in enumerate(zip(st.plans, st.sym_keys)):
+        count(p, plan, key)
 
 
-# per block pattern hi (bits C, D, E), how a term's gathered logs broadcast
-# over the (C, D, E) block
-_AXES = ((), np.s_[:, None, None], np.s_[:, None], np.s_[:, :, None],
-         (), np.s_[:, None, :], (), ())
-
-
-def _kept(st: _ScanState, key: tuple, chosen: Sequence[int], c: np.ndarray,
-          d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Whether every symmetry in `key` keeps each cell (c, d, e) after the
-    prefix `chosen`; see _Symmetry.keeps."""
-    return functools.reduce(operator.and_, (
-        st.symmetries[src].keeps(chosen, c, d, e) for src in key))
+def _count(mask: np.ndarray, size: int) -> int:
+    """The True cells of a mask that broadcasts to a block of `size` cells."""
+    return int(np.count_nonzero(mask)) * (size // mask.size)
 
 
 _sum = functools.partial(functools.reduce, operator.add)

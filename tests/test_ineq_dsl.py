@@ -198,10 +198,17 @@ def apply_perm(coeffs, perm):
 
 
 def test_symmetry_group_exactness():
-    # every listed perm fixes the coefficients, every non-listed one moves them
-    for iid in BUILTIN_IDS:
-        spec = builtin(iid)
+    # every listed perm fixes the coefficients, every non-listed one moves
+    # them, in lexicographic order; besides the builtins, a form symmetric
+    # in all five variables, one with two classes of alike variables, and
+    # one with a variable (X3) in no term
+    extra = [parse("H(X1) + H(X2) + H(X3) + H(X4) + H(X5) >= H(X1,X2,X3,X4,X5)"),
+             parse("I(X1;X2) + I(X4;X5) >= I(X1,X2;X4,X5)"),
+             parse("H(X1,X2) + H(X4) >= H(X1) + H(X2,X4)")]
+    for spec in [builtin(i) for i in BUILTIN_IDS] + extra:
+        iid = spec.id
         sg = symmetry_group(spec)
+        assert list(sg) == sorted(sg), iid
         cd = coeff_dict(spec)
         members = set(sg)
         for perm in itertools.permutations(range(1, spec.n_vars + 1)):

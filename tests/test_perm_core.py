@@ -236,6 +236,28 @@ def test_conjugation_table(cat):
     assert ct[0].tolist() == list(range(len(lat.subgroups)))
 
 
+def test_conjugation_table_everywhere(cat, lattice_for):
+    # the table is built from the generators' rows alone, the rest by the
+    # action law; each row is checked here against conjugating every
+    # subgroup by that element, on every catalog group (S5 included)
+    for name in (n for names in cat.by_order.values() for n in names):
+        g, lat = cat.realize(name), lattice_for(name)
+        elems = [tuple(p.images) for p in g.elements]
+        members = [frozenset(elems[i] for i in s.member_indices()) for s in lat.subgroups]
+        position = {s: i for i, s in enumerate(members)}
+        assert lat.conjugation_table().tolist() == [
+            [position[oracles.conjugate_set(x, s)] for s in members] for x in elems], name
+
+
+def test_conjugation_table_needs_generating_list():
+    # the table follows from the rows of g.generator_indices; a group built
+    # with a list that generates only part of it is refused, not half-filled
+    s3 = sym(3)
+    g = Group("S3-short", s3.elements, [s3.element_index(Permutation.from_cycles("(1,2)", 3))])
+    with pytest.raises(ValueError, match="generators of S3-short"):
+        all_subgroups(g).conjugation_table()
+
+
 @pytest.mark.parametrize("edit, error", [
     (lambda subs, other: subs[::-1], "not a subgroup lattice"),
     (lambda subs, other: subs[1:], "not a subgroup lattice"),

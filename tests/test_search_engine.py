@@ -133,13 +133,20 @@ def test_prune_applicable_matches_oracle(cat):
 
     assert pair_prunable(cat.realize("C12"))[1].all()
 
-    # |Gi||Gj| = |Gi ∩ Gj|·|Gi ∨ Gj| against the explicit product check
+    # |Gi||Gj| = |Gi ∩ Gj|·|Gi ∨ Gj| against the explicit product check;
+    # S5's 156 subgroups make the joins come in bands of rows, so it is
+    # checked on a sample of pairs
     for order in range(1, 25):
         for name in cat.by_order.get(order, ()):
             lat, prunable = pair_prunable(cat.realize(name))
             for i, h in enumerate(lat.subgroups):
                 for j, k in enumerate(lat.subgroups):
                     assert prunable[i, j] == product_is_subgroup(h, k), (name, i, j)
+    lat, prunable = pair_prunable(cat.realize("S5"))
+    rng = random.Random(5)
+    for _ in range(300):
+        i, j = rng.randrange(len(lat)), rng.randrange(len(lat))
+        assert prunable[i, j] == product_is_subgroup(lat.subgroups[i], lat.subgroups[j]), (i, j)
 
 
 def tuple_key(g, lat):
@@ -509,19 +516,82 @@ def test_plan_prunes_positions_1_and_2_once(cat, lattice_for, monkeypatch):
     assert calls and {d for d, _ in calls} == {2}
 
 
-@pytest.mark.parametrize("name, ineqs", [("S4", "dfz"), ("S4", "ingleton"),
-                                         ("A4", "ingleton")])
-def test_block_splitting_keeps_results(cat, lattice_for, monkeypatch, name, ineqs):
-    # a budget below one (D, E) slice puts each position n-3 subgroup in
-    # a block of its own
+@pytest.mark.parametrize("name, ineqs, prune", [
+    ("S4", "dfz", "all"), ("S4", "ingleton", "all"), ("A4", "ingleton", "all"),
+    ("S4", "all", "all"), ("A4", "dfz", "none")],
+    ids=["S4-dfz", "S4-ingleton", "A4-ingleton", "S4-all", "A4-dfz-none"])
+def test_block_splitting_keeps_results(cat, lattice_for, monkeypatch, name, ineqs, prune):
+    # a block packs the rows of consecutive prefixes up to _BLOCK_CELLS
+    # cells. A budget below one (D, E) slice gives each row a block of its
+    # own; 2·m² cells end blocks inside a prefix's rows; 2**17 cells pack
+    # the rows of several prefixes into one block, each row with its own
+    # prefix. S4 with every inequality mixes arities 4 and 5, and A4 with
+    # no prune rule has no stabilizer to skip
     g, lat = cat.realize(name), lattice_for(name)
-    cfg = SearchConfig.make(ineqs=ineqs)
+    m = len(lat.subgroups)
+    cfg = SearchConfig.make(ineqs=ineqs, prune=prune)
     whole, whole_rep = scan_group(g, cfg, lat)
-    monkeypatch.setattr(search_engine, "_BLOCK_CELLS", 3)
-    split, split_rep = scan_group(g, cfg, lat)
-    assert [w.sort_key() for w in split] == [w.sort_key() for w in whole]
-    whole_rep.wall_time = split_rep.wall_time = 0.0
-    assert split_rep == whole_rep
+    whole_rep.wall_time = 0.0
+    real = search_engine._evaluate_block
+    for budget in (3, 2 * m * m, 1 << 17):
+        blocks = []
+
+        def evaluate_block(st, block, tally, cells):
+            blocks.append([(tuple(chosen), len(found)) for chosen, _, _, found in block])
+            real(st, block, tally, cells)
+
+        monkeypatch.setattr(search_engine, "_evaluate_block", evaluate_block)
+        monkeypatch.setattr(search_engine, "_BLOCK_CELLS", budget)
+        split, split_rep = scan_group(g, cfg, lat)
+        assert [w.sort_key() for w in split] == [w.sort_key() for w in whole], budget
+        split_rep.wall_time = 0.0
+        assert split_rep == whole_rep, budget
+        rows = [sum(n for _, n in b) for b in blocks]
+        assert max(rows) <= max(1, budget // (m * m)), budget
+        if budget == 2 * m * m:   # a prefix's rows carry on into the next block
+            assert any(a[-1][0] == b[0][0] for a, b in zip(blocks, blocks[1:]))
+        if budget == 1 << 17:
+            # a block holds rows of several prefixes; at arity 4 a task has
+            # one prefix, its first subgroup
+            assert (max(len(b) for b in blocks) > 1) == (cfg.tuple_arity == 5)
+
+
+@pytest.mark.parametrize("name, ineqs, prune", [
+    ("S3", "dfz", "ineq_symmetry"), ("A4", "ingleton", "ineq_symmetry"),
+    ("Q8", "dfz8", "ineq_symmetry"),
+    ("A4", "dfz2,dfz6,dfz8", "ineq_symmetry,order_class"),
+    ("C5xS3", "ingleton", "ineq_symmetry"), ("S4", "dfz", "all")])
+def test_product_canon_matches_linear_form(cat, lattice_for, monkeypatch, name, ineqs, prune):
+    # ingleton, dfz1, dfz8 and dfz9 have symmetries that are full products
+    # of symmetric groups on position blocks, so a block counts a cell as
+    # canonical when it ascends along each block; with the detection off
+    # every symmetry is _Canon's linear form, and the tallies agree
+    g, lat = group_and_lattice(cat, lattice_for, name)
+    cfg = SearchConfig.make(ineqs=ineqs, prune=prune)
+    plan = search_engine._plan(g, cfg, lat)
+    st = plan.state
+    assert {p.spec_id for p, k in zip(st.plans, st.sym_keys) if k and st.canons[k].ascents} == (
+        set(cfg.inequality_ids) & {"ingleton", "dfz1", "dfz8", "dfz9"})
+    witnesses, report = scan_group(g, cfg, lat)
+    monkeypatch.setattr(search_engine, "_product_blocks", lambda key, restricted: None)
+    plan = search_engine._plan(g, cfg, lat)
+    assert all(c.ascents is None for c in plan.state.canons.values())
+    linear, linear_rep = scan_group(g, cfg, lat)
+    assert linear == witnesses
+    report.wall_time = linear_rep.wall_time = 0.0
+    assert linear_rep == report
+
+
+def test_product_blocks():
+    # the blocks of a product of symmetric groups; a group that is not one
+    # (a double transposition alone), or a block that mixes positions 1-2
+    # with later ones under order_class, gets None
+    assert search_engine._product_blocks(((1, 0, 2, 3),), False) == [[0, 1]]
+    assert search_engine._product_blocks(
+        ((1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)), True) == [[0, 1], [2, 3]]
+    assert search_engine._product_blocks(((1, 0, 3, 2),), False) is None
+    assert search_engine._product_blocks(((2, 1, 0, 3),), False) == [[0, 2]]
+    assert search_engine._product_blocks(((2, 1, 0, 3),), True) is None
 
 
 def test_scan_exact_above_int64():
@@ -555,7 +625,9 @@ def test_log_weights_match_oracle(cat):
 def test_log_tables_are_narrow(cat, lattice_for):
     # the least k whose w_p = round(k·log2 p) passes the proof, and
     # 2·degree·ℓ(|G|) sets the type: int16 for S4 and S5, int8 for
-    # 2-groups. meet_logs[c][i, j] is c·ℓ(|Gi ∩ Gj|)
+    # 2-groups. For the k-th distinct coefficient c, rows k·m .. k·m + m - 1
+    # of log_rows are the meet-log table, [i, j] = c·ℓ(|Gi ∩ Gj|), and row
+    # (K + k)·m + i repeats c·ℓ(|Gi|)
     for name, ineqs, weights, dtype in (("S4", "dfz", (12, 19), np.int16),
                                         ("S5", "ingleton", (53, 84, 123), np.int16),
                                         ("S5", "dfz", (152, 241, 353), np.int16),
@@ -565,12 +637,17 @@ def test_log_tables_are_narrow(cat, lattice_for):
         st = scan_state(g, lat, SearchConfig.make(ineqs=ineqs))
         w = log_weights(g.order, max(p.degree for p in st.plans))
         assert tuple(w.values()) == weights, (name, ineqs)
-        assert {t.dtype for t in st.meet_logs.values()} == {np.dtype(dtype)}, (name, ineqs)
+        assert st.log_rows.dtype == np.dtype(dtype), (name, ineqs)
         logs = [sum(e * w[p] for p, e in prime_factors(s.order).items())
                 for s in lat.subgroups]
-        for c, table in st.meet_logs.items():
-            assert table.tolist() == [[c * logs[k] for k in row]
-                                      for row in st.meet.tolist()], (name, ineqs)
+        coeffs = sorted({c for p in st.plans for group in p.groups for _, c in group})
+        m = len(logs)
+        rows = st.log_rows.tolist()
+        for k, c in enumerate(coeffs):
+            assert rows[k * m:(k + 1) * m] == [[c * logs[j] for j in row]
+                                               for row in st.meet.tolist()], (name, ineqs)
+            assert rows[(len(coeffs) + k) * m:(len(coeffs) + k + 1) * m] == [
+                [c * x] * m for x in logs], (name, ineqs)
 
 
 @pytest.mark.parametrize("order, degree, weights", [
