@@ -49,26 +49,28 @@ A row is one surviving position n-3 subgroup after its prefix, and it
 carries that prefix's meets, chosen indices and stabilizer, so one block
 packs the rows of consecutive prefixes of a task up to _BLOCK_CELLS
 cells, which bounds the scan's memory; a prefix whose rows alone exceed
-that is split, and a D x E slice larger than the budget is a block alone. A subset's logs broadcast over only the block axes it
-contains. The logs of every inequality's terms are gathered in one call
-per term group, and each inequality sums each group at its small shape
-before it adds them up over the full block. The conjugacy products run
-only for rows whose stabilizer holds an element that moves some subgroup
-lower; a block without one has no dead cell and skips the live-cell
-masks.
+that is split, and a D x E slice larger than the budget is a block
+alone. A subset's logs broadcast over only the block axes it contains.
+The logs of every inequality's terms are gathered in one call per term
+group, and each inequality sums each group at its small shape before it
+adds them up over the full block. The conjugacy products run only for
+rows whose stabilizer holds an element that moves some subgroup lower;
+a block without one has no dead cell and skips the live-cell masks.
 
 An inequality with variable symmetries counts a tight or violating cell
-only if no symmetry's image is lexicographically smaller. When its
-symmetries are the full products of the symmetric groups on some blocks
-of positions (ingleton, dfz1, dfz8 and dfz9), that is the tuple ascending
-along each block: a few broadcast comparisons of the rows' subgroups and
-the D and E axes. Otherwise each symmetry is one comparison: lattice
-indices are digits of a base-m code, so "the image is smaller" is a
-linear form in the tuple being negative. A cell is evaluated when some
-inequality keeps it, so every live cell is once one selected inequality
-has no symmetry (dfz3, dfz4, dfz5, dfz7 and dfz10, or any without the
-ineq_symmetry rule); when every one has symmetries (ingleton alone, say),
-the union of their canon masks is what a block counts.
+only if no symmetry's image is lexicographically smaller, tested with a
+canon mask over the block that it builds only when the block has such a
+cell. When its symmetries are the full products of the symmetric groups
+on some blocks of positions (ingleton, dfz1, dfz8 and dfz9), that is the
+tuple ascending along each block: a few broadcast comparisons of the
+rows' subgroups and the D and E axes. Otherwise each symmetry is one
+comparison: lattice indices are digits of a base-m code, so "the image
+is smaller" is a linear form in the tuple being negative. A cell is
+evaluated when some inequality keeps it, so every live cell is once one
+selected inequality has no symmetry (dfz3, dfz4, dfz5, dfz7 and dfz10,
+or any without the ineq_symmetry rule); when every one has symmetries
+(ingleton alone, say), each block builds their canon masks up front and
+counts their union.
 
 A scan runs in three steps: plan (lattice, order class, scan state),
 run, finish (sum the tallies, rebuild and sort the witnesses, check the
@@ -509,9 +511,7 @@ def _layout(plans: Tuple[_SpecPlan, ...], n: int) -> tuple:
     of the block's `at`. For pm = low | hi << (n-3) that column is low,
     the prefix meet, or width + low, that meet with C; table[t] is k for
     coefficient k, or K + k, whose rows hold the G entries, for a term on
-    neither D nor E. own[p] picks plan p's terms (a slice when they are
-    consecutive; None when it has none; a list for the last group, whose
-    terms a plan adds one by one).
+    neither D nor E. own[p] indexes plan p's terms.
     """
     coeffs = sorted({c for p in plans for grp in p.groups for _, c in grp})
     width = 1 << (n - 3)
@@ -523,17 +523,8 @@ def _layout(plans: Tuple[_SpecPlan, ...], n: int) -> tuple:
             hi, low = divmod(pm, width)
             table.append(coeffs.index(c) + len(coeffs) * (not hi & 6))
             column.append(low + width * (hi & 1))
-        own = []
-        for p in plans:
-            at = [terms.index(t) for t in p.groups[j]]
-            if j == 3:
-                own.append(at)
-            elif not at:
-                own.append(None)
-            elif at == list(range(at[0], at[-1] + 1)):
-                own.append(slice(at[0], at[-1] + 1))
-            else:
-                own.append(np.array(at, dtype=np.intp))
+        own = [np.array([terms.index(t) for t in p.groups[j]], dtype=np.intp)
+               for p in plans]
         groups.append((np.array(table, dtype=np.intp), np.array(column, dtype=np.intp), own))
     return coeffs, groups
 
@@ -818,11 +809,11 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
         # Σ_A c_A·ℓ(|G_A|): the group sums, the per-prefix one spread to
         # the block's rows, then each term on all three axes; > 0 is a
         # violation and 0 an equality. Violations are rare, so one max
-        # rules most blocks out
+        # rules most blocks out, and a block with no cell at 0 or above
+        # needs no tally at all
         parts = [np.add.reduce(logs[own[p]], axis=0, dtype=logs.dtype) for logs, own
-                 in ((d_logs, d_own), (e_logs, e_own), (de_logs, de_own))
-                 if own[p] is not None]
-        if de_own[p] is not None and 1 < len(de_logs[0]) < len(seg):
+                 in ((d_logs, d_own), (e_logs, e_own), (de_logs, de_own)) if len(own[p])]
+        if len(de_own[p]) and 1 < len(block) < len(seg):
             parts[-1] = parts[-1][seg]
         parts += [full[k] for k in full_own[p]]
         # after the first sum a value spans the whole block, so the rest
@@ -830,10 +821,13 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
         value = parts[0] + parts[1] if len(parts) > 1 else parts[0]
         for x in parts[2:]:
             value += x
+        top = value.max()
+        if top < 0:
+            return
         mask = masks[key] if st.canon_masks else keep(key)
         tight = value == 0
         tally["equalities"] += _count(tight if mask is None else tight & mask, size)
-        if value.max() > 0:
+        if top > 0:
             found = value > 0 if mask is None else (value > 0) & mask
             r, d, e = np.nonzero(np.broadcast_to(found, shape))
             tally["violations"] += len(r)
