@@ -60,12 +60,12 @@ a block without one has no dead cell and skips the live-cell masks.
 An inequality with variable symmetries counts a tight or violating cell
 only if no symmetry's image is lexicographically smaller, tested with a
 canon mask over the block that it builds only when the block has such a
-cell. When its symmetries are the full products of the symmetric groups
-on some blocks of positions (ingleton, dfz1, dfz8 and dfz9), that is the
-tuple ascending along each block: a few broadcast comparisons of the
-rows' subgroups and the D and E axes. Otherwise each symmetry is one
-comparison: lattice indices are digits of a base-m code, so "the image
-is smaller" is a linear form in the tuple being negative. A cell is
+cell. The mask compares lattice indices lexicographically, in broadcast
+comparisons of the rows' subgroups and the D and E axes, so it has no
+limit on the lattice's size. When the symmetries are the full products
+of the symmetric groups on some blocks of positions (ingleton, dfz1,
+dfz8 and dfz9), that is the tuple ascending along each block; otherwise
+each symmetry is one chain of comparisons (dfz2, dfz6). A cell is
 evaluated when some inequality keeps it, so every live cell is once one
 selected inequality has no symmetry (dfz3, dfz4, dfz5, dfz7 and dfz10,
 or any without the ineq_symmetry rule); when every one has symmetries
@@ -417,86 +417,54 @@ class _Canon:
     plan's sym_sources) over (rows, D, E) blocks: mask() is True at the
     cells that no symmetry maps to a lexicographically smaller tuple.
 
-    When the symmetries form a product of symmetric groups on position
-    blocks (_product_blocks), a cell is canonical when it ascends along
-    each block, a few comparisons between the row values and the D and E
-    axes. Otherwise each symmetry is one linear form: a symmetry maps t to
-    t' with t'_j = t_src[j], and lattice indices lie in [0, m), so t' is
-    lexicographically smaller than t exactly when its base-m code is:
-    Σ_i t_i·w_i < 0 with w_i = m^(n-1-j) - m^(n-1-i) for src[j] = i. Over a
-    block the sum splits into the prefix part, c_part[c], d_part[d] and
-    e_part[e], and the symmetry keeps a cell when
-    d_part + e_part >= -(prefix part + c_part). With M = m^n, every
-    partial sum is a difference of two base-m codes, so it lies strictly
-    between -M and M; the parts take the narrowest signed type that holds
-    ±4M, and a lattice whose 4M passes int64 (over 4,705 subgroups at
-    arity 5) is refused.
+    The test is a list of chains of position pairs; a chain keeps a cell
+    when (t_a1, t_a2, ...) <= (t_b1, t_b2, ...) lexicographically, and a
+    cell is canonical when every chain keeps it. When the symmetries form
+    a product of symmetric groups on position blocks (_product_blocks),
+    each chain is one ascent t_a <= t_b, a and b adjacent in a block.
+    Otherwise each symmetry is one chain: it maps t to t' with
+    t'_j = t_src[j], and t <= t' compares t_j with t_src[j] over the
+    positions j it moves, in order. A swap of i < j needs no pair at j: the
+    chain reaches j only when t_i = t_j.
 
-    Under order_class the image must also be in the scan space: the
-    subgroups it moves to positions 1 and 2 need the restricted order.
-    Those come from positions 3 and up, which at arity 4 or 5 are block
-    positions. An index that fails this gets a part that keeps every
-    cell: 2M as a D or E part puts d_part + e_part above M, and 3M as a
-    C part puts the threshold below -2M.
+    Under order_class an image must also be in the scan space: the
+    subgroups a symmetry moves to positions 1 and 2 need the restricted
+    order, so its chain also keeps the cells where one of them does not
+    have it.
     """
 
     def __init__(self, key: Tuple[Tuple[int, ...], ...], m: int,
                  restricted: Optional[np.ndarray]) -> None:
-        n = len(key[0])
         blocks = _product_blocks(key, restricted is not None)
-        self.ascents = None
+        # each chain as (pairs, positions whose subgroups its image moves
+        # to positions 1 or 2 from later ones)
         if blocks is not None:
-            # product form: each (a, b) with t_a <= t_b, adjacent in a block.
-            # Positions n-2 and n-1 are the D and E axes; an ascent between
-            # them is the same (m, m) mask in every block
-            self.ascents = [(a, b) for blk in blocks for a, b in zip(blk, blk[1:])]
-            idx = np.arange(m)
-            self.axes = (idx[:, None], idx)
-            self.de = (idx[:, None] <= idx) if (n - 2, n - 1) in self.ascents else None
-            return
-        big = m ** n
-        dtype = np.min_scalar_type(-4 * big - 1)
-        if dtype.kind != "i":
-            raise ValueError(f"{m} subgroups are too many for symmetry masks "
-                             f"at arity {n}")
-        # weights[k, i] = m^(n-1-j) - m^(n-1-i) for src[k, j] = i
-        powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        weights = np.empty((len(key), n), dtype=np.int64)
-        np.put_along_axis(weights, np.array(key), powers[None, :], axis=1)
-        weights -= powers
-        self.prefix_weights = weights[:, :n - 3]
-        # parts[k, a, x]: symmetry k's part for block axis a (C, D, E) at index x
-        parts = weights[:, n - 3:, None] * np.arange(m, dtype=np.int64)
-        if restricted is not None:
-            # positions whose subgroups the image moves to positions 1 and 2
-            need = np.zeros((len(key), 3), dtype=bool)
-            for k, s in enumerate(key):
-                for i in s[:2]:
-                    if i > 1:
-                        assert i >= n - 3, s
-                        need[k, i - (n - 3)] = True
-            outside = np.array([3 * big, 2 * big, 2 * big], dtype=np.int64)[:, None]
-            parts = np.where(need[:, :, None] & ~restricted, outside, parts)
-        parts = parts.astype(dtype)
-        self.c_part = parts[:, 0]
-        # d_part[d] + e_part[e] per symmetry, shared by every block
-        self.de_part = parts[:, 1, :, None] + parts[:, 2, None, :]
+            self.chains = [([(a, b)], []) for blk in blocks for a, b in zip(blk, blk[1:])]
+        else:
+            self.chains = [([(j, i) for j, i in enumerate(src)
+                             if i != j and not (i < j and src[i] == j)],
+                            [i for i in src[:2] if i > 1 and restricted is not None])
+                           for src in key]
+        self.restricted = restricted
+        idx = np.arange(m)
+        self.axes = (idx[:, None], idx)
 
     def mask(self, chosen: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Canonical cells of the block whose rows hold prefixes `chosen`
         ((rows, n-3) lattice indices) and position n-3 subgroups `c`; a
         bool array that broadcasts to (rows, m, m)."""
-        if self.ascents is not None:
-            n = chosen.shape[1] + 3
-            # each position's lattice indices, broadcast over the block
-            at = [*(x[:, None, None] for x in chosen.T), c[:, None, None], *self.axes]
-            masks = [at[a] <= at[b] for a, b in self.ascents if (a, b) != (n - 2, n - 1)]
-            if self.de is not None:
-                masks.append(self.de)
-            return functools.reduce(operator.and_, masks)
-        floor = -(self.c_part[:, c] + self.prefix_weights @ chosen.T)
-        return functools.reduce(operator.and_, (
-            de >= f.astype(de.dtype)[:, None, None] for de, f in zip(self.de_part, floor)))
+        # each position's lattice indices, broadcast over the block
+        at = [*(x[:, None, None] for x in chosen.T), c[:, None, None], *self.axes]
+        masks = []
+        for pairs, outside in self.chains:
+            (a, b), *rest = pairs[::-1]
+            keep = at[a] <= at[b]
+            for a, b in rest:
+                keep = (at[a] < at[b]) | ((at[a] == at[b]) & keep)
+            for i in outside:
+                keep = keep | ~self.restricted[at[i]]
+            masks.append(keep)
+        return functools.reduce(operator.and_, masks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -842,9 +810,6 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
 def _count(mask: np.ndarray, size: int) -> int:
     """The True cells of a mask that broadcasts to a block of `size` cells."""
     return int(np.count_nonzero(mask)) * (size // mask.size)
-
-
-_sum = functools.partial(functools.reduce, operator.add)
 
 
 def _theory_armed(cfg: SearchConfig, rule: str) -> bool:

@@ -561,25 +561,77 @@ def test_block_splitting_keeps_results(cat, lattice_for, monkeypatch, name, ineq
     ("Q8", "dfz8", "ineq_symmetry"),
     ("A4", "dfz2,dfz6,dfz8", "ineq_symmetry,order_class"),
     ("C5xS3", "ingleton", "ineq_symmetry"), ("S4", "dfz", "all")])
-def test_product_canon_matches_linear_form(cat, lattice_for, monkeypatch, name, ineqs, prune):
+def test_product_canon_matches_symmetry_chains(cat, lattice_for, monkeypatch, name, ineqs,
+                                               prune):
     # ingleton, dfz1, dfz8 and dfz9 have symmetries that are full products
     # of symmetric groups on position blocks, so a block counts a cell as
-    # canonical when it ascends along each block; with the detection off
-    # every symmetry is _Canon's linear form, and the tallies agree
+    # canonical when it ascends along each block, one pair per chain; with
+    # the detection off every symmetry is a chain of its own, and the
+    # tallies agree
     g, lat = group_and_lattice(cat, lattice_for, name)
     cfg = SearchConfig.make(ineqs=ineqs, prune=prune)
     plan = search_engine._plan(g, cfg, lat)
     st = plan.state
-    assert {p.spec_id for p, k in zip(st.plans, st.sym_keys) if k and st.canons[k].ascents} == (
-        set(cfg.inequality_ids) & {"ingleton", "dfz1", "dfz8", "dfz9"})
+    ascents = {p.spec_id for p, k in zip(st.plans, st.sym_keys)
+               if k and all(len(pairs) == 1 for pairs, _ in st.canons[k].chains)}
+    assert ascents == set(cfg.inequality_ids) & {"ingleton", "dfz1", "dfz8", "dfz9"}
     witnesses, report = scan_group(g, cfg, lat)
     monkeypatch.setattr(search_engine, "_product_blocks", lambda key, restricted: None)
     plan = search_engine._plan(g, cfg, lat)
-    assert all(c.ascents is None for c in plan.state.canons.values())
-    linear, linear_rep = scan_group(g, cfg, lat)
-    assert linear == witnesses
-    report.wall_time = linear_rep.wall_time = 0.0
-    assert linear_rep == report
+    assert all(len(c.chains) == len(k) for k, c in plan.state.canons.items())
+    chained, chained_rep = scan_group(g, cfg, lat)
+    assert chained == witnesses
+    report.wall_time = chained_rep.wall_time = 0.0
+    assert chained_rep == report
+
+
+def canonical(t, key, restricted):
+    # no symmetry image of t is lexicographically smaller; under
+    # order_class an image whose positions 1 and 2 lack the restricted
+    # order lies outside the scan space and does not count
+    for src in key:
+        image = tuple(t[i] for i in src)
+        if restricted is not None and not (restricted[image[0]] and restricted[image[1]]):
+            continue
+        if image < t:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["S4", "A4"])
+def test_canon_mask_matches_plain_comparison(lattice_for, monkeypatch, name):
+    # _Canon.mask cell by cell against canonical(), on blocks whose rows
+    # share values so that comparisons tie. The keys are product groups
+    # (dfz8, ingleton), involutions that are not (dfz2, dfz6) and a 3-cycle
+    # on positions 3..5, each with and without the product detection and
+    # with positions 1 and 2 free or restricted to order 3
+    lat = lattice_for(name)
+    m = len(lat)
+    orders = np.array([s.order for s in lat.subgroups])
+    keys = [search_engine._compile_spec(builtin(i), 5).sym_sources
+            for i in ("dfz2", "dfz6", "dfz8")]
+    keys += [search_engine._compile_spec(builtin("ingleton"), 4).sym_sources,
+             ((0, 1, 3, 4, 2), (0, 1, 4, 2, 3))]
+    real = search_engine._product_blocks
+    rng = random.Random(21)
+    for key, restricted, blocks in itertools.product(keys, (None, orders == 3),
+                                                     (real, lambda key, restricted: None)):
+        monkeypatch.setattr(search_engine, "_product_blocks", blocks)
+        canon = search_engine._Canon(key, m, restricted)
+        n = len(key[0])
+        dom = list(range(m)) if restricted is None else np.flatnonzero(restricted).tolist()
+        for _ in range(3):
+            # positions 1 and 2 from two shared values, position 3 (at
+            # arity 5) from one of them or any subgroup
+            shared = rng.sample(dom, 2)
+            pools = [shared] * 2 + [[shared[0], rng.randrange(m)]] * (n - 4)
+            rows = list(itertools.product(*pools))
+            chosen = np.array([r[:-1] for r in rows], dtype=np.intp)
+            c = np.array([r[-1] for r in rows], dtype=np.int64)
+            got = np.broadcast_to(canon.mask(chosen, c), (len(rows), m, m))
+            want = [[[canonical((*r, d, e), key, restricted) for e in range(m)]
+                     for d in range(m)] for r in rows]
+            assert (got == np.array(want)).all(), (key, restricted is not None)
 
 
 def test_product_blocks():
