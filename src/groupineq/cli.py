@@ -34,9 +34,8 @@ from .catalog import PAPER_TUPLE_NAMES, CatalogError, load_catalog, realize_pape
 from .entropy_eval import entropy_vector, evaluate, gi
 from .ineq_dsl import (ParseError, builtin, group_form, parse,
                        pretty_print, resolve_ids, symmetry_group)
-from .perm_core import (LATTICE_ORDER_CAP, Group, Subgroup, SubgroupLattice,
-                        _permutation_from_cycles, _require_lattice_cap,
-                        _tokenize_cycles, all_subgroups, closure)
+from .perm_core import (Group, Subgroup, SubgroupLattice, all_subgroups, closure,
+                        parse_generators)
 from .search_engine import (PruneReport, SearchConfig, Witness,
                             check_simultaneous, scan_group, survey)
 
@@ -75,9 +74,8 @@ class LatticeCache:
     hit requires the digest to match and the masks to make a
     `SubgroupLattice`; anything else is treated as a miss and rebuilt. A
     hit builds no table: the meet and conjugation tables are built by
-    whatever reads them, as for a fresh lattice. `get` refuses a group
-    above its cap before it looks in the cache, so a hit never bypasses
-    --max-order.
+    whatever reads them, as for a fresh lattice. A `SubgroupLattice`
+    refuses a group above the lattice cap, so a hit never bypasses it.
     """
 
     directory: Path
@@ -104,14 +102,13 @@ class LatticeCache:
         tmp.write_text(json.dumps({"subgroup_masks": masks, "digest": _digest(g, masks)}))
         tmp.replace(self.path_for(g))
 
-    def get(self, g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
-        _require_lattice_cap(g, cap)
+    def get(self, g: Group) -> SubgroupLattice:
         cached = self.load(g)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        lattice = all_subgroups(g, cap=cap)
+        lattice = all_subgroups(g)
         self.store(g, lattice)
         return lattice
 
@@ -132,34 +129,12 @@ def resolve_cache_dir(flag_value: Optional[str]) -> Path:
 _LABEL_RE = re.compile(r"^\s*[Gg](\d+)\s*=\s*")
 
 
-def _split_generators(body: str) -> List[List[Tuple[int, ...]]]:
-    """Group one position's cycles into generators, each a list of cycles.
-
-    Cycles are grouped greedily: a cycle joins the current generator while
-    it is disjoint from it, and starts a new generator when it overlaps.
-    A comma between cycles forces a split. "(3 4)(2 4 3)" is therefore two
-    generators, while "(1 2)(3 4)" is a single double transposition.
-    """
-    groups: List[List[Tuple[int, ...]]] = []
-    bucket: List[Tuple[int, ...]] = []
-    seen: set = set()
-    for points, split_before in _tokenize_cycles(body):
-        if bucket and (split_before or seen & set(points)):
-            groups.append(bucket)
-            bucket, seen = [], set()
-        if points:
-            bucket.append(points)
-            seen |= set(points)
-    if bucket:
-        groups.append(bucket)
-    return groups
-
-
 def parse_subgroup_text(g: Group, text: str) -> List[Subgroup]:
     """Parse "G1=(3 4)(2 4 3); G2=(1 3)(1 3 2); ..." into subgroups of g.
 
     Labels are optional but must be in position order when present. Each
-    position is the closure of its generators inside g.
+    position is the closure of its generators (perm_core.parse_generators)
+    inside g.
     """
     chunks = [c for c in text.split(";") if c.strip()]
     if not chunks:
@@ -173,8 +148,7 @@ def parse_subgroup_text(g: Group, text: str) -> List[Subgroup]:
                 f"subgroup label G{m.group(1)} appears at position {position}; "
                 f"labels must be in order")
         try:
-            indices = [g.element_index(_permutation_from_cycles(cycles, g.degree, body))
-                       for cycles in _split_generators(body)]
+            indices = [g.element_index(p) for p in parse_generators(body, g.degree)]
         except ValueError as e:
             raise CliError(f"subgroup G{position}: {e}") from None
         subs.append(closure(g, indices))
@@ -415,7 +389,7 @@ def cmd_scan(args) -> Tuple[Report, int]:
     cfg = SearchConfig.make(ineqs=args.ineqs, prune=args.prune,
                             jobs=args.jobs, emit_limit=args.limit)
     t0 = time.perf_counter()
-    lattice = cache.get(g, cap=args.max_order)
+    lattice = cache.get(g)
     t1 = time.perf_counter()
     witnesses, prep = scan_group(g, cfg, lattice)
     t2 = time.perf_counter()
@@ -452,15 +426,12 @@ def cmd_survey(args) -> Tuple[Report, int]:
     cat = load_catalog()
     cache = LatticeCache(resolve_cache_dir(args.cache_dir))
     lo, hi = parse_order_range(args.orders)
-    if hi > args.max_order:
-        raise CliError(f"order range ends at {hi}, above --max-order {args.max_order}")
     orders = [o for o in cat.by_order if lo <= o <= hi]
     if not orders:
         raise CliError(f"no catalog group has an order in {lo}..{hi}")
     cfg = SearchConfig.make(ineqs=args.ineqs, prune=args.prune, jobs=args.jobs)
     t0 = time.perf_counter()
-    entries = survey(cat, orders, cfg,
-                     lattice_for=lambda g: cache.get(g, cap=args.max_order))
+    entries = survey(cat, orders, cfg, lattice_for=cache.get)
     t1 = time.perf_counter()
     rows = []
     total_witnesses = 0
@@ -510,8 +481,6 @@ def cmd_groups(args) -> Tuple[Report, int]:
         entries = []
         for name in cat.names():
             gdef = cat.get(name)
-            if gdef.expected_order > args.max_order:
-                continue
             entries.append({
                 "name": gdef.name,
                 "order": gdef.expected_order,
@@ -520,7 +489,7 @@ def cmd_groups(args) -> Tuple[Report, int]:
                 "tags": list(gdef.tags),
             })
         results = {"entries": entries, "count": len(entries)}
-        config = {"action": "list", "max_order": args.max_order}
+        config = {"action": "list"}
     else:
         if not args.name:
             raise CliError("groups show needs a group name")
@@ -533,12 +502,10 @@ def cmd_groups(args) -> Tuple[Report, int]:
             "generators": list(gdef.generators),
             "tags": list(gdef.tags),
         }
-        if g.order <= args.max_order:
-            cache = LatticeCache(resolve_cache_dir(args.cache_dir))
-            lattice = cache.get(g, cap=args.max_order)
-            results["subgroups"] = len(lattice)
-            results["conjugacy_classes"] = len(lattice.conjugacy_classes)
-            results["normal_subgroups"] = sum(lattice.normal_flags)
+        lattice = LatticeCache(resolve_cache_dir(args.cache_dir)).get(g)
+        results["subgroups"] = len(lattice)
+        results["conjugacy_classes"] = len(lattice.conjugacy_classes)
+        results["normal_subgroups"] = sum(lattice.normal_flags)
         config = {"action": "show", "name": gdef.name}
     rep = Report("groups", config, results,
                  {"total": time.perf_counter() - t0})
@@ -731,8 +698,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--limit", type=int, default=None,
                     help="emit at most this many witnesses")
-    sp.add_argument("--max-order", type=int, default=LATTICE_ORDER_CAP,
-                    help="refuse lattices for groups larger than this")
     common(sp)
     sp.set_defaults(func=cmd_scan)
 
@@ -741,7 +706,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ineqs", default="dfz")
     sp.add_argument("--prune", default="all")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--max-order", type=int, default=LATTICE_ORDER_CAP)
     common(sp)
     sp.set_defaults(func=cmd_survey)
 
@@ -753,7 +717,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("groups", help="inspect the group catalog")
     sp.add_argument("action", choices=("list", "show"))
     sp.add_argument("name", nargs="?", help="group name (for show)")
-    sp.add_argument("--max-order", type=int, default=LATTICE_ORDER_CAP)
     common(sp)
     sp.set_defaults(func=cmd_groups)
 

@@ -31,6 +31,7 @@ __all__ = [
     "Subgroup",
     "SubgroupLattice",
     "closure",
+    "parse_generators",
     "all_subgroups",
     "is_abelian",
     "is_isomorphic",
@@ -136,12 +137,11 @@ class Permutation:
         return "".join("(" + ",".join(str(pt) for pt in cyc) + ")" for cyc in cycs)
 
     @staticmethod
-    def from_cycles(text: str, degree: Optional[int] = None) -> "Permutation":
+    def from_cycles(text: str, degree: int) -> "Permutation":
         """Parse cycle notation like "(1,2)(3,4)" into one permutation.
 
         Points are 1-based; commas or spaces separate points; cycles must be
-        disjoint. "()" or an empty string is the identity. When `degree` is
-        omitted the largest point mentioned is used.
+        disjoint. "()" or an empty string is the identity.
         """
         return _permutation_from_cycles([c for c, _ in _tokenize_cycles(text)], degree, text)
 
@@ -190,13 +190,11 @@ def _tokenize_cycles(text: str) -> List[Tuple[Tuple[int, ...], bool]]:
     return cycles
 
 
-def _permutation_from_cycles(cycles: Sequence[Sequence[int]], degree: Optional[int],
+def _permutation_from_cycles(cycles: Sequence[Sequence[int]], degree: int,
                              text: str) -> Permutation:
     """The product of disjoint cycles of 1-based points; `text` names the
     input in error messages."""
     top = max((pt for cyc in cycles for pt in cyc), default=1)
-    if degree is None:
-        degree = top
     if top > degree:
         raise ValueError(f"point {top} exceeds degree {degree} in {text!r}")
     if degree > MAX_DEGREE:
@@ -213,6 +211,31 @@ def _permutation_from_cycles(cycles: Sequence[Sequence[int]], degree: Optional[i
         for i, pt in enumerate(cyc):
             images[pt - 1] = cyc[(i + 1) % len(cyc)] - 1
     return Permutation(tuple(images))
+
+
+def parse_generators(text: str, degree: int) -> List[Permutation]:
+    """Parse a list of generators in cycle notation into permutations of
+    the given degree.
+
+    Cycles are grouped greedily: a cycle joins the current generator while
+    it is disjoint from it, and an overlap or a comma between cycles starts
+    a new generator. "(3 4)(2 4 3)" is therefore two generators, "(1 2)(3 4)"
+    one double transposition, "(1 2),(3 4)" two transpositions, and "()"
+    no generator at all.
+    """
+    generators: List[List[Tuple[int, ...]]] = []
+    bucket: List[Tuple[int, ...]] = []
+    seen: set = set()
+    for points, comma in _tokenize_cycles(text):
+        if bucket and (comma or seen & set(points)):
+            generators.append(bucket)
+            bucket, seen = [], set()
+        if points:
+            bucket.append(points)
+            seen |= set(points)
+    if bucket:
+        generators.append(bucket)
+    return [_permutation_from_cycles(cycles, degree, text) for cycles in generators]
 
 
 class Group:
@@ -387,14 +410,23 @@ def is_abelian(g: Group) -> bool:
     return all(mul[a][b] == mul[b][a] for a in gens for b in gens)
 
 
+def _require_lattice_cap(g: Group) -> None:
+    """Raise ValueError when g is too large for a subgroup lattice. The one
+    place LATTICE_ORDER_CAP is read."""
+    if g.order > LATTICE_ORDER_CAP:
+        raise ValueError(f"group {g.name!r} of order {g.order} exceeds the "
+                         f"lattice cap {LATTICE_ORDER_CAP}")
+
+
 @dataclass(frozen=True)
 class SubgroupLattice:
     """Every subgroup of a group, deduplicated and sorted by (order, mask).
 
     The subgroup list is all a lattice stores, and construction checks its
-    shape. The mask -> index map, the meet and conjugation tables, the
-    conjugacy classes, the normal flags and the Sylow index are derived
-    from it on first use and kept.
+    shape and refuses a group above LATTICE_ORDER_CAP. The mask -> index
+    map, the meet and conjugation tables, the conjugacy classes, the
+    normal flags and the Sylow index are derived from it on first use and
+    kept.
     """
 
     group: Group = field(compare=False)
@@ -402,6 +434,7 @@ class SubgroupLattice:
 
     def __post_init__(self) -> None:
         g, subs = self.group, self.subgroups
+        _require_lattice_cap(g)
         keys = [(s.order, s.mask) for s in subs]
         if not (keys and keys[0] == (1, 1) and keys[-1] == (g.order, g.full_mask)
                 and keys == sorted(set(keys))
@@ -486,14 +519,7 @@ class SubgroupLattice:
                 for p, e in prime_factors(self.group.order).items()}
 
 
-def _require_lattice_cap(g: Group, cap: int) -> None:
-    """Raise ValueError when g is too large for a subgroup lattice."""
-    if g.order > cap:
-        raise ValueError(
-            f"group {g.name!r} of order {g.order} exceeds the lattice cap {cap}")
-
-
-def all_subgroups(g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
+def all_subgroups(g: Group) -> SubgroupLattice:
     """Enumerate the complete subgroup lattice of g.
 
     Seeds with all cyclic subgroups, then repeatedly extends each known
@@ -501,9 +527,10 @@ def all_subgroups(g: Group, cap: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
     fixpoint. This finds everything: any subgroup K is some maximal
     subgroup H < K (found by induction on order) extended by any element
     of K outside H. Each subgroup keeps the generator list it was found
-    with, so an extension closes that list plus one element.
+    with, so an extension closes that list plus one element. A group above
+    LATTICE_ORDER_CAP is refused before anything is enumerated.
     """
-    _require_lattice_cap(g, cap)
+    _require_lattice_cap(g)
     gens_of: Dict[int, List[int]] = {}
     cyclic_reps: List[Tuple[int, int]] = []  # (mask of <x>, x)
     for x in range(g.order):

@@ -360,6 +360,12 @@ def _signs_agree(signature: Tuple[Tuple[int, int], ...], degree: int,
     return True
 
 
+# _log_weights gives up after this many proposals. At degree 9, the most
+# any order up to LATTICE_ORDER_CAP needs is k = 2,027 (order 630), so a
+# search that runs out has met a fault in the proof, not a hard order
+_LOG_WEIGHT_PROPOSALS = 4096
+
+
 @functools.lru_cache(maxsize=None)
 def _log_weights(signature: Tuple[Tuple[int, int], ...], degree: int) -> Tuple[int, ...]:
     """Integer log weights w_p for a group order with prime signature
@@ -373,17 +379,18 @@ def _log_weights(signature: Tuple[Tuple[int, int], ...], degree: int) -> Tuple[i
     exactly as the bit length of p^2k halved, over their gcd, for
     k = 1, 2, 3, ...; the first that _signs_agree proves on that box is
     returned, so the weights (and the log tables) are about as small as
-    the box allows. The loop ends: an error of at most 1/2 per unit of x_p
+    the box allows. Some k proves: an error of at most 1/2 per unit of x_p
     is outgrown by k times the least nonzero |Σ_p x_p·log2 p| on the box.
+    Past _LOG_WEIGHT_PROPOSALS proposals it raises ValueError instead.
     """
-    k = 1
-    while True:
+    for k in range(1, _LOG_WEIGHT_PROPOSALS + 1):
         weights = [(p ** (2 * k)).bit_length() // 2 for p, _ in signature]
         common = math.gcd(*weights) or 1
         weights = tuple(w // common for w in weights)
         if _signs_agree(signature, degree, weights):
             return weights
-        k += 1
+    raise ValueError(f"no log weights proved for prime signature {signature} at "
+                     f"degree {degree} in {_LOG_WEIGHT_PROPOSALS} proposals")
 
 
 @functools.lru_cache(maxsize=None)

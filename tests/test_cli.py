@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from groupineq import cli, search_engine
+from groupineq import cli, perm_core, search_engine
 from groupineq.catalog import load_catalog
 from groupineq.entropy_eval import entropy_vector, evaluate
 from groupineq.ineq_dsl import _BUILTIN_CACHE, _BUILTIN_TEXTS, builtin, parse
@@ -240,7 +240,7 @@ def test_survey_range_past_the_catalog(capsys, cache_dir, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "survey", lambda cat, orders, cfg, lattice_for: seen.append(orders) or {})
     huge = str(10 ** 24)
-    code, _, _ = run(["survey", f"100..{huge}", "--max-order", huge], capsys)
+    code, _, _ = run(["survey", f"100..{huge}"], capsys)
     assert code == 0
     assert [sorted(o) for o in seen] == [[o for o in sorted(load_catalog().by_order) if o >= 100]]
 
@@ -306,10 +306,12 @@ def test_parse_command_error(capsys, cache_dir):
 
 
 def test_groups_list(capsys, cache_dir):
-    code, doc, _ = run_json(["groups", "list", "--max-order", "8"], capsys)
+    code, doc, _ = run_json(["groups", "list"], capsys)
     assert code == 0
-    entries = doc["results"]["entries"]
-    assert doc["results"]["count"] == len(entries) == 14
+    assert doc["config"] == {"action": "list"}
+    assert doc["results"]["count"] == len(doc["results"]["entries"]) == 75
+    entries = [e for e in doc["results"]["entries"] if e["order"] <= 8]
+    assert len(entries) == 14
     assert {e["name"] for e in entries if e["order"] == 8} == {
         "C8", "C4xC2", "C2xC2xC2", "D8", "Q8"}
 
@@ -457,11 +459,12 @@ def test_cli_populates_cache_dir(capsys, tmp_path):
     assert list(d.glob("*.json"))
 
 
-def test_max_order_applies_on_cache_hit(capsys, tmp_path):
-    # a warm cache must not let a scan bypass --max-order
+def test_lattice_cap_applies_on_cache_hit(capsys, tmp_path, monkeypatch):
+    # a warm cache must not let a scan bypass the lattice cap
     d = str(tmp_path / "c")
     assert run(["groups", "show", "S4", "--cache-dir", d], capsys)[0] == 0
-    code, out, err = run(["scan", "S4", "--max-order", "10", "--cache-dir", d], capsys)
+    monkeypatch.setattr(perm_core, "LATTICE_ORDER_CAP", 10)
+    code, out, err = run(["scan", "S4", "--cache-dir", d], capsys)
     assert code == 2
     assert out == ""
     assert "exceeds the lattice cap 10" in err
@@ -716,10 +719,9 @@ def _fuzz_argv(rng, small):
     prune = lambda: some(list(search_engine.PRUNE_RULES) + ["all", "none"], ["", "bogus"])
     options = {"check": [("--ineqs", ineq_ids)],
                "scan": [("--ineqs", ineq_ids), ("--prune", prune), ("--jobs", num),
-                        ("--limit", num), ("--max-order", num)],
-               "survey": [("--ineqs", ineq_ids), ("--prune", prune), ("--jobs", num),
-                          ("--max-order", num)],
-               "groups": [("--max-order", num)]}.get(command, [])
+                        ("--limit", num)],
+               "survey": [("--ineqs", ineq_ids), ("--prune", prune),
+                          ("--jobs", num)]}.get(command, [])
     for flag, value in options:
         if rng.random() < 0.4:
             argv += [flag, value()]

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
+from groupineq import perm_core
 from groupineq.perm_core import (
     AMBIENT_ORDER_CAP,
+    LATTICE_ORDER_CAP,
     Group,
     Permutation,
     SubgroupLattice,
@@ -14,6 +17,7 @@ from groupineq.perm_core import (
     int_valuation,
     is_abelian,
     is_isomorphic,
+    parse_generators,
     prime_factors,
 )
 
@@ -49,6 +53,27 @@ def test_permutation_from_cycles_errors():
         Permutation.from_cycles("(1,9)", 3)
     with pytest.raises(ValueError):
         Permutation.from_cycles("(1,1)", 3)
+
+
+def test_parse_generators():
+    # a cycle joins the current generator while disjoint from it; an
+    # overlap or a comma between cycles starts a new one
+    cases = [("(3 4)(2 4 3)", ["(3,4)", "(2,4,3)"]),
+             ("(1 2)(3 4)", ["(1,2)(3,4)"]),
+             ("(1 2),(3 4)", ["(1,2)", "(3,4)"]),
+             ("(1,2,3),(1 2)(3 4)", ["(1,2,3)", "(1,2)(3,4)"]),
+             ("()", []),
+             ("(1 2)(), ()", ["(1,2)"])]
+    for text, want in cases:
+        gens = parse_generators(text, 4)
+        assert [p.cycle_string() for p in gens] == want, text
+        assert all(p.degree == 4 for p in gens), text
+    for text, error in (("(1 9)", "point 9 exceeds degree 4 in '(1 9)'"),
+                        ("(1 2)(0 3)", "point 0 outside 1..4 in '(1 2)(0 3)'"),
+                        ("(1 1)", "cycles are not disjoint at point 1 in '(1 1)'"),
+                        ("(1 2", "unclosed '(' in '(1 2'")):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            parse_generators(text, 4)
 
 
 def test_permutation_mul_matches_oracle():
@@ -279,6 +304,25 @@ def test_lattice_checks_itself(edit, error):
         lattice = SubgroupLattice(g, subs)
         lattice.meet, lattice.conjugation_table()
     assert "S4" in str(caught.value)
+
+
+def test_lattice_cap(monkeypatch):
+    # all_subgroups refuses a group above the cap before it closes
+    # anything, and a lattice refuses one however its list was made
+    g = sym(4)
+    subs = all_subgroups(g).subgroups
+    monkeypatch.setattr(perm_core, "LATTICE_ORDER_CAP", 23)
+    monkeypatch.setattr(perm_core, "closure", lambda *a: pytest.fail("closure called"))
+    for build in (lambda: all_subgroups(g), lambda: SubgroupLattice(g, subs)):
+        with pytest.raises(ValueError, match="group 'S4' of order 24 exceeds the lattice cap 23"):
+            build()
+    monkeypatch.setattr(perm_core, "LATTICE_ORDER_CAP", 24)
+    assert len(SubgroupLattice(g, subs)) == 30
+
+
+def test_catalog_orders_within_lattice_cap(cat):
+    # the cap never refuses a group gil can name
+    assert max(cat.by_order) <= LATTICE_ORDER_CAP
 
 
 def test_is_abelian(cat):

@@ -717,6 +717,20 @@ def test_log_weights_mutations_rejected(order, degree, weights):
                                          dict(zip(sorted(prime_factors(order)), weights)))
 
 
+def test_log_weights_search_is_bounded(monkeypatch):
+    # a proof that rejects every proposal ends in an error naming the
+    # signature and degree, after a fixed number of proposals, not a hang
+    calls = []
+    monkeypatch.setattr(search_engine, "_signs_agree", lambda *a: calls.append(a) and False)
+    search_engine._log_weights.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"signature \(\(2, 3\), \(3, 1\)\) at degree 9"):
+            search_engine._log_weights(((2, 3), (3, 1)), 9)
+    finally:
+        search_engine._log_weights.cache_clear()
+    assert len(calls) == search_engine._LOG_WEIGHT_PROPOSALS
+
+
 def test_signs_agree_matches_oracle():
     # the row-wise proof against the whole-box walk on random weights,
     # most of them wrong, for one-, two- and three-prime orders

@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Mutation check for the verdict path: does tier-1 notice a small fault?
+
+Each entry of MUTANTS is one edit (file, old text, new text, reason). For
+each, the tool copies src/, tests/, tools/, demos/ and pyproject.toml into
+a temporary directory, replaces the old text (which must occur exactly
+once) and runs tier-1 there with -x and a time limit of TIMEOUT_S. It
+reports the edit as killed (a test failed), survived (every test passed)
+or timed out. EQUIVALENT lists edits believed to change no result, each
+with the reason; they run too, and are expected to survive.
+
+    python3 tools/mutants.py
+
+Exit status 0 when every edit in MUTANTS was killed and every edit in
+EQUIVALENT survived, 1 otherwise. A manual tool, not a CI step: a killed
+edit takes one partial tier-1 run, a surviving one a full run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "tools", "demos", "pyproject.toml")
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    reason: str
+
+
+PERM_CORE = "src/groupineq/perm_core.py"
+SEARCH = "src/groupineq/search_engine.py"
+
+MUTANTS: List[Mutant] = [
+    Mutant(PERM_CORE,
+           "        g, subs = self.group, self.subgroups\n        _require_lattice_cap(g)\n",
+           "        g, subs = self.group, self.subgroups\n",
+           "SubgroupLattice skips the lattice cap, so a cache hit bypasses it"),
+    Mutant(PERM_CORE,
+           "    _require_lattice_cap(g)\n    gens_of",
+           "    gens_of",
+           "all_subgroups enumerates before the lattice cap refuses the group"),
+    Mutant(PERM_CORE,
+           "        if bucket and (comma or seen & set(points)):",
+           "        if bucket and seen & set(points):",
+           "parse_generators ignores a comma between cycles"),
+    Mutant(PERM_CORE,
+           "        if bucket and (comma or seen & set(points)):",
+           "        if bucket and comma:",
+           "parse_generators ignores an overlap between cycles"),
+    Mutant(SEARCH,
+           "        x = min(cut - (r == 0), top)",
+           "        x = min(cut, top)",
+           "_signs_agree fails every proof at the origin; the bounded "
+           "_log_weights search must fail, not hang"),
+    Mutant(SEARCH,
+           "        if top < 0:\n            return",
+           "        if top <= 0:\n            return",
+           "a block whose largest value is 0 counts no equality"),
+]
+
+EQUIVALENT: List[Mutant] = [
+    Mutant(SEARCH,
+           "        if room < len(found) <= budget:",
+           "        if room < len(found) < budget:",
+           "_pack boundary: a prefix of exactly one block's rows is split "
+           "across two blocks, which changes the layout only"),
+    Mutant(SEARCH,
+           "        if len(de_own[p]) and 1 < len(block) < len(seg):",
+           "        if len(de_own[p]) and 1 <= len(block) < len(seg):",
+           "{D, E} spread boundary: a one-prefix block spreads its (1, m, m) "
+           "sum to every row, which broadcasting does anyway"),
+    Mutant(SEARCH,
+           "np.min_scalar_type(-2 * degree * ell(g.order) - 1)",
+           "np.min_scalar_type(-degree * ell(g.order) - 1)",
+           "meet-log type without the factor 2: every partial sum already "
+           "lies within ±degree·ℓ(|G|)"),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", "*.egg-info")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0]
+    return ""
+
+
+def run_mutant(m: Mutant) -> tuple:
+    """(status, seconds, detail) of tier-1 on a copy with `m` applied."""
+    with tempfile.TemporaryDirectory(prefix="gil-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        path = dest / m.file
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            return "stale", 0.0, f"old text occurs {text.count(m.old)} times in {m.file}"
+        path.write_text(text.replace(m.old, m.new))
+        env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-W", "error",
+               "-p", "no:cacheprovider", "tests"]
+        t0 = time.monotonic()
+        # a session of its own, so a timeout also ends any worker it forked
+        proc = subprocess.Popen(cmd, cwd=dest, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, text=True, start_new_session=True)
+        try:
+            out, _ = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return "timed out", time.monotonic() - t0, ""
+        seconds = time.monotonic() - t0
+        if proc.returncode == 0:
+            return "survived", seconds, ""
+        if proc.returncode == 1:
+            return "killed", seconds, _first_failure(out)
+        return "error", seconds, out.strip().splitlines()[-1] if out.strip() else ""
+
+
+def main() -> int:
+    runs = [(m, "killed") for m in MUTANTS] + [(m, "survived") for m in EQUIVALENT]
+    ok = True
+    t_all = time.monotonic()
+    for m, want in runs:
+        status, seconds, detail = run_mutant(m)
+        ok &= status == want
+        flag = "" if status == want else "  <-- expected " + want
+        print(f"{status:<10} {seconds:6.1f}s  {m.file}: {m.reason}{flag}")
+        if detail:
+            print(f"{'':19}{detail}")
+        sys.stdout.flush()
+    print(f"{len(runs)} edit(s) in {time.monotonic() - t_all:.0f}s: "
+          f"{'all as expected' if ok else 'NOT all as expected'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
