@@ -58,9 +58,10 @@ def group_hash(g: Group) -> str:
     return h.hexdigest()
 
 
-def _digest(g: Group, masks: object) -> str:
-    """sha256 of the format version, the group hash and the mask strings."""
-    text = json.dumps([CACHE_FORMAT_VERSION, group_hash(g), masks])
+def _digest(key: str, masks: object) -> str:
+    """sha256 of the format version, the group hash `key` and the mask
+    strings."""
+    text = json.dumps([CACHE_FORMAT_VERSION, key, masks])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -83,33 +84,40 @@ class LatticeCache:
     misses: int = 0
 
     def path_for(self, g: Group) -> Path:
-        return self.directory / f"{group_hash(g)}.json"
+        return self._path(group_hash(g))
 
-    def load(self, g: Group) -> Optional[SubgroupLattice]:
+    def _path(self, key: str) -> Path:
+        return self.directory / f"{key}.json"
+
+    def load(self, g: Group, key: str) -> Optional[SubgroupLattice]:
+        """The cached lattice of g, whose group hash is `key`, or None."""
         try:
-            data = json.loads(self.path_for(g).read_text())
+            data = json.loads(self._path(key).read_text())
             masks = data["subgroup_masks"]
-            if data["digest"] != _digest(g, masks):
+            if data["digest"] != _digest(key, masks):
                 return None
             return SubgroupLattice(g, tuple(g.subgroup(int(m)) for m in masks))
         except (OSError, KeyError, TypeError, ValueError):
             return None
 
-    def store(self, g: Group, lattice: SubgroupLattice) -> None:
+    def store(self, key: str, lattice: SubgroupLattice) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         masks = [str(s.mask) for s in lattice.subgroups]
-        tmp = self.path_for(g).with_suffix(".tmp")
-        tmp.write_text(json.dumps({"subgroup_masks": masks, "digest": _digest(g, masks)}))
-        tmp.replace(self.path_for(g))
+        path = self._path(key)
+        tmp = path.with_suffix(".tmp")
+        tmp.write_text(json.dumps({"subgroup_masks": masks, "digest": _digest(key, masks)}))
+        tmp.replace(path)
 
     def get(self, g: Group) -> SubgroupLattice:
-        cached = self.load(g)
+        # the group hash names the file and enters its digest; one per call
+        key = group_hash(g)
+        cached = self.load(g, key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
         lattice = all_subgroups(g)
-        self.store(g, lattice)
+        self.store(key, lattice)
         return lattice
 
 

@@ -21,7 +21,7 @@ A bare expr with no comparator is read as "expr >= 0".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "MAX_VARS",
@@ -80,8 +80,7 @@ def _subset_key(subset: Subset) -> Tuple[int, Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: int
     pos: int

@@ -50,12 +50,17 @@ carries that prefix's meets, chosen indices and stabilizer, so one block
 packs the rows of consecutive prefixes of a task up to _BLOCK_CELLS
 cells, which bounds the scan's memory; a prefix whose rows alone exceed
 that is split, and a D x E slice larger than the budget is a block
-alone. A subset's logs broadcast over only the block axes it contains.
-The logs of every inequality's terms are gathered in one call per term
-group, and each inequality sums each group at its small shape before it
-adds them up over the full block. The conjugacy products run only for
-rows whose stabilizer holds an element that moves some subgroup lower;
-a block without one has no dead cell and skips the live-cell masks.
+alone. A subset's logs broadcast over only the block axes it contains:
+the terms without C are summed per prefix at (D, E), those with C but
+not on both D and E per row at D or at E, each group for every
+inequality at once in one gather and one product, and an inequality adds
+these to its terms on all three axes over the full block, which a block
+gathers once and drops after their last inequality. The conjugacy rule
+kills a (c, d, e) cell when some element x of its prefix's stabilizer
+normalizes Gc and moves Gd lower, or normalizes Gd too and moves Ge
+lower: each such mover kills the same (D, E) cells in every row whose C
+it normalizes, so the live-cell mask costs one pass per mover of the
+block, and a block with none skips it.
 
 An inequality with variable symmetries counts a tight or violating cell
 only if no symmetry's image is lexicographically smaller, tested with a
@@ -286,7 +291,7 @@ class _SpecPlan:
 
     spec_id: str
     # the signed terms (position bitmask, coefficient) of Σ_A c_A·ℓ(|G_A|)
-    # in four groups by the block axes they hold (see _compile_spec)
+    # in six groups by the block axes they hold (see _compile_spec)
     groups: Tuple[Tuple[Tuple[int, int], ...], ...]
     degree: int   # positive coefficients' sum: each side is at most |G|**degree
     # each symmetry as source indices: coordinate j of the permuted tuple
@@ -300,18 +305,21 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
     # builtins are sums of mutual informations, so both sides carry the
     # same number of H() terms and no power of |G| is left over
     assert sum(spec.coeffs.values()) == 0, spec.id
-    # A term broadcasts over the block axes (C, D, E) among its positions.
-    # The signed terms of both sides fall in groups whose sum keeps a small
-    # shape: those without E, those with E but not D, those on exactly
-    # {D, E}; the last group holds the terms on all three axes. A block
-    # sums each of the first three at its own shape, then adds the group
-    # sums and the terms of the last one by one at the full block's.
-    groups: List[List[Tuple[int, int]]] = [[], [], [], []]
+    # A term broadcasts over the block axes (C, D, E) among its positions,
+    # and the signed terms of both sides fall in six groups by those axes.
+    # Without C a term is the same for every row of one prefix: those with
+    # neither D nor E or with D alone, with E alone, and with D and E, so a
+    # block sums each group at (prefixes, D), (prefixes, E) or (prefixes,
+    # D, E). With C: those without E, those with E but not D, and last
+    # those on all three axes, which a block adds one by one at its full
+    # (rows, D, E) shape.
+    groups: List[List[Tuple[int, int]]] = [[] for _ in range(6)]
     for subset, c in sorted(spec.coeffs.items(),
                             key=lambda kv: (sum(i > arity - 3 for i in kv[0]),
                                             sorted(kv[0]))):
         on_c, on_d, on_e = (i in subset for i in range(arity - 2, arity + 1))
-        group = 0 if not on_e else 1 if not on_d else 2 if not on_c else 3
+        group = (5 if on_d and on_e else 4 if on_e else 3) if on_c else \
+            (2 if on_d else 1) if on_e else 0
         groups[group].append((sum(1 << (i - 1) for i in subset), c))
     sources = []
     for perm in symmetry_group(spec):
@@ -481,27 +489,55 @@ def _layout(plans: Tuple[_SpecPlan, ...], n: int) -> tuple:
 
     Returns the distinct coefficients, in the order _ScanState stacks
     their meet-log tables, and per term group (table, column, own): the
-    group's distinct terms, plan after plan, each gathering row
-    table[t]·m + x of the stacked tables, x the lattice index in column[t]
-    of the block's `at`. For pm = low | hi << (n-3) that column is low,
-    the prefix meet, or width + low, that meet with C; table[t] is k for
-    coefficient k, or K + k, whose rows hold the G entries, for a term on
-    neither D nor E. own[p] indexes plan p's terms.
+    group's distinct terms, each gathering row table[t]·m + x of the
+    stacked tables, x the lattice index in column[t] of the block's `at`.
+    For pm = low | hi << (n-3) that column is low, the prefix meet, or
+    width + low, that meet with C; table[t] is k for coefficient k, or
+    K + k, whose rows hold the G entries, for a term on neither D nor E.
+    In the first five groups own is (pick, has): pick[p, t] is 1 when
+    plan p holds term t, so that one product sums every plan's terms, and
+    has[p] is whether plan p holds any (in group 3, 2 when one of them is
+    on D). In the last group a term with coefficient c also stands for
+    -c, and own[p] is (added, subtracted), the terms plan p adds and those
+    it subtracts.
+
+    Last, the order in which a block counts the plans, and after each of
+    them the last-group terms no later plan holds. A block gathers a
+    last-group term, a whole block of logs, when a plan first needs it
+    and drops it after its last plan; plans holding a rarer term run
+    together, so that few of these are alive at once.
     """
     coeffs = sorted({c for p in plans for grp in p.groups for _, c in grp})
     width = 1 << (n - 3)
     groups = []
-    for j in range(4):
-        terms = list(dict.fromkeys(t for p in plans for t in p.groups[j]))
+    for j in range(6):
+        # each distinct term, under its first coefficient in the last group
+        first: Dict[Tuple[int, int], int] = {}
+        for p in plans:
+            for pm, c in p.groups[j]:
+                first.setdefault((pm, abs(c) if j == 5 else c), c)
+        terms = [(pm, c) for (pm, _), c in first.items()]
         table, column = [], []
         for pm, c in terms:
             hi, low = divmod(pm, width)
             table.append(coeffs.index(c) + len(coeffs) * (not hi & 6))
             column.append(low + width * (hi & 1))
-        own = [np.array([terms.index(t) for t in p.groups[j]], dtype=np.intp)
-               for p in plans]
+        if j < 5:
+            own = (np.array([[t in p.groups[j] for t in terms] for p in plans], dtype=np.int8),
+                   [bool(p.groups[j]) + any(pm >> (n - 2) & 1 for pm, _ in p.groups[j])
+                    * (j == 3) for p in plans])
+        else:
+            own = [tuple([terms.index((pm, first[pm, abs(c)])) for pm, c in p.groups[j]
+                          if (c == first[pm, abs(c)]) == added] for added in (True, False))
+                   for p in plans]
         groups.append((np.array(table, dtype=np.intp), np.array(column, dtype=np.intp), own))
-    return coeffs, groups
+    # plans sorted by their last-group terms, rarest first
+    users = [sum(t in a + b for a, b in own) for t in range(len(terms))]
+    order = sorted(range(len(plans)), key=lambda p: sorted(
+        ((-users[t], t) for t in own[p][0] + own[p][1]), reverse=True))
+    last = {t: i for i, p in enumerate(order) for t in own[p][0] + own[p][1]}
+    drop = [[t for t, i in last.items() if i == k] for k in range(len(order))]
+    return coeffs, groups, order, drop
 
 
 class _ScanState:
@@ -540,7 +576,7 @@ class _ScanState:
             raise ValueError(f"integer logs of order {g.order} at degree {degree} "
                              "do not fit in 64 bits")
         ells = np.array([ell(s.order) for s in lattice.subgroups], dtype=np.int64)
-        coeffs, groups = _layout(tuple(self.plans), n)
+        coeffs, groups, self.order, self.drop = _layout(tuple(self.plans), n)
         # the meet-log tables, tables[k][i, j] = coeffs[k]·ℓ(|Gi ∩ Gj|), as
         # the rows blocks gather: row k·m + i is row i of tables[k], and row
         # (K + k)·m + i holds its entry at G, coeffs[k]·ℓ(|Gi|), m times over
@@ -548,7 +584,8 @@ class _ScanState:
         self.log_rows = np.concatenate((tables, np.repeat(tables[:, :, -1:], m, axis=2))
                                        ).reshape(-1, m)
         # per term group: first rows, columns and each plan's terms (_layout)
-        self.groups = [(table * m, column, own) for table, column, own in groups]
+        self.groups = [(table * m, column, own if j == 5 else (own[0].astype(dtype), own[1]))
+                       for j, (table, column, own) in enumerate(groups)]
         # lower[x, s]: x Gs x^-1 precedes Gs; fixes[x, s]: x normalizes Gs.
         # Rows are the elements the scan quotients by; with conjugacy off
         # that is the identity alone, which prunes nothing.
@@ -579,11 +616,19 @@ class _ScanState:
         # survivors), pruned here once and charged to the plan's tally; the
         # task's blocks hold at most those survivors times the m**(n-2)
         # tuples of the later positions
-        cand = np.arange(len(self.lower))
-        self.tasks = []
-        for f in _survivors(self, 0, [], cand, tally).tolist():
-            stab = cand[self.fixes[cand, f]]
-            self.tasks.append((f, stab, _survivors(self, 1, [f], stab, tally)))
+        firsts = _survivors(self, 0, np.arange(len(self.lower)), tally)
+        # position 2 for every first subgroup f at once: the pair rule cuts
+        # s when Gf Gs is a subgroup, and the conjugacy rule when some x
+        # normalizing Gf moves Gs lower, [f, s] of fixes[:, firsts]ᵀ @ lower
+        stabs = self.fixes[:, firsts]
+        domain = self.domains[1]
+        paired = (self.pair_prunable[firsts[:, None], domain] if self.pair_prunable is not None
+                  else np.zeros((len(firsts), len(domain)), dtype=bool))
+        moved = (stabs.T @ self.lower)[:, domain] & ~paired
+        tally["theory_common_info"] += int(np.count_nonzero(paired)) * self.tails[1]
+        tally["conjugacy"] += int(np.count_nonzero(moved)) * self.tails[1]
+        self.tasks = [(f, np.flatnonzero(stabs[:, k]), domain[~(paired[k] | moved[k])])
+                      for k, f in enumerate(firsts.tolist())]
         self.cells = self.tails[1] * sum(len(found) for *_, found in self.tasks)
 
 
@@ -610,16 +655,12 @@ def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
 _TALLY_KEYS = PRUNE_RULES + ("evaluated", "violations", "equalities")
 
 
-def _survivors(st: _ScanState, depth: int, chosen: List[int], cand: np.ndarray,
+def _survivors(st: _ScanState, depth: int, cand: np.ndarray,
                tally: Dict[str, int]) -> np.ndarray:
-    """The position-`depth` subgroups left after the pair rule and the
-    conjugacy rule under the prefix stabilizer `cand`; the tuples they cut
-    are charged to `tally`."""
+    """The position-`depth` subgroups left after the conjugacy rule under
+    the prefix stabilizer `cand`, at any position but 2, whose pair rule
+    _ScanState applies; the tuples they cut are charged to `tally`."""
     domain = st.domains[depth]
-    if depth == 1 and st.pair_prunable is not None:
-        hit = st.pair_prunable[chosen[0], domain]
-        tally["theory_common_info"] += int(hit.sum()) * st.tails[1]
-        domain = domain[~hit]
     hit = st.lower[cand][:, domain].any(axis=0)
     tally["conjugacy"] += int(hit.sum()) * st.tails[depth]
     return domain[~hit]
@@ -649,7 +690,7 @@ def _scan_chunk(st: _ScanState, i: int) -> Tuple[List[tuple], Dict[str, int]]:
             stab = cand[st.fixes[cand, s]]
             yield from descend(depth + 1, chosen + [s], stab,
                                np.concatenate((prefix, st.meet[prefix, s])),
-                               _survivors(st, depth + 1, chosen + [s], stab, tally))
+                               _survivors(st, depth + 1, stab, tally))
 
     first, stab, found = st.tasks[i]
     prefixes = descend(1, [first], stab,
@@ -659,14 +700,15 @@ def _scan_chunk(st: _ScanState, i: int) -> Tuple[List[tuple], Dict[str, int]]:
     return cells, tally
 
 
-# most cells in one (rows, D, E) block. An S4 dfz block takes about 20
-# bytes a cell at its peak: one log per distinct signed full-block term,
-# gathered straight from a meet-log table, and the running sums, all int16
-# for S4 and S5 (int8 for 2-groups), plus the bool masks. numpy's cost per
-# call, not arithmetic, bounds the kernel, so larger blocks run faster:
-# 2**15 cells hold an S4 prefix, 30 x 30 x 30 = 27,000 cells, and stay
-# near 0.5 MB.
-_BLOCK_CELLS = 1 << 15
+# most cells in one (rows, D, E) block. numpy's cost per call, not
+# arithmetic, bounds the kernel, so larger blocks run faster until their
+# arrays outgrow the CPU's cache: on a 2-vCPU box with a 2 MB L2 cache,
+# 2**16 cells beat 2**15 and 2**17 on S4 dfz. There a block packs two or
+# three prefixes, up to 72 x 30 x 30 cells, at about 11 bytes a cell at
+# its peak: the live-cell mask, the two full-block terms alive at once,
+# the running sum, all int16 for S4 and S5 (int8 for 2-groups), and the
+# bool masks, near 0.7 MB in all.
+_BLOCK_CELLS = 1 << 16
 
 # one prefix's block rows: its chosen subgroups, the elements of its
 # stabilizer that move some subgroup lower, its meets (as in descend) and
@@ -706,7 +748,10 @@ def _conjugacy_alive(st: _ScanState, block: List[_Rows], seg: np.ndarray,
 
     (c, d) dies when some x in its prefix's stabilizer normalizes Gc and
     moves Gd lower; (c, d, e) when some x normalizes Gc and Gd and moves
-    Ge lower.
+    Ge lower. A mover x so kills the same (D, E) cells, lower[x, d] or
+    fixes[x, d] and lower[x, e], in every row of a prefix it belongs to
+    whose Gc it normalizes: one pass per distinct mover of the block,
+    whose cost follows the block's few movers, not its rows.
     """
     if not any(len(x) for _, x, *_ in block):
         return None
@@ -714,10 +759,13 @@ def _conjugacy_alive(st: _ScanState, block: List[_Rows], seg: np.ndarray,
     member = np.zeros((len(block), len(st.lower)), dtype=bool)
     for k, (_, x, *_) in enumerate(block):
         member[k, x] = True
-    movers = np.flatnonzero(member.any(axis=0))
-    fixes, lower = st.fixes[movers], st.lower[movers]
-    fix_c = member[seg][:, movers] & fixes[:, dom_c].T
-    return ~((fix_c @ lower)[:, :, None] | ((fix_c[:, None, :] & fixes.T) @ lower))
+    alive = np.ones((len(dom_c), len(st.orders), len(st.orders)), dtype=bool)
+    for x in np.flatnonzero(member.any(axis=0)).tolist():
+        rows = member[seg, x] & st.fixes[x, dom_c]
+        if rows.any():
+            lower = st.lower[x]
+            alive[rows] &= ~(lower[:, None] | (st.fixes[x][:, None] & lower))
+    return alive
 
 
 def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
@@ -733,6 +781,9 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
     dom_c = np.concatenate([found for *_, found in block])
     # seg[r]: the prefix of row r
     seg = np.repeat(np.arange(len(block)), [len(found) for *_, found in block])
+    # spans[k]: the rows of prefix k
+    ends = np.cumsum([len(found) for *_, found in block]).tolist()
+    spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
     chosen = np.array([c for c, *_ in block], dtype=np.intp)[seg]
     prefixes = np.array([p for _, _, p, _ in block])
     shape = (len(dom_c), m, m)
@@ -748,70 +799,136 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
             alive = None
 
     # the logs c·ℓ(|G_A|) of the plans' distinct terms, one row gather per
-    # term group (see _layout). A term's row is indexed by the
-    # intersection of the subgroups it holds off the axes it spans: a
-    # prefix meet, or one met with C (a column of `at`); terms on D and E
-    # alone are one (m, m) slice per prefix
+    # term group and one per term of the last (see _layout). A term's row
+    # is indexed by the intersection of the subgroups it holds off the
+    # axes it spans: a prefix meet, or one met with C (a column of `at`);
+    # the terms without C are gathered per prefix
     rows = prefixes[seg]
     at = np.concatenate((rows, st.meet[rows, dom_c[:, None]]), axis=1)
-    (d_row, d_col, d_own), (e_row, e_col, e_own), (de_row, de_col, de_own), \
-        (full_row, full_col, full_own) = st.groups
-    d_logs = st.log_rows[d_row[:, None] + at[:, d_col].T][:, :, :, None]
-    e_logs = st.log_rows[e_row[:, None] + at[:, e_col].T][:, :, None, :]
-    de_logs = st.log_rows[de_row[:, None, None] + st.meet[prefixes[:, de_col].T]]
-    full = st.log_rows[full_row[:, None, None] + st.meet[at[:, full_col].T]]
+    (pd_row, pd_col, pd_own), (pe_row, pe_col, pe_own), (pde_row, pde_col, pde_own), \
+        (rd_row, rd_col, rd_own), (re_row, re_col, re_own), (full_row, full_col, full_own) \
+        = st.groups
+    # per plan, the sum of its terms without C at (prefixes, D, E), and
+    # those with C but not on both D and E at (rows, D) and (rows, E);
+    # np.take gathers whole rows several times faster than indexing
+    def logs(index: np.ndarray) -> np.ndarray:
+        return np.take(st.log_rows, index, axis=0)
+
+    per_prefix = (_pick_sums(pd_own[0], logs(pd_row[:, None] + prefixes[:, pd_col].T))
+                  [:, :, :, None]
+                  + _pick_sums(pe_own[0], logs(pe_row[:, None] + prefixes[:, pe_col].T))
+                  [:, :, None, :]
+                  + _pick_sums(pde_own[0], logs(pde_row[:, None, None]
+                                                + st.meet[prefixes[:, pde_col].T])))
+    rd_sums = _pick_sums(rd_own[0], logs(rd_row[:, None] + at[:, rd_col].T))
+    re_sums = _pick_sums(re_own[0], logs(re_row[:, None] + at[:, re_col].T))
+    full: Dict[int, np.ndarray] = {}
+
+    def term(k: int) -> np.ndarray:
+        # the logs of last-group term k, gathered on first use
+        if k not in full:
+            full[k] = logs(full_row[k] + st.meet[at[:, full_col[k]]])
+        return full[k]
 
     # ineq_symmetry. Each plan with symmetries counts only those of its
     # tight and violating cells that no symmetry maps lower. A cell is
     # evaluated when some plan keeps it: every alive cell once some plan
-    # has no symmetry, else the union of the plans' canon masks
-    def keep(key: tuple) -> Optional[np.ndarray]:
+    # has no symmetry, else the live part of the union of the plans'
+    # canon masks
+    def canon(key: tuple) -> Optional[np.ndarray]:
         # the cells a plan with symmetries `key` counts, None for all
         if not key:
-            return alive
-        canon = st.canons[key].mask(chosen, dom_c)
-        return canon if alive is None else alive & canon
+            return None
+        return masks[key] if st.canon_masks else st.canons[key].mask(chosen, dom_c)
 
     masks = {}
     evaluated_n = alive_n
     if st.canon_masks:
-        masks = {key: keep(key) for key in set(st.sym_keys)}
-        evaluated_n = _count(functools.reduce(operator.or_, masks.values()), size)
+        masks = {key: st.canons[key].mask(chosen, dom_c) for key in set(st.sym_keys)}
+        union = functools.reduce(operator.or_, masks.values())
+        evaluated_n = _count(union if alive is None else union & alive, size)
     tally["evaluated"] += evaluated_n
     tally["ineq_symmetry"] += alive_n - evaluated_n
 
     def count(p: int, plan: _SpecPlan, key: tuple) -> None:
-        # Σ_A c_A·ℓ(|G_A|): the group sums, the per-prefix one spread to
-        # the block's rows, then each term on all three axes; > 0 is a
-        # violation and 0 an equality. Violations are rare, so one max
-        # rules most blocks out, and a block with no cell at 0 or above
-        # needs no tally at all
-        parts = [np.add.reduce(logs[own[p]], axis=0, dtype=logs.dtype) for logs, own
-                 in ((d_logs, d_own), (e_logs, e_own), (de_logs, de_own)) if len(own[p])]
-        if len(de_own[p]) and 1 < len(block) < len(seg):
-            parts[-1] = parts[-1][seg]
-        parts += [full[k] for k in full_own[p]]
-        # after the first sum a value spans the whole block, so the rest
-        # add in place
-        value = parts[0] + parts[1] if len(parts) > 1 else parts[0]
-        for x in parts[2:]:
-            value += x
+        # Σ_A c_A·ℓ(|G_A|) over the block; > 0 is a violation and 0 an
+        # equality. Violations are rare, so one max rules most blocks
+        # out, and a block with no cell at 0 or above needs no tally at all.
+        # The value goes before the masks apply, which keeps the peak low
+        value = _plan_value(full_own[p], term, rd_sums[p], rd_own[1][p], re_sums[p],
+                            re_own[1][p], per_prefix[p], spans, shape)
         top = value.max()
         if top < 0:
             return
-        mask = masks[key] if st.canon_masks else keep(key)
         tight = value == 0
-        tally["equalities"] += _count(tight if mask is None else tight & mask, size)
-        if top > 0:
-            found = value > 0 if mask is None else (value > 0) & mask
-            r, d, e = np.nonzero(np.broadcast_to(found, shape))
+        found = value > 0 if top > 0 else None
+        del value
+        for keep in (alive, canon(key)):
+            if keep is not None:
+                tight &= keep
+                if found is not None:
+                    found &= keep
+        tally["equalities"] += _count(tight, size)
+        if found is not None:
+            r, d, e = np.nonzero(found)
             tally["violations"] += len(r)
             for pre, cde in zip(chosen[r].tolist(),
                                 zip(dom_c[r].tolist(), d.tolist(), e.tolist())):
                 cells.append((plan.spec_id, (*pre, *cde)))
 
-    for p, (plan, key) in enumerate(zip(st.plans, st.sym_keys)):
-        count(p, plan, key)
+    for p, gone in zip(st.order, st.drop):
+        count(p, st.plans[p], st.sym_keys[p])
+        for k in gone:
+            del full[k]
+
+
+def _plan_value(own: Tuple[List[int], List[int]], term, rd: np.ndarray, rd_has: int,
+                re: np.ndarray, re_has: bool, per_prefix: np.ndarray, spans: List[slice],
+                shape: Tuple[int, int, int]) -> np.ndarray:
+    """A plan's sum over a (rows, D, E) block, a new array of that shape.
+
+    Its parts: the last-group terms term(k), added or subtracted (own);
+    the sums of its terms with C, rd at (rows, D) (at (rows,) alone when
+    none of them is on D, rd_has 1) and re at (rows, E); and per_prefix,
+    the sum of its terms without C at (prefixes, D, E), which a block of
+    several prefixes adds to each prefix's rows in place.
+    """
+    added, subtracted = ([term(k) for k in ks] for ks in own)
+    if rd_has:
+        added.append(rd[:, :, None] if rd_has > 1 else rd[:, :1, None])
+    if re_has:
+        added.append(re[:, None, :])
+    spread = 1 < len(spans) < shape[0]
+    if not spread:
+        added.append(per_prefix)
+    # every part broadcasts to the block. The first two make the value,
+    # x + y, x - y or -(x + y) (the added parts come first), and the rest
+    # add or subtract in place
+    (x, sx), *rest = [(z, 1) for z in added] + [(z, -1) for z in subtracted]
+    if not rest:
+        value = np.broadcast_to(x if sx > 0 else -x, shape).copy()
+    else:
+        (y, sy), *rest = rest
+        value = x + y if sx == sy else x - y
+        if sx < 0:
+            np.negative(value, out=value)
+    for z, sign in rest:
+        if sign > 0:
+            value += z
+        else:
+            value -= z
+    if spread:
+        for k, rows in enumerate(spans):
+            value[rows] += per_prefix[k]
+    return value
+
+
+def _pick_sums(pick: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Row p is the sum of the logs[t] with pick[p, t] = 1, in the logs'
+    integer type."""
+    shape = logs.shape[1:]
+    return np.einsum("pt,tn->pn", pick, logs.reshape(len(logs), math.prod(shape))
+                     ).reshape(len(pick), *shape)
 
 
 def _count(mask: np.ndarray, size: int) -> int:

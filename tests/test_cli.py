@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -386,6 +387,24 @@ def test_cache_file_layout_and_v2_miss(tmp_path):
     cache2 = cli.LatticeCache(tmp_path / "c")
     assert len(cache2.get(g)) == 30 and cache2.misses == 1
     assert json.loads(path.read_text()) == stored
+
+
+def test_cache_hashes_each_group_once_per_get(tmp_path, monkeypatch):
+    # a miss and a hit each hash the group once; the file is still named
+    # by that hash and its digest covers the format version, the hash and
+    # the mask strings
+    calls = []
+    real = cli.group_hash
+    monkeypatch.setattr(cli, "group_hash", lambda g: calls.append(g) or real(g))
+    cache = cli.LatticeCache(tmp_path / "c")
+    g = s4()
+    cache.get(g)
+    cache.get(g)
+    assert (cache.misses, cache.hits, len(calls)) == (1, 1, 2)
+    key = real(g)
+    stored = json.loads((tmp_path / "c" / f"{key}.json").read_text())
+    text = json.dumps([cli.CACHE_FORMAT_VERSION, key, stored["subgroup_masks"]])
+    assert stored["digest"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_cache_hit_builds_no_table(tmp_path):

@@ -457,9 +457,10 @@ def test_meet_table_past_eight_bits():
 
 
 def test_block_memory_stays_lean(cat, lattice_for):
-    # an S4 dfz block is one whole prefix, up to 30 x 30 x 30 cells; the
-    # int16 kernel gathering from meet-log tables peaks near 0.51 MB traced
-    # here, where int64 side products would peak near 1.2 MB
+    # an S4 dfz block packs the rows of two or three prefixes, up to
+    # 72 x 30 x 30 cells; the int16 kernel gathers each term on all three
+    # block axes when a plan first needs it and drops it after its last,
+    # and peaks near 0.69 MB traced here
     g, lat = cat.realize("S4"), lattice_for("S4")
     cfg = SearchConfig.make(ineqs="dfz")
     scan_group(g, cfg, lat)   # compile and cache the plans first
@@ -473,6 +474,68 @@ def test_block_memory_stays_lean(cat, lattice_for):
     assert peak < 1.6e6, peak
 
 
+def alive_reference(table, low, fix, chosen, c):
+    """Per D index, the bitmask of the E indices that the conjugacy rule
+    kills after prefix `chosen` and C subgroup c: a cell dies when some x
+    normalizing the prefix's subgroups and Gc moves Gd lower, or
+    normalizes Gd too and moves Ge lower. Plain Python on the
+    conjugation table; low[x] and fix[x] are the bitmasks of the
+    subgroups that x moves lower and that it normalizes."""
+    m = len(table[0])
+    xs = [x for x, row in enumerate(table) if all(row[s] == s for s in (*chosen, c))]
+    lines = 0
+    for x in xs:
+        lines |= low[x]
+    out = []
+    for d in range(m):
+        dead = (1 << m) - 1 if lines >> d & 1 else 0
+        for x in xs:
+            if fix[x] >> d & 1:
+                dead |= low[x]
+        out.append(dead)
+    return out
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "D16"])
+@pytest.mark.parametrize("budget", ["default", "2m2"])
+def test_conjugacy_alive_matches_reference(cat, lattice_for, a5, monkeypatch, name, budget):
+    # every block of the dfz scans of S4, A5 and D16 (which ties SD16 for
+    # the most movers among the survey's scans), at the default block
+    # budget and at 2·m² cells, where blocks split a prefix's rows: the
+    # live-cell mask against a plain-Python one, cell by cell. At the
+    # default budget an S4 block packs the rows of two or more prefixes
+    g, lat = a5 if name == "A5" else (cat.realize(name), lattice_for(name))
+    m = len(lat)
+    if budget == "2m2":
+        monkeypatch.setattr(search_engine, "_BLOCK_CELLS", 2 * m * m)
+    st = search_engine._plan(g, SearchConfig.make(ineqs="dfz"), lat).state
+    table = lat.conjugation_table().tolist()
+    low = [sum(1 << s for s in range(m) if row[s] < s) for row in table]
+    fix = [sum(1 << s for s in range(m) if row[s] == s) for row in table]
+    seen = []
+
+    def check(st, block, tally, cells):
+        dom_c = np.concatenate([found for *_, found in block])
+        seg = np.repeat(np.arange(len(block)), [len(found) for *_, found in block])
+        alive = search_engine._conjugacy_alive(st, block, seg, dom_c)
+        if alive is None:
+            alive = np.ones((len(dom_c), m, m), dtype=bool)
+        # got[r][d]: the bitmask of row r's dead E indices at d
+        got = [[int.from_bytes(b.tobytes(), "little") for b in row]
+               for row in np.packbits(~alive, axis=2, bitorder="little")]
+        want = [alive_reference(table, low, fix, block[k][0], c)
+                for k, c in zip(seg.tolist(), dom_c.tolist())]
+        assert got == want
+        seen.append(len(block))
+
+    monkeypatch.setattr(search_engine, "_evaluate_block", check)
+    for i in range(len(st.tasks)):
+        search_engine._scan_chunk(st, i)
+    assert seen
+    if (name, budget) == ("S4", "default"):
+        assert max(seen) >= 2
+
+
 def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
     # at position 1 the conjugacy rule keeps the least subgroup of each
     # class and charges the rest; _plan makes tasks of those
@@ -482,7 +545,7 @@ def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
     table = lat.conjugation_table()
     classes = {frozenset(table[:, s].tolist()) for s in range(len(lat.subgroups))}
     tally = dict.fromkeys(search_engine._TALLY_KEYS, 0)
-    firsts = search_engine._survivors(st, 0, [], np.arange(len(st.lower)), tally)
+    firsts = search_engine._survivors(st, 0, np.arange(len(st.lower)), tally)
     assert [first for first, *_ in st.tasks] == firsts.tolist()
     assert sorted(firsts.tolist()) == sorted(min(c) for c in classes)
     assert tally["conjugacy"] == (30 - len(classes)) * 30 ** 4
@@ -493,27 +556,46 @@ def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
 
 
 def test_plan_prunes_positions_1_and_2_once(cat, lattice_for, monkeypatch):
-    # _plan stores each task's position 2 survivors and charges their cuts
-    # to the plan's tally; the task starts from them and prunes only later
-    # positions, so position 2 is pruned once per task
-    calls = []
+    # _plan prunes positions 1 and 2 of every task and charges their cuts
+    # to the plan's tally, against a plain count: each first subgroup f's
+    # position 2 candidates s, cut by the pair rule when Gf Gs is a
+    # subgroup, else by the conjugacy rule when some x normalizing Gf moves
+    # Gs lower. The tasks start from the stored survivors, so position 2
+    # is pruned once per task, and they prune only later positions
+    depths = []
     real = search_engine._survivors
-
-    def survivors(st, depth, chosen, cand, tally):
-        calls.append((depth, tally))
-        return real(st, depth, chosen, cand, tally)
-
-    monkeypatch.setattr(search_engine, "_survivors", survivors)
-    g, lat = cat.realize("S4"), lattice_for("S4")
-    cfg = SearchConfig.make(ineqs="dfz")
-    plan = search_engine._plan(g, cfg, lat)
-    assert [d for d, _ in calls] == [0] + [1] * 11
-    assert all(tally is plan.tally for _, tally in calls)
-    assert plan.tally["theory_common_info"] == 6_129_000
-    calls.clear()
-    for i in range(len(plan.state.tasks)):
-        search_engine._scan_chunk(plan.state, i)
-    assert calls and {d for d, _ in calls} == {2}
+    monkeypatch.setattr(search_engine, "_survivors", lambda st, depth, cand, tally: (
+        depths.append(depth), real(st, depth, cand, tally))[1])
+    for name, prune in (("S4", "all"), ("A4", "order_class,conjugacy"),
+                        ("S4", "theory_common_info")):
+        g, lat = cat.realize(name), lattice_for(name)
+        cfg = SearchConfig.make(ineqs="dfz", prune=prune)
+        plan = search_engine._plan(g, cfg, lat)
+        st = plan.state
+        table = (lat.conjugation_table() if "conjugacy" in cfg.prune_flags
+                 else np.arange(len(lat))[None, :])
+        want = dict.fromkeys(search_engine._TALLY_KEYS, 0)
+        want["order_class"] = plan.tally["order_class"]
+        firsts = real(st, 0, np.arange(len(table)), want)
+        assert [f for f, *_ in st.tasks] == firsts.tolist()
+        for f, stab, found in st.tasks:
+            assert stab.tolist() == [x for x in range(len(table)) if table[x, f] == f]
+            kept = []
+            for s in st.domains[1].tolist():
+                if st.pair_prunable is not None and st.pair_prunable[f, s]:
+                    want["theory_common_info"] += st.tails[1]
+                elif any(table[x, s] < s for x in stab):
+                    want["conjugacy"] += st.tails[1]
+                else:
+                    kept.append(s)
+            assert found.tolist() == kept
+        assert plan.tally == want, (name, prune)
+        if prune == "all":
+            assert plan.tally["theory_common_info"] == 6_129_000
+        depths.clear()
+        for i in range(len(st.tasks)):
+            search_engine._scan_chunk(st, i)
+        assert depths and set(depths) == {2}, (name, prune)
 
 
 @pytest.mark.parametrize("name, ineqs, prune", [

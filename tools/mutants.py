@@ -9,15 +9,17 @@ reports the edit as killed (a test failed), survived (every test passed)
 or timed out. EQUIVALENT lists edits believed to change no result, each
 with the reason; they run too, and are expected to survive.
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py [--match SUBSTR]
 
-Exit status 0 when every edit in MUTANTS was killed and every edit in
-EQUIVALENT survived, 1 otherwise. A manual tool, not a CI step: a killed
+--match runs only the edits whose reason contains SUBSTR. Exit status 0
+when every edit run from MUTANTS was killed and every one from EQUIVALENT
+survived, 1 otherwise. A manual tool, not a CI step: a killed
 edit takes one partial tier-1 run, a surviving one a full run.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import signal
@@ -69,6 +71,30 @@ MUTANTS: List[Mutant] = [
            "        if top < 0:\n            return",
            "        if top <= 0:\n            return",
            "a block whose largest value is 0 counts no equality"),
+    Mutant(SEARCH,
+           "            alive[rows] &= ~(lower[:, None] | (st.fixes[x][:, None] & lower))",
+           "            alive[rows] &= ~(st.fixes[x][:, None] & lower)",
+           "conjugacy mask drops the (c, d) term: a mover that moves Gd lower "
+           "no longer kills the (c, d) line"),
+    Mutant(SEARCH,
+           "            alive[rows] &= ~(lower[:, None] | (st.fixes[x][:, None] & lower))",
+           "            alive[rows] &= ~(lower[:, None] | (st.fixes[x][:, None] "
+           "& st.fixes[x]))",
+           "conjugacy mask tests E against fixes instead of lower"),
+    Mutant(SEARCH,
+           "        rows = member[seg, x] & st.fixes[x, dom_c]",
+           "        rows = st.fixes[x, dom_c]",
+           "conjugacy mask ignores membership in the prefix's stabilizer: a "
+           "mover of one prefix kills cells of another"),
+    Mutant(SEARCH,
+           "        moved = (stabs.T @ self.lower)[:, domain] & ~paired",
+           "        moved = (stabs.T @ self.lower)[:, domain]",
+           "position 2 charges a tuple to conjugacy that the pair rule "
+           "already cut"),
+    Mutant(SEARCH,
+           "            value -= z",
+           "            value += z",
+           "a plan adds a term on all three block axes that it should subtract"),
 ]
 
 EQUIVALENT: List[Mutant] = [
@@ -78,10 +104,10 @@ EQUIVALENT: List[Mutant] = [
            "_pack boundary: a prefix of exactly one block's rows is split "
            "across two blocks, which changes the layout only"),
     Mutant(SEARCH,
-           "        if len(de_own[p]) and 1 < len(block) < len(seg):",
-           "        if len(de_own[p]) and 1 <= len(block) < len(seg):",
-           "{D, E} spread boundary: a one-prefix block spreads its (1, m, m) "
-           "sum to every row, which broadcasting does anyway"),
+           "    spread = 1 < len(spans) < shape[0]",
+           "    spread = 1 <= len(spans) < shape[0]",
+           "per-prefix spread boundary: a one-prefix block adds its (1, m, m) "
+           "sum to its rows in place, which broadcasting does anyway"),
     Mutant(SEARCH,
            "np.min_scalar_type(-2 * degree * ell(g.order) - 1)",
            "np.min_scalar_type(-degree * ell(g.order) - 1)",
@@ -138,8 +164,16 @@ def run_mutant(m: Mutant) -> tuple:
         return "error", seconds, out.strip().splitlines()[-1] if out.strip() else ""
 
 
-def main() -> int:
-    runs = [(m, "killed") for m in MUTANTS] + [(m, "survived") for m in EQUIVALENT]
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Mutation check for the verdict path.")
+    parser.add_argument("--match", default="", metavar="SUBSTR",
+                        help="run only the edits whose reason contains SUBSTR")
+    match = parser.parse_args(argv).match
+    runs = [(m, want) for ms, want in ((MUTANTS, "killed"), (EQUIVALENT, "survived"))
+            for m in ms if match in m.reason]
+    if not runs:
+        print(f"no edit's reason contains {match!r}")
+        return 1
     ok = True
     t_all = time.monotonic()
     for m, want in runs:
