@@ -95,16 +95,16 @@ def _tokenize(text: str) -> List[_Token]:
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("INT", int(text[i:j]), i, text[i:j]))
             i = j
             continue
         if ch == "X":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == i + 1:
                 raise ParseError("expected a digit after 'X'", i)

@@ -173,7 +173,7 @@ def _tokenize_cycles(text: str) -> List[Tuple[Tuple[int, ...], bool]]:
             depth = 0
             cycles.append((tuple(current), comma))
             comma = False
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             if depth != 1:
                 raise ValueError(f"digit outside cycle at position {pos} in {text!r}")
             number += ch

@@ -44,23 +44,25 @@ intersection is a chain of lookups in the lattice's own meet table
 (SubgroupLattice.meet, the lattice index of Gi ∩ Gj), and each signed
 coefficient c has a meet-log table holding c·ℓ(|Gi ∩ Gj|). The first n-3
 positions of a tuple are chosen one at a time; the last three are
-evaluated together in (rows, D, E) numpy blocks, D = E the whole lattice.
-A row is one surviving position n-3 subgroup after its prefix, and it
-carries that prefix's meets, chosen indices and stabilizer, so one block
-packs the rows of consecutive prefixes of a task up to _BLOCK_CELLS
-cells, which bounds the scan's memory; a prefix whose rows alone exceed
-that is split, and a D x E slice larger than the budget is a block
-alone. A subset's logs broadcast over only the block axes it contains:
-the terms without C are summed per prefix at (D, E), those with C but
-not on both D and E per row at D or at E, each group for every
-inequality at once in one gather and one product, and an inequality adds
-these to its terms on all three axes over the full block, which a block
-gathers once and drops after their last inequality. The conjugacy rule
-kills a (c, d, e) cell when some element x of its prefix's stabilizer
-normalizes Gc and moves Gd lower, or normalizes Gd too and moves Ge
-lower: each such mover kills the same (D, E) cells in every row whose C
-it normalizes, so the live-cell mask costs one pass per mover of the
-block, and a block with none skips it.
+evaluated together in (rows, D, E) numpy blocks, D = E the whole
+lattice. A row is one surviving position n-3 subgroup after its prefix,
+and it carries that prefix's meets, chosen indices and stabilizer, so
+one block packs the rows of consecutive prefixes of a task up to
+_BLOCK_CELLS cells, which bounds the scan's memory; a prefix whose rows
+alone exceed that is split, and a D x E slice larger than the budget is
+a block alone. A subset's logs broadcast over only the block axes it
+contains: the terms without C are summed per prefix at (D, E), those
+with C but not on both D and E per row at D or at E, each group for
+every inequality at once in one gather and one product, and the terms on
+all three axes at the full block, all of them in one gather. An
+inequality's value is then one add chain: its per-prefix sum taken to
+its prefixes' rows, then each other part added in place. Every partial
+sum is a sub-sum of one inequality's terms, so it stays within the
+tables' bound. The conjugacy rule kills a (c, d, e) cell when some
+element x of its prefix's stabilizer normalizes Gc and moves Gd lower,
+or normalizes Gd too and moves Ge lower: each such mover kills the same
+(D, E) cells in every row whose C it normalizes, so the live-cell mask
+costs one pass per mover of the block, and a block with none skips it.
 
 An inequality with variable symmetries counts a tight or violating cell
 only if no symmetry's image is lexicographically smaller, tested with a
@@ -311,7 +313,7 @@ def _compile_spec(spec: InequalitySpec, arity: int) -> _SpecPlan:
     # neither D nor E or with D alone, with E alone, and with D and E, so a
     # block sums each group at (prefixes, D), (prefixes, E) or (prefixes,
     # D, E). With C: those without E, those with E but not D, and last
-    # those on all three axes, which a block adds one by one at its full
+    # those on all three axes, which a block gathers together at its full
     # (rows, D, E) shape.
     groups: List[List[Tuple[int, int]]] = [[] for _ in range(6)]
     for subset, c in sorted(spec.coeffs.items(),
@@ -489,34 +491,22 @@ def _layout(plans: Tuple[_SpecPlan, ...], n: int) -> tuple:
 
     Returns the distinct coefficients, in the order _ScanState stacks
     their meet-log tables, and per term group (table, column, own): the
-    group's distinct terms, each gathering row table[t]·m + x of the
-    stacked tables, x the lattice index in column[t] of the block's `at`.
-    For pm = low | hi << (n-3) that column is low, the prefix meet, or
-    width + low, that meet with C; table[t] is k for coefficient k, or
-    K + k, whose rows hold the G entries, for a term on neither D nor E.
-    In the first five groups own is (pick, has): pick[p, t] is 1 when
-    plan p holds term t, so that one product sums every plan's terms, and
-    has[p] is whether plan p holds any (in group 3, 2 when one of them is
-    on D). In the last group a term with coefficient c also stands for
-    -c, and own[p] is (added, subtracted), the terms plan p adds and those
-    it subtracts.
-
-    Last, the order in which a block counts the plans, and after each of
-    them the last-group terms no later plan holds. A block gathers a
-    last-group term, a whole block of logs, when a plan first needs it
-    and drops it after its last plan; plans holding a rarer term run
-    together, so that few of these are alive at once.
+    group's distinct (position mask, coefficient) terms, each gathering
+    row table[t]·m + x of the stacked tables, x the lattice index in
+    column[t] of the block's `at`. For pm = low | hi << (n-3) that column
+    is low, the prefix meet, or width + low, that meet with C; table[t] is
+    k for coefficient k, or K + k, whose rows hold the G entries, for a
+    term on neither D nor E. In the first five groups own is (pick, has):
+    pick[p, t] is 1 when plan p holds term t, so that one product sums
+    every plan's terms, and has[p] is whether plan p holds any (in group
+    3, 2 when one of them is on D). In the last group own[p] lists the
+    terms plan p holds, which its value adds one by one.
     """
     coeffs = sorted({c for p in plans for grp in p.groups for _, c in grp})
     width = 1 << (n - 3)
     groups = []
     for j in range(6):
-        # each distinct term, under its first coefficient in the last group
-        first: Dict[Tuple[int, int], int] = {}
-        for p in plans:
-            for pm, c in p.groups[j]:
-                first.setdefault((pm, abs(c) if j == 5 else c), c)
-        terms = [(pm, c) for (pm, _), c in first.items()]
+        terms = list(dict.fromkeys(t for p in plans for t in p.groups[j]))
         table, column = [], []
         for pm, c in terms:
             hi, low = divmod(pm, width)
@@ -527,17 +517,9 @@ def _layout(plans: Tuple[_SpecPlan, ...], n: int) -> tuple:
                    [bool(p.groups[j]) + any(pm >> (n - 2) & 1 for pm, _ in p.groups[j])
                     * (j == 3) for p in plans])
         else:
-            own = [tuple([terms.index((pm, first[pm, abs(c)])) for pm, c in p.groups[j]
-                          if (c == first[pm, abs(c)]) == added] for added in (True, False))
-                   for p in plans]
+            own = [[terms.index(t) for t in p.groups[j]] for p in plans]
         groups.append((np.array(table, dtype=np.intp), np.array(column, dtype=np.intp), own))
-    # plans sorted by their last-group terms, rarest first
-    users = [sum(t in a + b for a, b in own) for t in range(len(terms))]
-    order = sorted(range(len(plans)), key=lambda p: sorted(
-        ((-users[t], t) for t in own[p][0] + own[p][1]), reverse=True))
-    last = {t: i for i, p in enumerate(order) for t in own[p][0] + own[p][1]}
-    drop = [[t for t, i in last.items() if i == k] for k in range(len(order))]
-    return coeffs, groups, order, drop
+    return coeffs, groups
 
 
 class _ScanState:
@@ -562,8 +544,10 @@ class _ScanState:
         # meet[i, j]: lattice index of Gi ∩ Gj; the last subgroup is G itself
         self.meet, self.top = lattice.meet, m - 1
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
-        # A plan's partial sums lie within ±degree·ℓ(|G|), so the meet-log
-        # tables take the narrowest signed type that holds twice that
+        # Every partial sum a block forms is a sub-sum of one plan's terms:
+        # its positive terms add to at most degree·ℓ(|G|) and its negative
+        # ones to at least -degree·ℓ(|G|), so the meet-log tables take the
+        # narrowest signed type that holds ±degree·ℓ(|G|)
         degree = max(p.degree for p in self.plans)
         signature = tuple(sorted(prime_factors(g.order).items()))
         weights = _log_weights(signature, degree)
@@ -571,12 +555,12 @@ class _ScanState:
         def ell(order: int) -> int:
             return sum(int_valuation(order, p) * w for (p, _), w in zip(signature, weights))
 
-        dtype = np.min_scalar_type(-2 * degree * ell(g.order) - 1)
+        dtype = np.min_scalar_type(-degree * ell(g.order) - 1)
         if dtype.kind != "i":
             raise ValueError(f"integer logs of order {g.order} at degree {degree} "
                              "do not fit in 64 bits")
         ells = np.array([ell(s.order) for s in lattice.subgroups], dtype=np.int64)
-        coeffs, groups, self.order, self.drop = _layout(tuple(self.plans), n)
+        coeffs, groups = _layout(tuple(self.plans), n)
         # the meet-log tables, tables[k][i, j] = coeffs[k]·ℓ(|Gi ∩ Gj|), as
         # the rows blocks gather: row k·m + i is row i of tables[k], and row
         # (K + k)·m + i holds its entry at G, coeffs[k]·ℓ(|Gi|), m times over
@@ -704,10 +688,10 @@ def _scan_chunk(st: _ScanState, i: int) -> Tuple[List[tuple], Dict[str, int]]:
 # arithmetic, bounds the kernel, so larger blocks run faster until their
 # arrays outgrow the CPU's cache: on a 2-vCPU box with a 2 MB L2 cache,
 # 2**16 cells beat 2**15 and 2**17 on S4 dfz. There a block packs two or
-# three prefixes, up to 72 x 30 x 30 cells, at about 11 bytes a cell at
-# its peak: the live-cell mask, the two full-block terms alive at once,
-# the running sum, all int16 for S4 and S5 (int8 for 2-groups), and the
-# bool masks, near 0.7 MB in all.
+# three prefixes, up to 72 x 30 x 30 cells, at about 18 bytes a cell at
+# its peak: the terms on all three block axes (four for dfz) and the
+# running sum, all int16 for S4 and S5 (int8 for 2-groups), the live-cell
+# mask and the bool masks, near 1.1 MB in all.
 _BLOCK_CELLS = 1 << 16
 
 # one prefix's block rows: its chosen subgroups, the elements of its
@@ -781,13 +765,9 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
     dom_c = np.concatenate([found for *_, found in block])
     # seg[r]: the prefix of row r
     seg = np.repeat(np.arange(len(block)), [len(found) for *_, found in block])
-    # spans[k]: the rows of prefix k
-    ends = np.cumsum([len(found) for *_, found in block]).tolist()
-    spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
     chosen = np.array([c for c, *_ in block], dtype=np.intp)[seg]
     prefixes = np.array([p for _, _, p, _ in block])
-    shape = (len(dom_c), m, m)
-    size = math.prod(shape)
+    size = len(dom_c) * m * m
 
     alive, alive_n = _conjugacy_alive(st, block, seg, dom_c), size
     if alive is not None:
@@ -799,10 +779,10 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
             alive = None
 
     # the logs c·ℓ(|G_A|) of the plans' distinct terms, one row gather per
-    # term group and one per term of the last (see _layout). A term's row
-    # is indexed by the intersection of the subgroups it holds off the
-    # axes it spans: a prefix meet, or one met with C (a column of `at`);
-    # the terms without C are gathered per prefix
+    # term group (see _layout). A term's row is indexed by the intersection
+    # of the subgroups it holds off the axes it spans: a prefix meet, or
+    # one met with C (a column of `at`); the terms without C are gathered
+    # per prefix
     rows = prefixes[seg]
     at = np.concatenate((rows, st.meet[rows, dom_c[:, None]]), axis=1)
     (pd_row, pd_col, pd_own), (pe_row, pe_col, pe_own), (pde_row, pde_col, pde_own), \
@@ -822,48 +802,44 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
                                                 + st.meet[prefixes[:, pde_col].T])))
     rd_sums = _pick_sums(rd_own[0], logs(rd_row[:, None] + at[:, rd_col].T))
     re_sums = _pick_sums(re_own[0], logs(re_row[:, None] + at[:, re_col].T))
-    full: Dict[int, np.ndarray] = {}
-
-    def term(k: int) -> np.ndarray:
-        # the logs of last-group term k, gathered on first use
-        if k not in full:
-            full[k] = logs(full_row[k] + st.meet[at[:, full_col[k]]])
-        return full[k]
+    # each term on all three axes at (rows, D, E)
+    full = logs(full_row[:, None, None] + st.meet[at[:, full_col].T])
 
     # ineq_symmetry. Each plan with symmetries counts only those of its
     # tight and violating cells that no symmetry maps lower. A cell is
     # evaluated when some plan keeps it: every alive cell once some plan
     # has no symmetry, else the live part of the union of the plans'
     # canon masks
-    def canon(key: tuple) -> Optional[np.ndarray]:
-        # the cells a plan with symmetries `key` counts, None for all
-        if not key:
-            return None
-        return masks[key] if st.canon_masks else st.canons[key].mask(chosen, dom_c)
+    masks: Dict[tuple, np.ndarray] = {}
 
-    masks = {}
+    def canon(key: tuple) -> Optional[np.ndarray]:
+        # the cells a plan with symmetries `key` counts, None for all;
+        # each mask is built once per block, on first use
+        if key and key not in masks:
+            masks[key] = st.canons[key].mask(chosen, dom_c)
+        return masks.get(key)
+
     evaluated_n = alive_n
     if st.canon_masks:
-        masks = {key: st.canons[key].mask(chosen, dom_c) for key in set(st.sym_keys)}
-        union = functools.reduce(operator.or_, masks.values())
+        union = functools.reduce(operator.or_, map(canon, set(st.sym_keys)))
         evaluated_n = _count(union if alive is None else union & alive, size)
     tally["evaluated"] += evaluated_n
     tally["ineq_symmetry"] += alive_n - evaluated_n
 
-    def count(p: int, plan: _SpecPlan, key: tuple) -> None:
+    for p, plan in enumerate(st.plans):
         # Σ_A c_A·ℓ(|G_A|) over the block; > 0 is a violation and 0 an
         # equality. Violations are rare, so one max rules most blocks
         # out, and a block with no cell at 0 or above needs no tally at all.
         # The value goes before the masks apply, which keeps the peak low
-        value = _plan_value(full_own[p], term, rd_sums[p], rd_own[1][p], re_sums[p],
-                            re_own[1][p], per_prefix[p], spans, shape)
+        value = _plan_value(full_own[p], full, rd_sums[p], rd_own[1][p], re_sums[p],
+                            re_own[1][p], per_prefix[p], seg)
         top = value.max()
         if top < 0:
-            return
+            continue
         tight = value == 0
         found = value > 0 if top > 0 else None
         del value
-        for keep in (alive, canon(key)):
+        for keep in (alive, canon(st.sym_keys[p])):
             if keep is not None:
                 tight &= keep
                 if found is not None:
@@ -876,50 +852,23 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
                                 zip(dom_c[r].tolist(), d.tolist(), e.tolist())):
                 cells.append((plan.spec_id, (*pre, *cde)))
 
-    for p, gone in zip(st.order, st.drop):
-        count(p, st.plans[p], st.sym_keys[p])
-        for k in gone:
-            del full[k]
 
-
-def _plan_value(own: Tuple[List[int], List[int]], term, rd: np.ndarray, rd_has: int,
-                re: np.ndarray, re_has: bool, per_prefix: np.ndarray, spans: List[slice],
-                shape: Tuple[int, int, int]) -> np.ndarray:
-    """A plan's sum over a (rows, D, E) block, a new array of that shape.
-
-    Its parts: the last-group terms term(k), added or subtracted (own);
-    the sums of its terms with C, rd at (rows, D) (at (rows,) alone when
-    none of them is on D, rd_has 1) and re at (rows, E); and per_prefix,
-    the sum of its terms without C at (prefixes, D, E), which a block of
-    several prefixes adds to each prefix's rows in place.
-    """
-    added, subtracted = ([term(k) for k in ks] for ks in own)
+def _plan_value(own: List[int], full: np.ndarray, rd: np.ndarray, rd_has: int,
+                re: np.ndarray, re_has: bool, per_prefix: np.ndarray,
+                seg: np.ndarray) -> np.ndarray:
+    """A plan's sum over a (rows, D, E) block, a new array of that shape:
+    per_prefix, the sum of its terms without C at (prefixes, D, E), taken
+    to each prefix's rows (seg), plus its terms on all three axes, full[k]
+    for k in own, and the sums of its other terms with C, rd at (rows, D)
+    (at (rows,) alone when none of them is on D, rd_has 1) and re at
+    (rows, E), each added in place."""
+    value = np.take(per_prefix, seg, axis=0)
+    for k in own:
+        value += full[k]
     if rd_has:
-        added.append(rd[:, :, None] if rd_has > 1 else rd[:, :1, None])
+        value += rd[:, :, None] if rd_has > 1 else rd[:, :1, None]
     if re_has:
-        added.append(re[:, None, :])
-    spread = 1 < len(spans) < shape[0]
-    if not spread:
-        added.append(per_prefix)
-    # every part broadcasts to the block. The first two make the value,
-    # x + y, x - y or -(x + y) (the added parts come first), and the rest
-    # add or subtract in place
-    (x, sx), *rest = [(z, 1) for z in added] + [(z, -1) for z in subtracted]
-    if not rest:
-        value = np.broadcast_to(x if sx > 0 else -x, shape).copy()
-    else:
-        (y, sy), *rest = rest
-        value = x + y if sx == sy else x - y
-        if sx < 0:
-            np.negative(value, out=value)
-    for z, sign in rest:
-        if sign > 0:
-            value += z
-        else:
-            value -= z
-    if spread:
-        for k, rows in enumerate(spans):
-            value[rows] += per_prefix[k]
+        value += re[:, None, :]
     return value
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -158,6 +159,14 @@ def test_parse_errors_and_positions():
         parse("I(X1,X2) >= 0")  # missing ';'
     with pytest.raises(ParseError):
         parse("H() >= 0")
+    # only ASCII 0-9 are digits: a superscript or an Arabic-Indic digit
+    # is a positioned error, not a bare int() failure or a silent X1
+    for text, error in (("H(X1) >= ²", "unexpected character '²' (at position 9)"),
+                        ("H(X1) >= 0 + 2١", "unexpected character '١' (at position 14)"),
+                        ("H(X²) >= 0", "expected a digit after 'X' (at position 2)"),
+                        ("H(X١) >= 0", "expected a digit after 'X' (at position 2)")):
+        with pytest.raises(ParseError, match=re.escape(error)):
+            parse(text)
 
 
 def test_subsets_ordering():

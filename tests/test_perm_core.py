@@ -71,7 +71,10 @@ def test_parse_generators():
     for text, error in (("(1 9)", "point 9 exceeds degree 4 in '(1 9)'"),
                         ("(1 2)(0 3)", "point 0 outside 1..4 in '(1 2)(0 3)'"),
                         ("(1 1)", "cycles are not disjoint at point 1 in '(1 1)'"),
-                        ("(1 2", "unclosed '(' in '(1 2'")):
+                        ("(1 2", "unclosed '(' in '(1 2'"),
+                        # only ASCII 0-9 are digits
+                        ("(1 ²)", "unexpected character '²' at position 3 in '(1 ²)'"),
+                        ("(1 ١)", "unexpected character '١' at position 3 in '(1 ١)'")):
         with pytest.raises(ValueError, match=re.escape(error)):
             parse_generators(text, 4)
 

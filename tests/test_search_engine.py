@@ -458,9 +458,8 @@ def test_meet_table_past_eight_bits():
 
 def test_block_memory_stays_lean(cat, lattice_for):
     # an S4 dfz block packs the rows of two or three prefixes, up to
-    # 72 x 30 x 30 cells; the int16 kernel gathers each term on all three
-    # block axes when a plan first needs it and drops it after its last,
-    # and peaks near 0.69 MB traced here
+    # 72 x 30 x 30 cells; the int16 kernel gathers the four dfz terms on
+    # all three block axes at once, and peaks near 1.14 MB traced here
     g, lat = cat.realize("S4"), lattice_for("S4")
     cfg = SearchConfig.make(ineqs="dfz")
     scan_group(g, cfg, lat)   # compile and cache the plans first
@@ -534,6 +533,57 @@ def test_conjugacy_alive_matches_reference(cat, lattice_for, a5, monkeypatch, na
     assert seen
     if (name, budget) == ("S4", "default"):
         assert max(seen) >= 2
+
+
+@pytest.mark.parametrize("name, ineqs, prune", [("S4", "dfz", "all"),
+                                                ("A4", "ingleton", "none")],
+                         ids=["S4-dfz", "A4-ingleton-none"])
+def test_plan_value_matches_plain_sum(cat, lattice_for, monkeypatch, name, ineqs, prune):
+    # every plan's value over every block of the scan, cell by cell,
+    # against a plain int64 Σ_A c_A·ℓ(|G_A|), G_A the meet of the tuple's
+    # subgroups at the positions in A, read from the lattice's meet table.
+    # An S4 dfz block packs the rows of two or three prefixes; A4 ingleton
+    # runs in int8, where degree·ℓ(|G|) = 125
+    g, lat = cat.realize(name), lattice_for(name)
+    st = search_engine._plan(g, SearchConfig.make(ineqs=ineqs, prune=prune), lat).state
+    w = log_weights(g.order, max(p.degree for p in st.plans))
+    ells = np.array([sum(e * w[p] for p, e in prime_factors(s.order).items())
+                     for s in lat.subgroups], dtype=np.int64)
+    meet, m = lat.meet.astype(np.int64), len(lat)
+    plan_value, evaluate_block = search_engine._plan_value, search_engine._evaluate_block
+    values, packed = [], []
+
+    def record(*args):
+        value = plan_value(*args)
+        values.append(value.copy())
+        return value
+
+    def check(st, block, tally, cells):
+        values.clear()
+        evaluate_block(st, block, tally, cells)
+        # a row per position n-3 subgroup; the last two positions span
+        # the lattice
+        rows = [(*chosen, c) for chosen, _, _, found in block for c in found.tolist()]
+        axes = [np.array(col)[:, None, None] for col in zip(*rows)]
+        axes += [np.arange(m)[:, None], np.arange(m)]
+        # none when the conjugacy rule kills every cell of the block
+        assert len(values) in (0, len(st.plans))
+        for plan, value in zip(st.plans, values):
+            want = np.zeros((len(rows), m, m), dtype=np.int64)
+            for subset, c in builtin(plan.spec_id).coeffs.items():
+                at = functools.reduce(lambda x, i: meet[x, axes[i - 1]], sorted(subset), m - 1)
+                want += c * ells[at]
+            assert value.dtype == st.log_rows.dtype, plan.spec_id
+            assert value.shape == want.shape and (value == want).all(), plan.spec_id
+        packed.append(len(block) if values else 0)
+
+    monkeypatch.setattr(search_engine, "_plan_value", record)
+    monkeypatch.setattr(search_engine, "_evaluate_block", check)
+    for i in range(len(st.tasks)):
+        search_engine._scan_chunk(st, i)
+    assert any(packed)
+    if name == "S4":
+        assert max(packed) >= 2
 
 
 def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
@@ -758,13 +808,15 @@ def test_log_weights_match_oracle(cat):
 
 def test_log_tables_are_narrow(cat, lattice_for):
     # the least k whose w_p = round(k·log2 p) passes the proof, and
-    # 2·degree·ℓ(|G|) sets the type: int16 for S4 and S5, int8 for
-    # 2-groups. For the k-th distinct coefficient c, rows k·m .. k·m + m - 1
+    # degree·ℓ(|G|) sets the type: int16 for S4 and S5, int8 for 2-groups
+    # and for A4 ingleton, where degree·ℓ(|G|) = 5·(2·7 + 11) = 125. For
+    # the k-th distinct coefficient c, rows k·m .. k·m + m - 1
     # of log_rows are the meet-log table, [i, j] = c·ℓ(|Gi ∩ Gj|), and row
     # (K + k)·m + i repeats c·ℓ(|Gi|)
     for name, ineqs, weights, dtype in (("S4", "dfz", (12, 19), np.int16),
                                         ("S5", "ingleton", (53, 84, 123), np.int16),
                                         ("S5", "dfz", (152, 241, 353), np.int16),
+                                        ("A4", "ingleton", (7, 11), np.int8),
                                         ("D8", "dfz", (1,), np.int8),
                                         ("C16", "dfz", (1,), np.int8)):
         g, lat = cat.realize(name), lattice_for(name)
