@@ -18,7 +18,7 @@ from .perm_core import (
 )
 from .ineq_dsl import InequalitySpec, parse, pretty_print, group_form, symmetry_group, builtin, BUILTIN_IDS
 from .entropy_eval import EntropyVector, ExactVerdict, entropy_vector, evaluate, gi
-from .catalog import GroupDef, CatalogIndex, cyclic, dihedral, symmetric, alternating, direct_product, semidirect_cyclic, load_catalog, paper_tuple, realize
+from .catalog import GroupDef, CatalogIndex, cyclic, dihedral, symmetric, alternating, direct_product, semidirect_cyclic, load_catalog, realize
 from .search_engine import SearchConfig, Witness, PruneReport, scan_group, order_class, check_simultaneous, survey
 
 __version__ = "0.1.0"

@@ -35,7 +35,6 @@ __all__ = [
     "pgl2",
     "realize",
     "load_catalog",
-    "paper_tuple",
     "realize_paper_tuple",
     "PAPER_TUPLE_NAMES",
 ]
@@ -341,18 +340,13 @@ _PAPER_TUPLES: Dict[str, Tuple[str, Tuple[Tuple[str, ...], ...]]] = {
 PAPER_TUPLE_NAMES: Tuple[str, ...] = tuple(_PAPER_TUPLES)
 
 
-def paper_tuple(name: str) -> Tuple[Tuple[str, ...], ...]:
-    """Generator sets (cycle notation) of one of the worked example tuples."""
+def realize_paper_tuple(name: str) -> Tuple[Group, List[Subgroup]]:
+    """The ambient group and subgroup tuple for a worked example: one
+    subgroup per generator set (cycle notation) of the tuple."""
     if name not in _PAPER_TUPLES:
         raise ValueError(
             f"unknown tuple name {name!r}; known: {', '.join(PAPER_TUPLE_NAMES)}")
-    return _PAPER_TUPLES[name][1]
-
-
-def realize_paper_tuple(name: str) -> Tuple[Group, List[Subgroup]]:
-    """The ambient group and subgroup tuple for a worked example."""
-    sets = paper_tuple(name)
-    ambient_name = _PAPER_TUPLES[name][0]
+    ambient_name, sets = _PAPER_TUPLES[name]
     gdef = symmetric(4) if ambient_name == "S4" else dihedral(10)
     g = realize(gdef)
     subs = []

@@ -134,7 +134,7 @@ def resolve_cache_dir(flag_value: Optional[str]) -> Path:
 # ---------------------------------------------------------------------------
 # Subgroup tuple syntax
 
-_LABEL_RE = re.compile(r"^\s*[Gg](\d+)\s*=\s*")
+_LABEL_RE = re.compile(r"^\s*[Gg]([0-9]+)\s*=\s*")
 
 
 def parse_subgroup_text(g: Group, text: str) -> List[Subgroup]:
@@ -416,7 +416,7 @@ def cmd_scan(args) -> Tuple[Report, int]:
     return rep, (1 if prep.violations_found else 0)
 
 
-_RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
+_RANGE_RE = re.compile(r"^([0-9]+)(?:\.\.([0-9]+))?$")
 
 
 def parse_order_range(text: str) -> Tuple[int, int]:

@@ -79,18 +79,20 @@ or any without the ineq_symmetry rule); when every one has symmetries
 (ingleton alone, say), each block builds their canon masks up front and
 counts their union.
 
-A scan runs in three steps: plan (lattice, order class, scan state),
-run, finish (sum the tallies, rebuild and sort the witnesses, check the
-prune accounting). scan_group does them for one group; survey plans
-every group first, runs all of their tasks, then finishes each. A task
-is one first-position subgroup of one group, the least of its conjugacy
-class when the conjugacy rule is on. Plan computes each task's prefix
-once: the subgroup, its stabilizer and its position 2 survivors, with
-what positions 1 and 2 prune charged to the plan's tally, so no task
-starts only to be pruned. Those survivors bound the block cells of each
-task. The tasks run inline at jobs 1, and at jobs >= 2 too unless the
-bounds of all the run's tasks sum to at least _POOL_CELLS: below that,
-a fork pool's start-up and result round trips cost more than a second
+A scan runs in three steps: plan (lattice, order class, which refuses a
+lattice of another group, scan state), run, finish (sum the tallies,
+rebuild and sort the witnesses, check the prune accounting). scan_group
+does them for one group; survey plans every group first, runs all of
+their tasks, then finishes each. A task is one first-position subgroup
+of one group, the least of its conjugacy class when the conjugacy rule
+is on. One function, _cut, cuts positions 1 to n-3 for a batch of
+prefixes at once, each under its stabilizer: plan cuts positions 1 and
+2 of every task, charged to the plan's tally, so no task starts only to
+be pruned, and an arity-5 task cuts position 3 for all its prefixes.
+Position 2's survivors bound the block cells of each task. The tasks
+run inline at jobs 1, and at jobs >= 2 too unless the bounds of all the
+run's tasks sum to at least _POOL_CELLS: below that, a fork pool's
+start-up and result round trips cost more than a second
 worker saves. When a pool does start, it is one fork pool for the whole
 run, started after every group's state is built; the workers inherit
 the states through fork, and the pool hands out tasks as workers free
@@ -264,8 +266,11 @@ def order_class(g: Group, lattice: Optional[SubgroupLattice] = None) -> OrderCla
     Order pq (distinct primes) wins over the abelian label because it
     needs no further inspection; abelian comes next; then the two
     squared-prime shapes, which also need the right Sylow subgroup to be
-    normal (equivalently unique).
+    normal (equivalently unique). A lattice of another group is refused.
     """
+    if lattice is not None and lattice.group is not g:
+        raise ValueError(f"the subgroup lattice of {lattice.group.name} is not one of "
+                         f"{g.name}: it was built from another group object")
     factors = prime_factors(g.order)
     exps = sorted(factors.values())
     if len(factors) == 2 and exps == [1, 1]:
@@ -595,23 +600,18 @@ class _ScanState:
         self.canons = {key: _Canon(key, m, restricted) for key in set(self.sym_keys) if key}
         # whether every plan has symmetries, so that blocks build canon masks
         self.canon_masks = all(self.sym_keys)
-        # at position 1 the conjugacy rule keeps the least subgroup of each
-        # class. Each is one task (first, its stabilizer, its position 2
-        # survivors), pruned here once and charged to the plan's tally; the
-        # task's blocks hold at most those survivors times the m**(n-2)
-        # tuples of the later positions
-        firsts = _survivors(self, 0, np.arange(len(self.lower)), tally)
-        # position 2 for every first subgroup f at once: the pair rule cuts
-        # s when Gf Gs is a subgroup, and the conjugacy rule when some x
-        # normalizing Gf moves Gs lower, [f, s] of fixes[:, firsts]ᵀ @ lower
+        # position 1 keeps the least subgroup of each class (its prefix's
+        # stabilizer is all of G), position 2 is cut under each first Gf's
+        # normalizer. Each first is one task (f, its stabilizer, its
+        # position 2 survivors), whose blocks hold at most those survivors
+        # times the m**(n-2) tuples of the later positions
+        firsts = self.domains[0][_cut(self, 0, np.ones((len(self.lower), 1), dtype=bool),
+                                      self.lower, tally)[0]]
         stabs = self.fixes[:, firsts]
-        domain = self.domains[1]
-        paired = (self.pair_prunable[firsts[:, None], domain] if self.pair_prunable is not None
-                  else np.zeros((len(firsts), len(domain)), dtype=bool))
-        moved = (stabs.T @ self.lower)[:, domain] & ~paired
-        tally["theory_common_info"] += int(np.count_nonzero(paired)) * self.tails[1]
-        tally["conjugacy"] += int(np.count_nonzero(moved)) * self.tails[1]
-        self.tasks = [(f, np.flatnonzero(stabs[:, k]), domain[~(paired[k] | moved[k])])
+        paired = (self.pair_prunable[firsts[:, None], self.domains[1]]
+                  if self.pair_prunable is not None else np.False_)
+        keep = _cut(self, 1, stabs, self.lower, tally, paired)
+        self.tasks = [(f, np.flatnonzero(stabs[:, k]), self.domains[1][keep[k]])
                       for k, f in enumerate(firsts.tolist())]
         self.cells = self.tails[1] * sum(len(found) for *_, found in self.tasks)
 
@@ -639,47 +639,46 @@ def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
 _TALLY_KEYS = PRUNE_RULES + ("evaluated", "violations", "equalities")
 
 
-def _survivors(st: _ScanState, depth: int, cand: np.ndarray,
-               tally: Dict[str, int]) -> np.ndarray:
-    """The position-`depth` subgroups left after the conjugacy rule under
-    the prefix stabilizer `cand`, at any position but 2, whose pair rule
-    _ScanState applies; the tuples they cut are charged to `tally`."""
-    domain = st.domains[depth]
-    hit = st.lower[cand][:, domain].any(axis=0)
-    tally["conjugacy"] += int(hit.sum()) * st.tails[depth]
-    return domain[~hit]
+def _cut(st: _ScanState, depth: int, stabs: np.ndarray, lower: np.ndarray,
+         tally: Dict[str, int], paired: np.ndarray | np.bool_ = np.False_) -> np.ndarray:
+    """The position-`depth` subgroups each of a batch of prefixes keeps, a
+    (prefixes, st.domains[depth]) bool mask. Column k of `stabs` marks the
+    rows of `lower` (rows of st.lower) in prefix k's stabilizer: the
+    conjugacy rule cuts s when one of them moves Gs lower, [k, s] of
+    stabsᵀ @ lower, and at position 2 the pair rule first cuts s where
+    `paired` is True. The cuts are charged to `tally` by rule."""
+    moved = stabs.T @ lower[:, st.domains[depth]] & ~paired
+    tally["theory_common_info"] += int(np.count_nonzero(paired)) * st.tails[depth]
+    tally["conjugacy"] += int(np.count_nonzero(moved)) * st.tails[depth]
+    return ~(moved | paired)
 
 
 def _scan_chunk(st: _ScanState, i: int) -> Tuple[List[tuple], Dict[str, int]]:
     """Scan all of st's tuples that extend task i's prefix, starting from
     the position 2 survivors the plan stored with it.
 
-    Returns raw violation cells (spec_id, index tuple) and one tally:
-    tuples pruned per rule past position 2, tuples evaluated, and
-    (tuple, inequality) violations and equalities.
+    At arity 4 they are the block rows of the task's one prefix. At arity
+    5 each survivor s extends it, under the elements of its stabilizer
+    that normalize Gs, and one _cut gives every such prefix's position 3
+    survivors, its block rows. Returns raw violation cells (spec_id, index
+    tuple) and one tally: tuples pruned per rule past position 2, tuples
+    evaluated, and (tuple, inequality) violations and equalities.
     """
-    n = st.n
     tally = dict.fromkeys(_TALLY_KEYS, 0)
     cells: List[tuple] = []
-
-    def descend(depth: int, chosen: List[int], cand: np.ndarray,
-                prefix: np.ndarray, found: np.ndarray) -> Iterable[_Rows]:
-        # prefix[pm] is the lattice index of the intersection of the chosen
-        # subgroups at the positions in bitmask pm (pm = 0 gives G); found
-        # holds the position-depth survivors
-        if depth == n - 3:
-            yield chosen, cand[st.moves[cand]], prefix, found
-            return
-        for s in found.tolist():
-            stab = cand[st.fixes[cand, s]]
-            yield from descend(depth + 1, chosen + [s], stab,
-                               np.concatenate((prefix, st.meet[prefix, s])),
-                               _survivors(st, depth + 1, stab, tally))
-
     first, stab, found = st.tasks[i]
-    prefixes = descend(1, [first], stab,
-                       np.array([st.top, st.meet[st.top, first]], dtype=np.intp), found)
-    for block in _pack(len(st.orders), prefixes):
+    if not len(found):   # most tasks of small groups: no rows at all
+        return cells, tally
+    prefix = np.array([st.top, st.meet[st.top, first]], dtype=np.intp)
+    if st.n == 4:
+        rows = [([first], stab[st.moves[stab]], prefix, found)]
+    else:
+        stabs = st.fixes[stab[:, None], found]
+        keep = _cut(st, 2, stabs, st.lower[stab], tally)
+        movers = stabs & st.moves[stab][:, None]
+        rows = [([first, s], stab[movers[:, k]], np.concatenate((prefix, st.meet[prefix, s])),
+                 st.domains[2][keep[k]]) for k, s in enumerate(found.tolist())]
+    for block in _pack(len(st.orders), rows):
         _evaluate_block(st, block, tally, cells)
     return cells, tally
 
@@ -695,12 +694,12 @@ def _scan_chunk(st: _ScanState, i: int) -> Tuple[List[tuple], Dict[str, int]]:
 _BLOCK_CELLS = 1 << 16
 
 # one prefix's block rows: its chosen subgroups, the elements of its
-# stabilizer that move some subgroup lower, its meets (as in descend) and
-# position n-3 subgroups
+# stabilizer that move some subgroup lower, its meets ([pm]: the chosen
+# subgroups' meet at the positions in bitmask pm) and position n-3 ones
 _Rows = Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]
 
 
-def _pack(m: int, prefixes: Iterable[_Rows]) -> Iterable[List[_Rows]]:
+def _pack(m: int, prefixes: List[_Rows]) -> Iterable[List[_Rows]]:
     """Group the rows of consecutive prefixes into blocks of at most
     _BLOCK_CELLS cells (one row when a D x E slice alone is larger). A
     prefix that fits in a block but not in the current one starts the
@@ -927,9 +926,9 @@ def _plan(g: Group, cfg: SearchConfig,
     t0 = time.perf_counter()
     if lattice is None:
         lattice = all_subgroups(g)
+    cls = order_class(g, lattice)
     total = len(lattice.subgroups) ** cfg.tuple_arity
     tally = dict.fromkeys(_TALLY_KEYS, 0)
-    cls = order_class(g, lattice)
     by_class = _theory_armed(cfg, "order_class")
     state = None
     if by_class and cls.skips_group:

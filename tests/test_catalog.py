@@ -13,7 +13,6 @@ from groupineq.catalog import (
     dihedral,
     direct_product,
     load_catalog,
-    paper_tuple,
     pgl2,
     realize,
     realize_paper_tuple,
@@ -194,12 +193,10 @@ def test_load_catalog_count_mismatch(tmp_path):
 
 def test_paper_tuple_names():
     assert PAPER_TUPLE_NAMES == ("s4-dfz1", "s4-dfz3", "d20-example")
-    for name in PAPER_TUPLE_NAMES:
-        gens = paper_tuple(name)
-        g, subs = realize_paper_tuple(name)
-        assert len(gens) == len(subs)
+    # one subgroup per generator set of the tuple
+    assert [len(realize_paper_tuple(name)[1]) for name in PAPER_TUPLE_NAMES] == [5, 5, 3]
     with pytest.raises(ValueError, match="unknown tuple name"):
-        paper_tuple("bogus")
+        realize_paper_tuple("bogus")
 
 
 def test_paper_tuples_realize(cat):

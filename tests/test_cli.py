@@ -81,6 +81,10 @@ def test_parse_subgroup_text_labels_checked():
         cli.parse_subgroup_text(g, "G2=(1 2); G1=(3 4)")
     with pytest.raises(cli.CliError):
         cli.parse_subgroup_text(g, "G1=(1 2); G1=(3 4)")
+    # an Arabic-Indic one is no label digit, so the chunk is no label and
+    # its 'G' is no cycle
+    with pytest.raises(cli.CliError, match="subgroup G1: unexpected character 'G'"):
+        cli.parse_subgroup_text(g, "G\u0661=(1 2)")
 
 
 def test_parse_subgroup_text_errors():
@@ -277,6 +281,10 @@ def test_parse_order_range():
         cli.parse_order_range("2..")
     with pytest.raises(cli.CliError):
         cli.parse_order_range("0..4")
+    # digits of other scripts are not ASCII 0-9, though int() reads them
+    for text in ("\uff12..\uff14", "\u0662..4", "2..\u00b3"):
+        with pytest.raises(cli.CliError, match="bad order range"):
+            cli.parse_order_range(text)
 
 
 # ---------------------------------------------------------------------------

@@ -588,17 +588,22 @@ def test_plan_value_matches_plain_sum(cat, lattice_for, monkeypatch, name, ineqs
 
 def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
     # at position 1 the conjugacy rule keeps the least subgroup of each
-    # class and charges the rest; _plan makes tasks of those
+    # class and charges the rest; _plan makes tasks of those. Against
+    # plain Python on the conjugation table: s is cut when some x moves
+    # Gs lower, and the plan's conjugacy charge is position 1's cuts plus
+    # position 2's, s cut under f's stabilizer unless the pair rule cut it
     g, lat = cat.realize("S4"), lattice_for("S4")
     cfg = SearchConfig.make(ineqs="dfz")
-    st = search_engine._plan(g, cfg, lat).state
-    table = lat.conjugation_table()
-    classes = {frozenset(table[:, s].tolist()) for s in range(len(lat.subgroups))}
-    tally = dict.fromkeys(search_engine._TALLY_KEYS, 0)
-    firsts = search_engine._survivors(st, 0, np.arange(len(st.lower)), tally)
-    assert [first for first, *_ in st.tasks] == firsts.tolist()
-    assert sorted(firsts.tolist()) == sorted(min(c) for c in classes)
-    assert tally["conjugacy"] == (30 - len(classes)) * 30 ** 4
+    plan = search_engine._plan(g, cfg, lat)
+    st, m = plan.state, len(lat)
+    table = lat.conjugation_table().tolist()
+    classes = {frozenset(row[s] for row in table) for s in range(m)}
+    firsts = [s for s in range(m) if all(row[s] >= s for row in table)]
+    assert [first for first, *_ in st.tasks] == firsts
+    assert sorted(firsts) == sorted(min(c) for c in classes)
+    second = sum(not st.pair_prunable[f, s] and any(table[x][s] < s for x in stab.tolist())
+                 for f, stab, _ in st.tasks for s in range(m))
+    assert plan.tally["conjugacy"] == (30 - len(classes)) * 30 ** 4 + second * 30 ** 3
     _, report = scan_group(g, cfg, lat)
     assert report.tuples_pruned_by_rule == {
         "theory_common_info": 6_129_000, "order_class": 0,
@@ -607,15 +612,16 @@ def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
 
 def test_plan_prunes_positions_1_and_2_once(cat, lattice_for, monkeypatch):
     # _plan prunes positions 1 and 2 of every task and charges their cuts
-    # to the plan's tally, against a plain count: each first subgroup f's
-    # position 2 candidates s, cut by the pair rule when Gf Gs is a
-    # subgroup, else by the conjugacy rule when some x normalizing Gf moves
-    # Gs lower. The tasks start from the stored survivors, so position 2
-    # is pruned once per task, and they prune only later positions
+    # to the plan's tally, against a plain count: a first subgroup f is cut
+    # when some element moves Gf lower, and each of its position 2
+    # candidates s by the pair rule when Gf Gs is a subgroup, else by the
+    # conjugacy rule when some x normalizing Gf moves Gs lower. The tasks
+    # start from the stored survivors, so a task's scan calls _cut only at
+    # position 3 (depth 2) at arity 5, and never at arity 4
     depths = []
-    real = search_engine._survivors
-    monkeypatch.setattr(search_engine, "_survivors", lambda st, depth, cand, tally: (
-        depths.append(depth), real(st, depth, cand, tally))[1])
+    real = search_engine._cut
+    monkeypatch.setattr(search_engine, "_cut", lambda st, depth, *args: (
+        depths.append(depth), real(st, depth, *args))[1])
     for name, prune in (("S4", "all"), ("A4", "order_class,conjugacy"),
                         ("S4", "theory_common_info")):
         g, lat = cat.realize(name), lattice_for(name)
@@ -623,18 +629,23 @@ def test_plan_prunes_positions_1_and_2_once(cat, lattice_for, monkeypatch):
         plan = search_engine._plan(g, cfg, lat)
         st = plan.state
         table = (lat.conjugation_table() if "conjugacy" in cfg.prune_flags
-                 else np.arange(len(lat))[None, :])
+                 else np.arange(len(lat))[None, :]).tolist()
         want = dict.fromkeys(search_engine._TALLY_KEYS, 0)
         want["order_class"] = plan.tally["order_class"]
-        firsts = real(st, 0, np.arange(len(table)), want)
-        assert [f for f, *_ in st.tasks] == firsts.tolist()
+        firsts = []
+        for f in st.domains[0].tolist():
+            if any(row[f] < f for row in table):
+                want["conjugacy"] += st.tails[0]
+            else:
+                firsts.append(f)
+        assert [f for f, *_ in st.tasks] == firsts
         for f, stab, found in st.tasks:
-            assert stab.tolist() == [x for x in range(len(table)) if table[x, f] == f]
+            assert stab.tolist() == [x for x, row in enumerate(table) if row[f] == f]
             kept = []
             for s in st.domains[1].tolist():
                 if st.pair_prunable is not None and st.pair_prunable[f, s]:
                     want["theory_common_info"] += st.tails[1]
-                elif any(table[x, s] < s for x in stab):
+                elif any(table[x][s] < s for x in stab.tolist()):
                     want["conjugacy"] += st.tails[1]
                 else:
                     kept.append(s)
@@ -646,6 +657,44 @@ def test_plan_prunes_positions_1_and_2_once(cat, lattice_for, monkeypatch):
         for i in range(len(st.tasks)):
             search_engine._scan_chunk(st, i)
         assert depths and set(depths) == {2}, (name, prune)
+    st = search_engine._plan(cat.realize("S4"), SearchConfig.make(ineqs="ingleton"),
+                             lattice_for("S4")).state
+    assert st.n == 4
+    depths.clear()
+    for i in range(len(st.tasks)):
+        search_engine._scan_chunk(st, i)
+    assert depths == []
+
+
+def test_position_3_survivors_match_plain_loop(cat, lattice_for, monkeypatch):
+    # each arity-5 prefix (f, s) of S4 dfz: its movers and position 3
+    # survivors against a plain loop, c cut when some x in the task's
+    # stabilizer has fixes[x, s] and table[x, c] < c, and the conjugacy
+    # charge of the tasks' position 3 cuts against the plain count. The
+    # blocks are not evaluated, so a task's tally holds position 3 alone
+    g, lat = cat.realize("S4"), lattice_for("S4")
+    st = search_engine._plan(g, SearchConfig.make(ineqs="dfz"), lat).state
+    m = len(lat)
+    table = lat.conjugation_table().tolist()
+    seen = []
+    monkeypatch.setattr(search_engine, "_pack", lambda m, rows: seen.append(rows) or [])
+    charged = cut = 0
+    for i, (f, stab, found) in enumerate(st.tasks):
+        seen.clear()
+        _, tally = search_engine._scan_chunk(st, i)
+        charged += tally["conjugacy"]
+        # a task with no position 2 survivors has no rows to pack
+        rows = seen.pop() if len(found) else []
+        assert not seen
+        assert [chosen for chosen, *_ in rows] == [[f, s] for s in found.tolist()]
+        for (_, s), movers, prefix, kept in rows:
+            sub = [x for x in stab.tolist() if table[x][s] == s]
+            assert movers.tolist() == [x for x in sub if any(table[x][c] < c for c in range(m))]
+            assert prefix.tolist() == [m - 1, f, s, lat.meet[f, s]]
+            want = [c for c in range(m) if not any(table[x][c] < c for x in sub)]
+            assert kept.tolist() == want
+            cut += m - len(want)
+    assert cut and charged == cut * m * m
 
 
 @pytest.mark.parametrize("name, ineqs, prune", [
@@ -987,6 +1036,32 @@ def test_canonical_tuple_key(cat, lattice_for):
     a = (lat.subgroups[1], lat.subgroups[2])
     b = (lat.subgroups[1], lat.subgroups[1])
     assert key(a) != key(b)
+
+
+def test_lattice_of_another_group_refused(cat, lattice_for):
+    # every entry point refuses a lattice built from another group before
+    # any work: A4's lattice, and that of a second realization of S4,
+    # which has S4's name and subgroups but is a different group object
+    g = cat.realize("S4")
+    other = realize(symmetric(4))
+    assert other is not g
+    cfg = SearchConfig.make(ineqs="dfz")
+    pair = (builtin("dfz1"), builtin("dfz3"))
+    for lat, name in ((lattice_for("A4"), "A4"), (all_subgroups(other), "S4")):
+        msg = f"the subgroup lattice of {name} is not one of S4"
+        with pytest.raises(ValueError, match=msg):
+            scan_group(g, cfg, lat)
+        with pytest.raises(ValueError, match=msg):
+            check_simultaneous(g, pair, lat)
+        with pytest.raises(ValueError, match=msg):
+            order_class(g, lat)
+    # in a survey the bad lattice is one group's error entry, and the
+    # group given its own lattice scans as usual
+    results = survey(cat, [6], cfg, lattice_for=lambda h: lattice_for("S3"))
+    assert results["C6"].error == ("the subgroup lattice of S3 is not one of C6: "
+                                   "it was built from another group object")
+    assert results["C6"].report is None
+    assert results["S3"].error is None and results["S3"].report is not None
 
 
 def test_survey_small_orders(cat, lattice_for):

@@ -89,10 +89,20 @@ MUTANTS: List[Mutant] = [
            "conjugacy mask ignores membership in the prefix's stabilizer: a "
            "mover of one prefix kills cells of another"),
     Mutant(SEARCH,
-           "        moved = (stabs.T @ self.lower)[:, domain] & ~paired",
-           "        moved = (stabs.T @ self.lower)[:, domain]",
+           "    moved = stabs.T @ lower[:, st.domains[depth]] & ~paired",
+           "    moved = stabs.T @ lower[:, st.domains[depth]]",
            "position 2 charges a tuple to conjugacy that the pair rule "
            "already cut"),
+    Mutant(SEARCH,
+           "_cut(self, 0, np.ones((len(self.lower), 1), dtype=bool)",
+           "_cut(self, 0, np.zeros((len(self.lower), 1), dtype=bool)",
+           "position 1 ignores the stabilizer of the empty prefix, so every "
+           "subgroup starts a task"),
+    Mutant(SEARCH,
+           "        keep = _cut(st, 2, stabs, st.lower[stab], tally)",
+           "        keep = _cut(st, 2, np.ones_like(stabs), st.lower[stab], tally)",
+           "position 3 cuts under the task's whole stabilizer, not only the "
+           "elements that normalize Gs"),
     Mutant(SEARCH,
            "        value += full[k]",
            "        value -= full[k]",
