@@ -42,7 +42,7 @@ def main():
     parsed = parse(text, id="hand-rolled")
     print(f"\nparsed {text!r}")
     print("  same coefficients as the ingleton builtin:",
-          parsed.same_coeffs(ing))
+          parsed.coeffs == ing.coeffs)
 
 
 if __name__ == "__main__":

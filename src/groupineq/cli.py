@@ -83,9 +83,6 @@ class LatticeCache:
     hits: int = 0
     misses: int = 0
 
-    def path_for(self, g: Group) -> Path:
-        return self._path(group_hash(g))
-
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 

@@ -61,9 +61,6 @@ class InequalitySpec:
     coeffs: Dict[Subset, int]
     id: str = ""
 
-    def same_coeffs(self, other: "InequalitySpec") -> bool:
-        return self.coeffs == other.coeffs
-
     def subsets(self) -> List[Subset]:
         return sorted(self.coeffs, key=_subset_key)
 

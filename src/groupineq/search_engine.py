@@ -42,27 +42,27 @@ admits.
 Every intersection of subgroups is itself a subgroup, so a subset's
 intersection is a chain of lookups in the lattice's own meet table
 (SubgroupLattice.meet, the lattice index of Gi ∩ Gj), and each signed
-coefficient c has a meet-log table holding c·ℓ(|Gi ∩ Gj|). The first n-3
-positions of a tuple are chosen one at a time; the last three are
-evaluated together in (rows, D, E) numpy blocks, D = E the whole
-lattice. A row is one surviving position n-3 subgroup after its prefix,
-and it carries that prefix's meets, chosen indices and stabilizer, so
-one block packs the rows of consecutive prefixes of a task up to
-_BLOCK_CELLS cells, which bounds the scan's memory; a prefix whose rows
-alone exceed that is split, and a D x E slice larger than the budget is
-a block alone. A subset's logs broadcast over only the block axes it
-contains: the terms without C are summed per prefix at (D, E), those
-with C but not on both D and E per row at D or at E, each group for
-every inequality at once in one gather and one product, and the terms on
-all three axes at the full block, all of them in one gather. An
-inequality's value is then one add chain: its per-prefix sum taken to
-its prefixes' rows, then each other part added in place. Every partial
-sum is a sub-sum of one inequality's terms, so it stays within the
-tables' bound. The conjugacy rule kills a (c, d, e) cell when some
-element x of its prefix's stabilizer normalizes Gc and moves Gd lower,
-or normalizes Gd too and moves Ge lower: each such mover kills the same
-(D, E) cells in every row whose C it normalizes, so the live-cell mask
-costs one pass per mover of the block, and a block with none skips it.
+coefficient c has a meet-log table holding c·ℓ(|Gi ∩ Gj|). Positions are
+counted from 1, as in G1..Gn. Positions 1 to n-3 of a tuple are its
+prefix; the last three, n-2 (C), n-1 (D) and n (E), are evaluated
+together in (rows, D, E) numpy blocks, D = E the whole lattice. The plan
+holds every prefix in lexicographic order with its chosen indices,
+meets, stabilizer movers and rows, its surviving position n-2 subgroups,
+so a block is a slice of at most _BLOCK_CELLS cells of one task's rows,
+which bounds the scan's memory (a D x E slice above that is a block
+alone). A subset's logs broadcast over only the block axes it contains:
+the terms without C are summed per prefix at (D, E), those with C but
+not on both D and E per row at D or at E, each group for every
+inequality at once in one gather and one product, and the terms on all
+three axes at the full block, all of them in one gather. An inequality's
+value is then one add chain: its per-prefix sum taken to its prefixes'
+rows, then each other part added in place. Every partial sum is a
+sub-sum of one inequality's terms, so it stays within the tables' bound.
+The conjugacy rule kills a (c, d, e) cell when some element x of its
+prefix's stabilizer normalizes Gc and moves Gd lower, or normalizes Gd
+too and moves Ge lower: each such mover kills the same (D, E) cells in
+every row whose C it normalizes, so the live-cell mask costs one pass
+per mover of the block, and a block with none skips it.
 
 An inequality with variable symmetries counts a tight or violating cell
 only if no symmetry's image is lexicographically smaller, tested with a
@@ -83,20 +83,19 @@ A scan runs in three steps: plan (lattice, order class, which refuses a
 lattice of another group, scan state), run, finish (sum the tallies,
 rebuild and sort the witnesses, check the prune accounting). scan_group
 does them for one group; survey plans every group first, runs all of
-their tasks, then finishes each. A task is one first-position subgroup
-of one group, the least of its conjugacy class when the conjugacy rule
-is on. One function, _cut, cuts positions 1 to n-3 for a batch of
-prefixes at once, each under its stabilizer: plan cuts positions 1 and
-2 of every task, charged to the plan's tally, so no task starts only to
-be pruned, and an arity-5 task cuts position 3 for all its prefixes.
-Position 2's survivors bound the block cells of each task. The tasks
-run inline at jobs 1, and at jobs >= 2 too unless the bounds of all the
-run's tasks sum to at least _POOL_CELLS: below that, a fork pool's
-start-up and result round trips cost more than a second
-worker saves. When a pool does start, it is one fork pool for the whole
-run, started after every group's state is built; the workers inherit
-the states through fork, and the pool hands out tasks as workers free
-up.
+their tasks, then finishes each. One function, _cut, cuts each of
+positions 1 to n-2 once per plan, for all of the group's prefixes of
+that length at once, each under its stabilizer, and charges the cuts to
+the plan's tally, so no task starts only to be pruned. A task is the
+rows of one position 1 subgroup, the least of its conjugacy class when
+the conjugacy rule is on, and a subgroup with no rows makes none.
+Position 2's survivors times m**(n-2) bound a plan's block cells. The
+tasks run inline at jobs 1, and at jobs >= 2 too unless the bounds of
+all the run's tasks sum to at least _POOL_CELLS: below that, a fork
+pool's start-up and result round trips cost more than a second worker
+saves. When a pool does start, it is one fork pool for the whole run,
+started after every group's state is built; the workers inherit the
+states through fork, and the pool hands out tasks as workers free up.
 """
 
 from __future__ import annotations
@@ -473,7 +472,7 @@ class _Canon:
 
     def mask(self, chosen: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Canonical cells of the block whose rows hold prefixes `chosen`
-        ((rows, n-3) lattice indices) and position n-3 subgroups `c`; a
+        ((rows, n-3) lattice indices) and position n-2 subgroups `c`; a
         bool array that broadcasts to (rows, m, m)."""
         # each position's lattice indices, broadcast over the block
         at = [*(x[:, None, None] for x in chosen.T), c[:, None, None], *self.axes]
@@ -547,7 +546,7 @@ class _ScanState:
                          for p in self.plans]
         m = len(lattice)
         # meet[i, j]: lattice index of Gi ∩ Gj; the last subgroup is G itself
-        self.meet, self.top = lattice.meet, m - 1
+        self.meet = lattice.meet
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
         # Every partial sum a block forms is a sub-sum of one plan's terms:
         # its positive terms add to at most degree·ℓ(|G|) and its negative
@@ -585,8 +584,6 @@ class _ScanState:
         else:
             self.lower = np.zeros((1, m), dtype=bool)
             self.fixes = ~self.lower
-        # the elements that move some subgroup lower; only they prune
-        self.moves = self.lower.any(axis=1)
         full = np.arange(m, dtype=np.int64)
         self.domains = [full] * n
         restricted = None
@@ -600,20 +597,38 @@ class _ScanState:
         self.canons = {key: _Canon(key, m, restricted) for key in set(self.sym_keys) if key}
         # whether every plan has symmetries, so that blocks build canon masks
         self.canon_masks = all(self.sym_keys)
-        # position 1 keeps the least subgroup of each class (its prefix's
-        # stabilizer is all of G), position 2 is cut under each first Gf's
-        # normalizer. Each first is one task (f, its stabilizer, its
-        # position 2 survivors), whose blocks hold at most those survivors
-        # times the m**(n-2) tuples of the later positions
-        firsts = self.domains[0][_cut(self, 0, np.ones((len(self.lower), 1), dtype=bool),
-                                      self.lower, tally)[0]]
-        stabs = self.fixes[:, firsts]
-        paired = (self.pair_prunable[firsts[:, None], self.domains[1]]
-                  if self.pair_prunable is not None else np.False_)
-        keep = _cut(self, 1, stabs, self.lower, tally, paired)
-        self.tasks = [(f, np.flatnonzero(stabs[:, k]), self.domains[1][keep[k]])
-                      for k, f in enumerate(firsts.tolist())]
-        self.cells = self.tails[1] * sum(len(found) for *_, found in self.tasks)
+        # Positions 1 to n-2 are cut in turn, each for every prefix at once
+        # under its stabilizer (a column of stabs, all of G for the empty
+        # prefix); a prefix extended by Gs keeps the elements that normalize
+        # Gs. Position 2's survivors times m**(n-2) bound the block cells
+        chosen = np.zeros((1, 0), dtype=np.intp)
+        meets = np.full((1, 1), m - 1, dtype=np.intp)
+        stabs = np.ones((len(self.lower), 1), dtype=bool)
+        for depth in range(n - 2):
+            dom = self.domains[depth]
+            paired = (self.pair_prunable[chosen[:, :1], dom]
+                      if depth == 1 and self.pair_prunable is not None else np.False_)
+            keep = _cut(self, depth, stabs, tally, paired)
+            if depth == 1:
+                self.cells = self.tails[1] * int(np.count_nonzero(keep))
+            if depth == n - 3:
+                break
+            k, s = np.nonzero(keep)
+            s = dom[s]
+            chosen = np.column_stack((chosen[k], s))
+            meets = np.concatenate((meets[k], self.meet[meets[k], s[:, None]]), axis=1)
+            stabs = stabs[:, k] & self.fixes[:, s]
+        # per prefix, in lexicographic order: its subgroups, its meets ([pm]:
+        # the meet of those at the positions in bitmask pm), its movers (the
+        # elements of its stabilizer that move some subgroup lower, the only
+        # ones that prune) and its block rows, the position n-2 subgroups it
+        # keeps: one byte a candidate row, so a task makes its rows' indices
+        self.chosen, self.prefix_meets, self.keep = chosen, meets, keep
+        self.movers = (stabs & self.lower.any(axis=1)[:, None]).T
+        # a task is the prefix range of one position 1 subgroup with rows
+        starts = np.flatnonzero(np.diff(chosen[:, 0], prepend=-1)).tolist()
+        self.tasks = [(a, b) for a, b in zip(starts, starts[1:] + [len(chosen)])
+                      if keep[a:b].any()]
 
 
 def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -639,95 +654,52 @@ def _pair_prunable_matrix(meet: np.ndarray, orders: np.ndarray) -> np.ndarray:
 _TALLY_KEYS = PRUNE_RULES + ("evaluated", "violations", "equalities")
 
 
-def _cut(st: _ScanState, depth: int, stabs: np.ndarray, lower: np.ndarray,
-         tally: Dict[str, int], paired: np.ndarray | np.bool_ = np.False_) -> np.ndarray:
-    """The position-`depth` subgroups each of a batch of prefixes keeps, a
+def _cut(st: _ScanState, depth: int, stabs: np.ndarray, tally: Dict[str, int],
+         paired: np.ndarray | np.bool_) -> np.ndarray:
+    """The position depth+1 subgroups each of a batch of prefixes keeps, a
     (prefixes, st.domains[depth]) bool mask. Column k of `stabs` marks the
-    rows of `lower` (rows of st.lower) in prefix k's stabilizer: the
-    conjugacy rule cuts s when one of them moves Gs lower, [k, s] of
-    stabsᵀ @ lower, and at position 2 the pair rule first cuts s where
-    `paired` is True. The cuts are charged to `tally` by rule."""
-    moved = stabs.T @ lower[:, st.domains[depth]] & ~paired
+    rows of st.lower in prefix k's stabilizer: the conjugacy rule cuts s
+    when one of them moves Gs lower, [k, s] of stabsᵀ @ lower, and at
+    position 2 the pair rule first cuts s where `paired` is True. The cuts
+    are charged to `tally` by rule."""
+    moved = stabs.T @ st.lower[:, st.domains[depth]] & ~paired
     tally["theory_common_info"] += int(np.count_nonzero(paired)) * st.tails[depth]
     tally["conjugacy"] += int(np.count_nonzero(moved)) * st.tails[depth]
     return ~(moved | paired)
 
 
-def _scan_chunk(st: _ScanState, i: int) -> Tuple[List[tuple], Dict[str, int]]:
-    """Scan all of st's tuples that extend task i's prefix, starting from
-    the position 2 survivors the plan stored with it.
-
-    At arity 4 they are the block rows of the task's one prefix. At arity
-    5 each survivor s extends it, under the elements of its stabilizer
-    that normalize Gs, and one _cut gives every such prefix's position 3
-    survivors, its block rows. Returns raw violation cells (spec_id, index
-    tuple) and one tally: tuples pruned per rule past position 2, tuples
-    evaluated, and (tuple, inequality) violations and equalities.
-    """
-    tally = dict.fromkeys(_TALLY_KEYS, 0)
-    cells: List[tuple] = []
-    first, stab, found = st.tasks[i]
-    if not len(found):   # most tasks of small groups: no rows at all
-        return cells, tally
-    prefix = np.array([st.top, st.meet[st.top, first]], dtype=np.intp)
-    if st.n == 4:
-        rows = [([first], stab[st.moves[stab]], prefix, found)]
-    else:
-        stabs = st.fixes[stab[:, None], found]
-        keep = _cut(st, 2, stabs, st.lower[stab], tally)
-        movers = stabs & st.moves[stab][:, None]
-        rows = [([first, s], stab[movers[:, k]], np.concatenate((prefix, st.meet[prefix, s])),
-                 st.domains[2][keep[k]]) for k, s in enumerate(found.tolist())]
-    for block in _pack(len(st.orders), rows):
-        _evaluate_block(st, block, tally, cells)
-    return cells, tally
-
-
 # most cells in one (rows, D, E) block. numpy's cost per call, not
 # arithmetic, bounds the kernel, so larger blocks run faster until their
 # arrays outgrow the CPU's cache: on a 2-vCPU box with a 2 MB L2 cache,
-# 2**16 cells beat 2**15 and 2**17 on S4 dfz. There a block packs two or
-# three prefixes, up to 72 x 30 x 30 cells, at about 18 bytes a cell at
-# its peak: the terms on all three block axes (four for dfz) and the
-# running sum, all int16 for S4 and S5 (int8 for 2-groups), the live-cell
-# mask and the bool masks, near 1.1 MB in all.
+# 2**16 cells beat 2**15 and 2**17 on S4 dfz. There a block holds up to
+# 72 x 30 x 30 cells, at about 18 bytes a cell at its peak: the terms on
+# all three block axes (four for dfz) and the running sum, all int16 for
+# S4 and S5 (int8 for 2-groups), the live-cell mask and the bool masks,
+# near 1.1 MB in all.
 _BLOCK_CELLS = 1 << 16
 
-# one prefix's block rows: its chosen subgroups, the elements of its
-# stabilizer that move some subgroup lower, its meets ([pm]: the chosen
-# subgroups' meet at the positions in bitmask pm) and position n-3 ones
-_Rows = Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]
+
+def _scan_task(st: _ScanState, i: int) -> Tuple[List[tuple], Dict[str, int]]:
+    """Evaluate task i of st in blocks of at most _BLOCK_CELLS cells (one
+    row when a D x E slice alone is larger). Returns raw violation cells
+    (spec_id, index tuple) and the tally of the blocks: tuples pruned by
+    rule, tuples evaluated, (tuple, inequality) violations and equalities."""
+    tally = dict.fromkeys(_TALLY_KEYS, 0)
+    cells: List[tuple] = []
+    lo, hi = st.tasks[i]
+    pre, c = np.nonzero(st.keep[lo:hi])
+    pre, dom_c = pre + lo, st.domains[st.n - 3][c]
+    budget = max(1, _BLOCK_CELLS // len(st.orders) ** 2)
+    for r in range(0, len(pre), budget):
+        _evaluate_block(st, pre[r:r + budget], dom_c[r:r + budget], tally, cells)
+    return cells, tally
 
 
-def _pack(m: int, prefixes: List[_Rows]) -> Iterable[List[_Rows]]:
-    """Group the rows of consecutive prefixes into blocks of at most
-    _BLOCK_CELLS cells (one row when a D x E slice alone is larger). A
-    prefix that fits in a block but not in the current one starts the
-    next; one whose rows alone exceed a block fills the current one and
-    carries on into the next."""
-    budget = max(1, _BLOCK_CELLS // (m * m))
-    block: List[_Rows] = []
-    room = budget
-    for chosen, movers, prefix, found in prefixes:
-        if room < len(found) <= budget:
-            yield block
-            block, room = [], budget
-        while len(found):
-            block.append((chosen, movers, prefix, found[:room]))
-            found = found[room:]
-            room -= len(block[-1][3])
-            if not room:
-                yield block
-                block, room = [], budget
-    if block:
-        yield block
-
-
-def _conjugacy_alive(st: _ScanState, block: List[_Rows], seg: np.ndarray,
-                     dom_c: np.ndarray) -> Optional[np.ndarray]:
+def _conjugacy_alive(st: _ScanState, pre: np.ndarray, dom_c: np.ndarray
+                     ) -> Optional[np.ndarray]:
     """The (rows, D, E) cells of a block that the conjugacy rule keeps, or
     None when no row's stabilizer holds an element that moves some
-    subgroup lower, so that it keeps them all.
+    subgroup lower, so that it keeps them all (rows as in _evaluate_block).
 
     (c, d) dies when some x in its prefix's stabilizer normalizes Gc and
     moves Gd lower; (c, d, e) when some x normalizes Gc and Gd and moves
@@ -736,39 +708,36 @@ def _conjugacy_alive(st: _ScanState, block: List[_Rows], seg: np.ndarray,
     whose Gc it normalizes: one pass per distinct mover of the block,
     whose cost follows the block's few movers, not its rows.
     """
-    if not any(len(x) for _, x, *_ in block):
+    member = st.movers[pre]
+    xs = np.flatnonzero(member.any(axis=0)).tolist()
+    if not xs:
         return None
-    # member[k, x]: x is a mover of prefix k
-    member = np.zeros((len(block), len(st.lower)), dtype=bool)
-    for k, (_, x, *_) in enumerate(block):
-        member[k, x] = True
     alive = np.ones((len(dom_c), len(st.orders), len(st.orders)), dtype=bool)
-    for x in np.flatnonzero(member.any(axis=0)).tolist():
-        rows = member[seg, x] & st.fixes[x, dom_c]
+    for x in xs:
+        rows = member[:, x] & st.fixes[x, dom_c]
         if rows.any():
             lower = st.lower[x]
             alive[rows] &= ~(lower[:, None] | (st.fixes[x][:, None] & lower))
     return alive
 
 
-def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
-                    cells: List[tuple]) -> None:
+def _evaluate_block(st: _ScanState, pre: np.ndarray, dom_c: np.ndarray,
+                    tally: Dict[str, int], cells: List[tuple]) -> None:
     """Vectorized evaluation over the last three tuple positions of one
     (rows, D, E) block; its arrays die on return.
 
-    Each row is one position n-3 subgroup after its own prefix. Positions
-    n-2 and n-1 range over the whole lattice (order_class only restricts
-    positions 1 and 2), so D = E = m.
+    Row r is position n-2 subgroup dom_c[r] after prefix pre[r], and the
+    prefixes ascend. Positions n-1 and n range over the whole lattice
+    (order_class only restricts positions 1 and 2), so D = E = m.
     """
     m = len(st.orders)
-    dom_c = np.concatenate([found for *_, found in block])
-    # seg[r]: the prefix of row r
-    seg = np.repeat(np.arange(len(block)), [len(found) for *_, found in block])
-    chosen = np.array([c for c, *_ in block], dtype=np.intp)[seg]
-    prefixes = np.array([p for _, _, p, _ in block])
+    # the block's prefixes are consecutive; seg[r] is row r's among them
+    seg = pre - pre[0]
+    chosen = st.chosen[pre]
+    prefixes = st.prefix_meets[pre[0]:pre[-1] + 1]
     size = len(dom_c) * m * m
 
-    alive, alive_n = _conjugacy_alive(st, block, seg, dom_c), size
+    alive, alive_n = _conjugacy_alive(st, pre, dom_c), size
     if alive is not None:
         alive_n = int(np.count_nonzero(alive))
         tally["conjugacy"] += size - alive_n
@@ -782,8 +751,8 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
     # of the subgroups it holds off the axes it spans: a prefix meet, or
     # one met with C (a column of `at`); the terms without C are gathered
     # per prefix
-    rows = prefixes[seg]
-    at = np.concatenate((rows, st.meet[rows, dom_c[:, None]]), axis=1)
+    meets = st.prefix_meets[pre]
+    at = np.concatenate((meets, st.meet[meets, dom_c[:, None]]), axis=1)
     (pd_row, pd_col, pd_own), (pe_row, pe_col, pe_own), (pde_row, pde_col, pde_own), \
         (rd_row, rd_col, rd_own), (re_row, re_col, re_own), (full_row, full_col, full_own) \
         = st.groups
@@ -847,9 +816,9 @@ def _evaluate_block(st: _ScanState, block: List[_Rows], tally: Dict[str, int],
         if found is not None:
             r, d, e = np.nonzero(found)
             tally["violations"] += len(r)
-            for pre, cde in zip(chosen[r].tolist(),
+            for head, cde in zip(chosen[r].tolist(),
                                 zip(dom_c[r].tolist(), d.tolist(), e.tolist())):
-                cells.append((plan.spec_id, (*pre, *cde)))
+                cells.append((plan.spec_id, (*head, *cde)))
 
 
 def _plan_value(own: List[int], full: np.ndarray, rd: np.ndarray, rd_has: int,
@@ -962,12 +931,12 @@ def _fork_pool(workers: int):
 
 def _run_task(task: Tuple[int, int]
               ) -> Tuple[List[tuple], Dict[str, int], float] | Exception:
-    """_scan_chunk over task i of _STATES[k], timed; an error other than an
+    """_scan_task over task i of _STATES[k], timed; an error other than an
     AssertionError is returned as the task's result."""
     k, i = task
     t0 = time.perf_counter()
     try:
-        cells, tally = _scan_chunk(_STATES[k], i)
+        cells, tally = _scan_task(_STATES[k], i)
     except AssertionError:
         raise
     except Exception as e:  # noqa: BLE001 - charged to plan k alone
@@ -976,7 +945,7 @@ def _run_task(task: Tuple[int, int]
 
 
 def _run(plans: List[_Plan], jobs: int) -> List[list]:
-    """Scan every plan's tuples, one task per prefix that _plan stored.
+    """Scan every plan's tuples, one task per row range that _plan stored.
 
     The tasks run inline through map unless jobs >= 2, there are at least
     two tasks and the plans' bounds on their block cells sum to at least
@@ -1077,11 +1046,12 @@ def check_simultaneous(g: Group, pair: Tuple[InequalitySpec, InequalitySpec],
 
     One scan_group call with every prune rule except ineq_symmetry, which
     is relative to a single inequality; a tuple is reported only if it is
-    a witness for both.
+    a witness for both. The scan reads each spec as builtin(spec.id).
     """
     ids = tuple(s.id for s in pair)
-    if any(not i for i in ids):
-        raise ValueError("check_simultaneous needs builtin (named) inequalities")
+    if any(not s.id or s.coeffs != builtin(s.id).coeffs for s in pair):
+        raise ValueError("check_simultaneous needs builtin inequalities: each spec "
+                         "must have the id and the coefficients of one")
     cfg = SearchConfig(inequality_ids=tuple(dict.fromkeys(ids)),
                        prune_flags=frozenset(PRUNE_RULES) - {"ineq_symmetry"})
     witnesses, _ = scan_group(g, cfg, lattice)

@@ -42,6 +42,11 @@ def s4():
     return load_catalog().realize("S4")
 
 
+def cache_file(directory, g):
+    # the cache names each group's file by its group hash
+    return directory / f"{cli.group_hash(g)}.json"
+
+
 def test_parse_subgroup_text_labeled_generators():
     g = s4()
     text = ("G1=(3 4)(2 4 3); G2=(1 3)(1 3 2); G3=(1 2)(3 4)(3 4); "
@@ -305,7 +310,7 @@ def test_parse_command(capsys, cache_dir):
     # text echoes the input; canonical is the joint-entropy form, and it
     # parses back to the builtin's coefficients
     assert r["text"] == text
-    assert parse(r["canonical"]).same_coeffs(spec)
+    assert parse(r["canonical"]).coeffs == spec.coeffs
 
 
 def test_parse_command_error(capsys, cache_dir):
@@ -374,7 +379,7 @@ def test_cache_rejects_hash_mismatch(tmp_path):
     cache = cli.LatticeCache(tmp_path / "c")
     g, a4 = s4(), load_catalog().realize("A4")
     cache.get(a4)
-    cache.path_for(g).write_text(cache.path_for(a4).read_text())
+    cache_file(tmp_path / "c", g).write_text(cache_file(tmp_path / "c", a4).read_text())
     cache2 = cli.LatticeCache(tmp_path / "c")
     lat = cache2.get(g)
     assert (cache2.misses, cache2.hits, len(lat)) == (1, 0, 30)
@@ -386,7 +391,7 @@ def test_cache_file_layout_and_v2_miss(tmp_path):
     cache = cli.LatticeCache(tmp_path / "c")
     g = s4()
     cache.get(g)
-    path = cache.path_for(g)
+    path = cache_file(tmp_path / "c", g)
     stored = json.loads(path.read_text())
     assert sorted(stored) == ["digest", "subgroup_masks"]
     path.write_text(json.dumps({"format_version": 2, "group_hash": cli.group_hash(g),
@@ -428,7 +433,7 @@ def test_cache_rejects_corrupt_json(tmp_path):
     cache = cli.LatticeCache(tmp_path / "c")
     g = s4()
     cache.get(g)
-    cache.path_for(g).write_text("{broken")
+    cache_file(tmp_path / "c", g).write_text("{broken")
     cache2 = cli.LatticeCache(tmp_path / "c")
     lat = cache2.get(g)
     assert cache2.misses == 1 and len(lat) == 30
@@ -450,7 +455,7 @@ def test_cache_rejects_corrupt_lattice(capsys, tmp_path, edit):
     # and not a scan over fewer subgroups
     d = tmp_path / "c"
     g = s4()
-    path = cli.LatticeCache(d).path_for(g)
+    path = cache_file(d, g)
     cli.LatticeCache(d).get(g)
     stored = json.loads(path.read_text())
     edit(stored["subgroup_masks"])
@@ -658,7 +663,7 @@ def test_bad_cache_dir_is_usage_error(capsys, tmp_path, argv, below):
     assert "Traceback" not in err and "Errno" in err
 
 
-# every scan, in `scan` and in `survey`, runs _scan_chunk (inline at
+# every scan, in `scan` and in `survey`, runs _scan_task (inline at
 # --jobs 1); at the default --ineqs dfz order_class skips both order-6
 # groups, so the survey selects every inequality to reach a scan
 @pytest.mark.parametrize("argv", [["scan", "S4"], ["survey", "6", "--ineqs", "all"]],
@@ -669,7 +674,7 @@ def test_internal_error_exit_code(capsys, tmp_path, monkeypatch, argv):
     def inconsistent(*args, **kwargs):
         raise AssertionError("deliberately inconsistent")
 
-    monkeypatch.setattr(search_engine, "_scan_chunk", inconsistent)
+    monkeypatch.setattr(search_engine, "_scan_task", inconsistent)
     code, out, err = run(argv + ["--cache-dir", str(tmp_path)], capsys)
     assert code == 3
     assert out == ""

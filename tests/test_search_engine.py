@@ -11,7 +11,7 @@ from groupineq.catalog import (alternating, cyclic, dihedral, direct_product, lo
                                realize, realize_paper_tuple, semidirect_cyclic, symmetric)
 from groupineq.entropy_eval import entropy_vector, evaluate
 from groupineq import search_engine
-from groupineq.ineq_dsl import _BUILTIN_TEXTS, DFZ_IDS, builtin
+from groupineq.ineq_dsl import _BUILTIN_TEXTS, DFZ_IDS, builtin, parse
 from groupineq.perm_core import all_subgroups, prime_factors
 from groupineq.search_engine import (
     PRUNE_RULES,
@@ -457,7 +457,7 @@ def test_meet_table_past_eight_bits():
 
 
 def test_block_memory_stays_lean(cat, lattice_for):
-    # an S4 dfz block packs the rows of two or three prefixes, up to
+    # an S4 dfz block holds the rows of two or three prefixes, up to
     # 72 x 30 x 30 cells; the int16 kernel gathers the four dfz terms on
     # all three block axes at once, and peaks near 1.14 MB traced here
     g, lat = cat.realize("S4"), lattice_for("S4")
@@ -495,6 +495,12 @@ def alive_reference(table, low, fix, chosen, c):
     return out
 
 
+def block_prefixes(st, pre):
+    # a block's prefixes, each as (its subgroups, its row count), in order
+    return [(tuple(st.chosen[k].tolist()), len(list(rows)))
+            for k, rows in itertools.groupby(pre.tolist())]
+
+
 @pytest.mark.parametrize("name", ["S4", "A5", "D16"])
 @pytest.mark.parametrize("budget", ["default", "2m2"])
 def test_conjugacy_alive_matches_reference(cat, lattice_for, a5, monkeypatch, name, budget):
@@ -502,7 +508,7 @@ def test_conjugacy_alive_matches_reference(cat, lattice_for, a5, monkeypatch, na
     # the most movers among the survey's scans), at the default block
     # budget and at 2·m² cells, where blocks split a prefix's rows: the
     # live-cell mask against a plain-Python one, cell by cell. At the
-    # default budget an S4 block packs the rows of two or more prefixes
+    # default budget an S4 block holds the rows of two or more prefixes
     g, lat = a5 if name == "A5" else (cat.realize(name), lattice_for(name))
     m = len(lat)
     if budget == "2m2":
@@ -513,23 +519,21 @@ def test_conjugacy_alive_matches_reference(cat, lattice_for, a5, monkeypatch, na
     fix = [sum(1 << s for s in range(m) if row[s] == s) for row in table]
     seen = []
 
-    def check(st, block, tally, cells):
-        dom_c = np.concatenate([found for *_, found in block])
-        seg = np.repeat(np.arange(len(block)), [len(found) for *_, found in block])
-        alive = search_engine._conjugacy_alive(st, block, seg, dom_c)
+    def check(st, pre, dom_c, tally, cells):
+        alive = search_engine._conjugacy_alive(st, pre, dom_c)
         if alive is None:
             alive = np.ones((len(dom_c), m, m), dtype=bool)
         # got[r][d]: the bitmask of row r's dead E indices at d
         got = [[int.from_bytes(b.tobytes(), "little") for b in row]
                for row in np.packbits(~alive, axis=2, bitorder="little")]
-        want = [alive_reference(table, low, fix, block[k][0], c)
-                for k, c in zip(seg.tolist(), dom_c.tolist())]
+        want = [alive_reference(table, low, fix, st.chosen[k].tolist(), c)
+                for k, c in zip(pre.tolist(), dom_c.tolist())]
         assert got == want
-        seen.append(len(block))
+        seen.append(len(block_prefixes(st, pre)))
 
     monkeypatch.setattr(search_engine, "_evaluate_block", check)
     for i in range(len(st.tasks)):
-        search_engine._scan_chunk(st, i)
+        search_engine._scan_task(st, i)
     assert seen
     if (name, budget) == ("S4", "default"):
         assert max(seen) >= 2
@@ -542,7 +546,7 @@ def test_plan_value_matches_plain_sum(cat, lattice_for, monkeypatch, name, ineqs
     # every plan's value over every block of the scan, cell by cell,
     # against a plain int64 Σ_A c_A·ℓ(|G_A|), G_A the meet of the tuple's
     # subgroups at the positions in A, read from the lattice's meet table.
-    # An S4 dfz block packs the rows of two or three prefixes; A4 ingleton
+    # An S4 dfz block holds the rows of two or three prefixes; A4 ingleton
     # runs in int8, where degree·ℓ(|G|) = 125
     g, lat = cat.realize(name), lattice_for(name)
     st = search_engine._plan(g, SearchConfig.make(ineqs=ineqs, prune=prune), lat).state
@@ -558,12 +562,12 @@ def test_plan_value_matches_plain_sum(cat, lattice_for, monkeypatch, name, ineqs
         values.append(value.copy())
         return value
 
-    def check(st, block, tally, cells):
+    def check(st, pre, dom_c, tally, cells):
         values.clear()
-        evaluate_block(st, block, tally, cells)
-        # a row per position n-3 subgroup; the last two positions span
+        evaluate_block(st, pre, dom_c, tally, cells)
+        # a row per position n-2 subgroup; the last two positions span
         # the lattice
-        rows = [(*chosen, c) for chosen, _, _, found in block for c in found.tolist()]
+        rows = [(*st.chosen[k].tolist(), c) for k, c in zip(pre.tolist(), dom_c.tolist())]
         axes = [np.array(col)[:, None, None] for col in zip(*rows)]
         axes += [np.arange(m)[:, None], np.arange(m)]
         # none when the conjugacy rule kills every cell of the block
@@ -575,23 +579,51 @@ def test_plan_value_matches_plain_sum(cat, lattice_for, monkeypatch, name, ineqs
                 want += c * ells[at]
             assert value.dtype == st.log_rows.dtype, plan.spec_id
             assert value.shape == want.shape and (value == want).all(), plan.spec_id
-        packed.append(len(block) if values else 0)
+        packed.append(len(block_prefixes(st, pre)) if values else 0)
 
     monkeypatch.setattr(search_engine, "_plan_value", record)
     monkeypatch.setattr(search_engine, "_evaluate_block", check)
     for i in range(len(st.tasks)):
-        search_engine._scan_chunk(st, i)
+        search_engine._scan_task(st, i)
     assert any(packed)
     if name == "S4":
         assert max(packed) >= 2
 
 
+def plain_descent(st, table):
+    """The plan's prefix cuts in plain Python on the conjugation table
+    (its identity row alone with conjugacy off): per position 1 to n-2,
+    each prefix as (its subgroups, its stabilizer, the subgroups it keeps
+    at that position), and the tally of the cuts. The pair rule cuts s at
+    position 2 when G1 Gs is a subgroup, else the conjugacy rule cuts s
+    when some x in the prefix's stabilizer moves Gs lower; the prefix
+    extended by s has the x of that stabilizer that normalize Gs."""
+    tally = dict.fromkeys(search_engine._TALLY_KEYS, 0)
+    level, out = [((), list(range(len(table))))], []
+    for depth in range(st.n - 2):
+        out.append([])
+        for prefix, stab in level:
+            kept = []
+            for s in st.domains[depth].tolist():
+                if depth == 1 and st.pair_prunable is not None and st.pair_prunable[prefix[0], s]:
+                    tally["theory_common_info"] += st.tails[depth]
+                elif any(table[x][s] < s for x in stab):
+                    tally["conjugacy"] += st.tails[depth]
+                else:
+                    kept.append(s)
+            out[-1].append((prefix, stab, kept))
+        level = [((*prefix, s), [x for x in stab if table[x][s] == s])
+                 for prefix, stab, kept in out[-1] for s in kept]
+    return out, tally
+
+
 def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
     # at position 1 the conjugacy rule keeps the least subgroup of each
-    # class and charges the rest; _plan makes tasks of those. Against
-    # plain Python on the conjugation table: s is cut when some x moves
-    # Gs lower, and the plan's conjugacy charge is position 1's cuts plus
-    # position 2's, s cut under f's stabilizer unless the pair rule cut it
+    # class and charges the rest; _plan makes tasks of those that have a
+    # row. Against plain Python on the conjugation table: s is cut when
+    # some x moves Gs lower, and the plan's conjugacy charge is position
+    # 1's cuts plus position 2's, s cut under f's stabilizer unless the
+    # pair rule cut it, plus position 3's
     g, lat = cat.realize("S4"), lattice_for("S4")
     cfg = SearchConfig.make(ineqs="dfz")
     plan = search_engine._plan(g, cfg, lat)
@@ -599,11 +631,17 @@ def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
     table = lat.conjugation_table().tolist()
     classes = {frozenset(row[s] for row in table) for s in range(m)}
     firsts = [s for s in range(m) if all(row[s] >= s for row in table)]
-    assert [first for first, *_ in st.tasks] == firsts
+    descent, _ = plain_descent(st, table)
+    assert descent[0][0][2] == firsts
     assert sorted(firsts) == sorted(min(c) for c in classes)
-    second = sum(not st.pair_prunable[f, s] and any(table[x][s] < s for x in stab.tolist())
-                 for f, stab, _ in st.tasks for s in range(m))
-    assert plan.tally["conjugacy"] == (30 - len(classes)) * 30 ** 4 + second * 30 ** 3
+    with_rows = sorted({prefix[0] for prefix, _, kept in descent[2] if kept})
+    assert [st.chosen[lo, 0] for lo, _ in st.tasks] == with_rows
+    assert len(with_rows) < len(firsts)
+    second = sum(not st.pair_prunable[f, s] and any(table[x][s] < s for x in stab)
+                 for (f,), stab, _ in descent[1] for s in range(m))
+    third = sum(m - len(kept) for *_, kept in descent[2])
+    assert plan.tally["conjugacy"] == ((30 - len(classes)) * 30 ** 4 + second * 30 ** 3
+                                       + third * 30 ** 2)
     _, report = scan_group(g, cfg, lat)
     assert report.tuples_pruned_by_rule == {
         "theory_common_info": 6_129_000, "order_class": 0,
@@ -611,90 +649,115 @@ def test_plan_makes_tasks_of_class_representatives(cat, lattice_for):
 
 
 def test_plan_prunes_positions_1_and_2_once(cat, lattice_for, monkeypatch):
-    # _plan prunes positions 1 and 2 of every task and charges their cuts
-    # to the plan's tally, against a plain count: a first subgroup f is cut
-    # when some element moves Gf lower, and each of its position 2
-    # candidates s by the pair rule when Gf Gs is a subgroup, else by the
-    # conjugacy rule when some x normalizing Gf moves Gs lower. The tasks
-    # start from the stored survivors, so a task's scan calls _cut only at
-    # position 3 (depth 2) at arity 5, and never at arity 4
+    # _plan cuts each of positions 1 to n-2 with one _cut call for all of
+    # its prefixes and charges the cuts to the plan's tally, which equals
+    # the plain count of plain_descent; its prefixes, their movers and
+    # the subgroups they keep at position n-2 equal the plain ones. A
+    # task's scan calls _cut not at all, at arity 5 and at arity 4
+    # (S4 ingleton)
     depths = []
     real = search_engine._cut
     monkeypatch.setattr(search_engine, "_cut", lambda st, depth, *args: (
         depths.append(depth), real(st, depth, *args))[1])
-    for name, prune in (("S4", "all"), ("A4", "order_class,conjugacy"),
-                        ("S4", "theory_common_info")):
+    for name, ineqs, prune in (("S4", "dfz", "all"), ("A4", "dfz", "order_class,conjugacy"),
+                               ("S4", "dfz", "theory_common_info"),
+                               ("S4", "ingleton", "all")):
         g, lat = cat.realize(name), lattice_for(name)
-        cfg = SearchConfig.make(ineqs="dfz", prune=prune)
+        cfg = SearchConfig.make(ineqs=ineqs, prune=prune)
+        depths.clear()
         plan = search_engine._plan(g, cfg, lat)
         st = plan.state
+        assert depths == list(range(cfg.tuple_arity - 2)), (name, prune)
         table = (lat.conjugation_table() if "conjugacy" in cfg.prune_flags
                  else np.arange(len(lat))[None, :]).tolist()
-        want = dict.fromkeys(search_engine._TALLY_KEYS, 0)
+        descent, want = plain_descent(st, table)
         want["order_class"] = plan.tally["order_class"]
-        firsts = []
-        for f in st.domains[0].tolist():
-            if any(row[f] < f for row in table):
-                want["conjugacy"] += st.tails[0]
-            else:
-                firsts.append(f)
-        assert [f for f, *_ in st.tasks] == firsts
-        for f, stab, found in st.tasks:
-            assert stab.tolist() == [x for x, row in enumerate(table) if row[f] == f]
-            kept = []
-            for s in st.domains[1].tolist():
-                if st.pair_prunable is not None and st.pair_prunable[f, s]:
-                    want["theory_common_info"] += st.tails[1]
-                elif any(table[x][s] < s for x in stab.tolist()):
-                    want["conjugacy"] += st.tails[1]
-                else:
-                    kept.append(s)
-            assert found.tolist() == kept
         assert plan.tally == want, (name, prune)
-        if prune == "all":
+        if (ineqs, prune) == ("dfz", "all"):
             assert plan.tally["theory_common_info"] == 6_129_000
+        last = descent[-1]
+        assert st.chosen.tolist() == [list(prefix) for prefix, *_ in last]
+        assert st.movers.tolist() == [[x in stab and any(s < i for i, s in enumerate(row))
+                                       for x, row in enumerate(table)] for _, stab, _ in last]
+        dom = st.domains[cfg.tuple_arity - 3].tolist()
+        assert [[dom[c] for c in np.flatnonzero(k)] for k in st.keep] == \
+            [kept for *_, kept in last]
         depths.clear()
         for i in range(len(st.tasks)):
-            search_engine._scan_chunk(st, i)
-        assert depths and set(depths) == {2}, (name, prune)
-    st = search_engine._plan(cat.realize("S4"), SearchConfig.make(ineqs="ingleton"),
-                             lattice_for("S4")).state
-    assert st.n == 4
-    depths.clear()
-    for i in range(len(st.tasks)):
-        search_engine._scan_chunk(st, i)
-    assert depths == []
+            search_engine._scan_task(st, i)
+        assert depths == [], (name, prune)
 
 
 def test_position_3_survivors_match_plain_loop(cat, lattice_for, monkeypatch):
-    # each arity-5 prefix (f, s) of S4 dfz: its movers and position 3
-    # survivors against a plain loop, c cut when some x in the task's
-    # stabilizer has fixes[x, s] and table[x, c] < c, and the conjugacy
-    # charge of the tasks' position 3 cuts against the plain count. The
-    # blocks are not evaluated, so a task's tally holds position 3 alone
+    # each arity-5 prefix (f, s) of S4 dfz: its subgroups, meets, movers
+    # and position 3 survivors in the plan's flat arrays against a plain
+    # loop, c cut when some x in f's stabilizer has fixes[x, s] and
+    # table[x, c] < c, and the conjugacy charge of the position 3 cut
+    # against the plain count
     g, lat = cat.realize("S4"), lattice_for("S4")
-    st = search_engine._plan(g, SearchConfig.make(ineqs="dfz"), lat).state
     m = len(lat)
     table = lat.conjugation_table().tolist()
-    seen = []
-    monkeypatch.setattr(search_engine, "_pack", lambda m, rows: seen.append(rows) or [])
-    charged = cut = 0
-    for i, (f, stab, found) in enumerate(st.tasks):
-        seen.clear()
-        _, tally = search_engine._scan_chunk(st, i)
-        charged += tally["conjugacy"]
-        # a task with no position 2 survivors has no rows to pack
-        rows = seen.pop() if len(found) else []
-        assert not seen
-        assert [chosen for chosen, *_ in rows] == [[f, s] for s in found.tolist()]
-        for (_, s), movers, prefix, kept in rows:
-            sub = [x for x in stab.tolist() if table[x][s] == s]
-            assert movers.tolist() == [x for x in sub if any(table[x][c] < c for c in range(m))]
-            assert prefix.tolist() == [m - 1, f, s, lat.meet[f, s]]
-            want = [c for c in range(m) if not any(table[x][c] < c for x in sub)]
-            assert kept.tolist() == want
-            cut += m - len(want)
-    assert cut and charged == cut * m * m
+    charged = []
+    real = search_engine._cut
+
+    def cut(st, depth, stabs, tally, *rest):
+        before = tally["conjugacy"]
+        keep = real(st, depth, stabs, tally, *rest)
+        if depth == 2:
+            charged.append(tally["conjugacy"] - before)
+        return keep
+
+    monkeypatch.setattr(search_engine, "_cut", cut)
+    plan = search_engine._plan(g, SearchConfig.make(ineqs="dfz"), lat)
+    st = plan.state
+    pairs = [(f, s) for f in range(m) if all(row[f] >= f for row in table)
+             for s in range(m) if not st.pair_prunable[f, s]
+             and not any(table[x][s] < s for x in range(g.order) if table[x][f] == f)]
+    assert st.chosen.tolist() == [list(p) for p in pairs]
+    cut_n = 0
+    for k, (f, s) in enumerate(pairs):
+        sub = [x for x in range(g.order) if table[x][f] == f and table[x][s] == s]
+        assert np.flatnonzero(st.movers[k]).tolist() == \
+            [x for x in sub if any(table[x][c] < c for c in range(m))]
+        assert st.prefix_meets[k].tolist() == [m - 1, f, s, lat.meet[f, s]]
+        want = [c for c in range(m) if not any(table[x][c] < c for x in sub)]
+        assert np.flatnonzero(st.keep[k]).tolist() == want
+        cut_n += m - len(want)
+    assert cut_n and charged == [cut_n * m * m]
+
+
+def test_tasks_partition_the_rows(cat, lattice_for, monkeypatch):
+    # a task is the prefix range of one position 1 subgroup, and only a
+    # subgroup with rows makes one: the ranges ascend, share no position 1
+    # subgroup, each holds a row, and their blocks give every row of the
+    # plan (every kept cell of st.keep) once, in order. S4 dfz has 7
+    # tasks and survey 2..23 dfz 39
+    cfg = SearchConfig.make(ineqs="dfz")
+    rows = []
+    monkeypatch.setattr(search_engine, "_evaluate_block",
+                        lambda st, pre, dom_c, tally, cells: rows.append((pre, dom_c)))
+
+    def tasks(name):
+        st = search_engine._plan(cat.realize(name), cfg, lattice_for(name)).state
+        if st is None:
+            return 0
+        bounds = [b for task in st.tasks for b in task]
+        assert bounds == sorted(bounds)
+        assert all(st.keep[lo:hi].any() for lo, hi in st.tasks)
+        firsts = [st.chosen[lo:hi, 0].tolist() for lo, hi in st.tasks]
+        assert all(len(set(f)) == 1 for f in firsts)
+        assert len({f[0] for f in firsts}) == len(firsts)
+        rows.clear()
+        for i in range(len(st.tasks)):
+            search_engine._scan_task(st, i)
+        pre, c = np.nonzero(st.keep)
+        assert [r for p, _ in rows for r in p.tolist()] == pre.tolist()
+        assert [r for _, d in rows for r in d.tolist()] == \
+            st.domains[cfg.tuple_arity - 3][c].tolist()
+        return len(st.tasks)
+
+    assert tasks("S4") == 7
+    assert sum(tasks(n) for o in range(2, 24) for n in cat.by_order.get(o, ())) == 39
 
 
 @pytest.mark.parametrize("name, ineqs, prune", [
@@ -702,10 +765,10 @@ def test_position_3_survivors_match_plain_loop(cat, lattice_for, monkeypatch):
     ("S4", "all", "all"), ("A4", "dfz", "none")],
     ids=["S4-dfz", "S4-ingleton", "A4-ingleton", "S4-all", "A4-dfz-none"])
 def test_block_splitting_keeps_results(cat, lattice_for, monkeypatch, name, ineqs, prune):
-    # a block packs the rows of consecutive prefixes up to _BLOCK_CELLS
-    # cells. A budget below one (D, E) slice gives each row a block of its
-    # own; 2·m² cells end blocks inside a prefix's rows; 2**17 cells pack
-    # the rows of several prefixes into one block, each row with its own
+    # a block is a slice of up to _BLOCK_CELLS cells of one task's rows. A
+    # budget below one (D, E) slice gives each row a block of its own;
+    # 2·m² cells end blocks inside a prefix's rows; 2**17 cells hold the
+    # rows of several prefixes in one block, each row with its own
     # prefix. S4 with every inequality mixes arities 4 and 5, and A4 with
     # no prune rule has no stabilizer to skip
     g, lat = cat.realize(name), lattice_for(name)
@@ -717,9 +780,9 @@ def test_block_splitting_keeps_results(cat, lattice_for, monkeypatch, name, ineq
     for budget in (3, 2 * m * m, 1 << 17):
         blocks = []
 
-        def evaluate_block(st, block, tally, cells):
-            blocks.append([(tuple(chosen), len(found)) for chosen, _, _, found in block])
-            real(st, block, tally, cells)
+        def evaluate_block(st, pre, dom_c, tally, cells):
+            blocks.append(block_prefixes(st, pre))
+            real(st, pre, dom_c, tally, cells)
 
         monkeypatch.setattr(search_engine, "_evaluate_block", evaluate_block)
         monkeypatch.setattr(search_engine, "_BLOCK_CELLS", budget)
@@ -1014,6 +1077,17 @@ def test_check_simultaneous_s4(cat, lattice_for):
         assert not evaluate(builtin("dfz1"), ev).holds
 
 
+def test_check_simultaneous_refuses_specs_it_does_not_scan(cat, lattice_for):
+    # the scan reads each spec as builtin(spec.id): an unnamed spec has no
+    # builtin, and one named dfz1 with other coefficients is not dfz1
+    g, lat = cat.realize("S4"), lattice_for("S4")
+    for pair in ((parse("H(X1) >= 0"), builtin("dfz1")),
+                 (parse("H(X1) >= 0", id="dfz1"), builtin("dfz1")),
+                 (builtin("dfz1"), parse(_BUILTIN_TEXTS["dfz3"], id="dfz1"))):
+        with pytest.raises(ValueError, match="needs builtin"):
+            check_simultaneous(g, pair, lat)
+
+
 def test_check_simultaneous_never_fires(cat, lattice_for):
     # scan a spread of orders, not just S4; the pair never violates together
     for name in ("S3", "D8", "A4", "D12", "C7:C3", "S4", "SL(2,3)"):
@@ -1114,39 +1188,40 @@ def test_survey_propagates_assertion_errors():
 
 def _fail_scanning(monkeypatch, group_name, error):
     # forked workers inherit the patched module attribute
-    real = search_engine._scan_chunk
+    real = search_engine._scan_task
 
-    def scan_chunk(st, chunk):
+    def scan_task(st, i):
         if st.group.name == group_name:
             raise error("deliberately failing scan")
-        return real(st, chunk)
+        return real(st, i)
 
-    monkeypatch.setattr(search_engine, "_scan_chunk", scan_chunk)
+    monkeypatch.setattr(search_engine, "_scan_task", scan_task)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_survey_charges_scan_errors_to_their_group(cat, lattice_for, monkeypatch, jobs):
     _force_pool(monkeypatch)
-    # order 8: D8 and Q8 are scanned, the three abelian groups are not
-    _fail_scanning(monkeypatch, "Q8", ValueError)
-    results = survey(cat, [8], SearchConfig.make(ineqs="dfz", jobs=jobs),
+    # order 12: A4 and D12 have tasks, Dic3 has no rows to scan and the two
+    # abelian groups are not scanned
+    _fail_scanning(monkeypatch, "D12", ValueError)
+    results = survey(cat, [12], SearchConfig.make(ineqs="dfz", jobs=jobs),
                      lattice_for=lambda g: lattice_for(g.name))
-    assert list(results) == list(cat.by_order[8])
-    assert "deliberately failing scan" in results["Q8"].error
-    assert results["Q8"].report is None
+    assert list(results) == list(cat.by_order[12])
+    assert "deliberately failing scan" in results["D12"].error
+    assert results["D12"].report is None
     for name, entry in results.items():
-        if name != "Q8":
+        if name != "D12":
             assert entry.error is None, name
             entry.report.check_invariant()
-    assert results["D8"].report.tuples_evaluated > 0
+    assert results["A4"].report.tuples_evaluated > 0
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_survey_propagates_scan_assertion_errors(cat, lattice_for, monkeypatch, jobs):
     _force_pool(monkeypatch)
-    _fail_scanning(monkeypatch, "Q8", AssertionError)
+    _fail_scanning(monkeypatch, "D12", AssertionError)
     with pytest.raises(AssertionError, match="deliberately failing scan"):
-        survey(cat, [8], SearchConfig.make(ineqs="dfz", jobs=jobs),
+        survey(cat, [12], SearchConfig.make(ineqs="dfz", jobs=jobs),
                lattice_for=lambda g: lattice_for(g.name))
 
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Mutation check for the verdict path: does tier-1 notice a small fault?
 
-Each entry of MUTANTS is one edit (file, old text, new text, reason). For
-each, the tool copies src/, tests/, tools/, demos/ and pyproject.toml into
-a temporary directory, replaces the old text (which must occur exactly
-once) and runs tier-1 there with -x and a time limit of TIMEOUT_S. It
-reports the edit as killed (a test failed), survived (every test passed)
-or timed out. EQUIVALENT lists edits believed to change no result, each
-with the reason; they run too, and are expected to survive.
+Each entry of MUTANTS is one edit (file, old text, new text, reason).
+For each, the tool copies src/, tests/, tools/, demos/ and
+pyproject.toml into a temporary directory, replaces the old text (which
+must occur exactly once) and runs tier-1 there with -x and a time limit
+of TIMEOUT_S, the edited module's own test file first. It reports the
+edit as killed (a test failed), survived (every test passed) or timed
+out. EQUIVALENT lists edits believed to change no result, each with the
+reason; they run too, and are expected to survive.
 
     python3 tools/mutants.py [--match SUBSTR]
 
@@ -84,25 +85,25 @@ MUTANTS: List[Mutant] = [
            "& st.fixes[x]))",
            "conjugacy mask tests E against fixes instead of lower"),
     Mutant(SEARCH,
-           "        rows = member[seg, x] & st.fixes[x, dom_c]",
+           "        rows = member[:, x] & st.fixes[x, dom_c]",
            "        rows = st.fixes[x, dom_c]",
            "conjugacy mask ignores membership in the prefix's stabilizer: a "
            "mover of one prefix kills cells of another"),
     Mutant(SEARCH,
-           "    moved = stabs.T @ lower[:, st.domains[depth]] & ~paired",
-           "    moved = stabs.T @ lower[:, st.domains[depth]]",
+           "    moved = stabs.T @ st.lower[:, st.domains[depth]] & ~paired",
+           "    moved = stabs.T @ st.lower[:, st.domains[depth]]",
            "position 2 charges a tuple to conjugacy that the pair rule "
            "already cut"),
     Mutant(SEARCH,
-           "_cut(self, 0, np.ones((len(self.lower), 1), dtype=bool)",
-           "_cut(self, 0, np.zeros((len(self.lower), 1), dtype=bool)",
+           "        stabs = np.ones((len(self.lower), 1), dtype=bool)",
+           "        stabs = np.zeros((len(self.lower), 1), dtype=bool)",
            "position 1 ignores the stabilizer of the empty prefix, so every "
            "subgroup starts a task"),
     Mutant(SEARCH,
-           "        keep = _cut(st, 2, stabs, st.lower[stab], tally)",
-           "        keep = _cut(st, 2, np.ones_like(stabs), st.lower[stab], tally)",
-           "position 3 cuts under the task's whole stabilizer, not only the "
-           "elements that normalize Gs"),
+           "            stabs = stabs[:, k] & self.fixes[:, s]",
+           "            stabs = stabs[:, k] & self.fixes[:, chosen[:, 0]]",
+           "position 3 cuts, and the blocks' movers act, under the task's whole "
+           "stabilizer, not only the elements that normalize Gs"),
     Mutant(SEARCH,
            "        value += full[k]",
            "        value -= full[k]",
@@ -117,10 +118,10 @@ MUTANTS: List[Mutant] = [
 
 EQUIVALENT: List[Mutant] = [
     Mutant(SEARCH,
-           "        if room < len(found) <= budget:",
-           "        if room < len(found) < budget:",
-           "_pack boundary: a prefix of exactly one block's rows is split "
-           "across two blocks, which changes the layout only"),
+           "    budget = max(1, _BLOCK_CELLS // len(st.orders) ** 2)",
+           "    budget = max(1, _BLOCK_CELLS // len(st.orders) ** 2 - 1)",
+           "row-slice budget: each block is one row short of _BLOCK_CELLS, "
+           "which changes the layout only"),
 ]
 
 
@@ -152,10 +153,15 @@ def run_mutant(m: Mutant) -> tuple:
             return "stale", 0.0, f"old text occurs {text.count(m.old)} times in {m.file}"
         path.write_text(text.replace(m.old, m.new))
         env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
-        # tests/test_mutants.py checks this file's old texts against the
-        # tree, which an applied edit changes by design
+        # the edited module's own tests run first, where a kill is
+        # likeliest (pytest keeps the order of files named on its command
+        # line); tests/test_mutants.py checks this file's old texts
+        # against the tree, which an applied edit changes by design
+        own = f"test_{Path(m.file).stem}.py"
+        files = [own] + sorted(p.name for p in (dest / "tests").glob("test_*.py")
+                               if p.name not in (own, "test_mutants.py"))
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-W", "error",
-               "-p", "no:cacheprovider", "--ignore", "tests/test_mutants.py", "tests"]
+               "-p", "no:cacheprovider", *("tests/" + f for f in files)]
         t0 = time.monotonic()
         # a session of its own, so a timeout also ends any worker it forked
         proc = subprocess.Popen(cmd, cwd=dest, env=env, stdout=subprocess.PIPE,
