@@ -267,7 +267,7 @@ def _md_scan(res: Dict, timings: Dict[str, float]) -> List[str]:
         lines += [""]
         rows = []
         for w in res["witnesses"]:
-            gens = "; ".join(f"G{i + 1}=" + "".join(g)
+            gens = "; ".join(f"G{i + 1}=" + ", ".join(g)
                              for i, g in enumerate(w["subgroups"]))
             rows.append((w["inequality"], w["lhs_product"], w["rhs_product"], gens))
         lines += _md_table(("inequality", "lhs", "rhs", "subgroups"), rows)

@@ -41,23 +41,24 @@ admits.
 
 Every intersection of subgroups is itself a subgroup, so a subset's
 intersection is a chain of lookups in the lattice's own meet table
-(SubgroupLattice.meet, the lattice index of Gi ∩ Gj), and each signed
-coefficient c has a meet-log table holding c·ℓ(|Gi ∩ Gj|). Positions are
-counted from 1, as in G1..Gn. Positions 1 to n-3 of a tuple are its
-prefix; the last three, n-2 (C), n-1 (D) and n (E), are evaluated
-together in (rows, D, E) numpy blocks, D = E the whole lattice. The plan
-holds every prefix in lexicographic order with its chosen indices,
-meets, stabilizer movers and rows, its surviving position n-2 subgroups,
-so a block is a slice of at most _BLOCK_CELLS cells of one task's rows,
-which bounds the scan's memory (a D x E slice above that is a block
-alone). A subset's logs broadcast over only the block axes it contains:
-the terms without C are summed per prefix at (D, E), those with C but
-not on both D and E per row at D or at E, each group for every
-inequality at once in one gather and one product, and the terms on all
-three axes at the full block, all of them in one gather. An inequality's
-value is then one add chain: its per-prefix sum taken to its prefixes'
-rows, then each other part added in place. Every partial sum is a
-sub-sum of one inequality's terms, so it stays within the tables' bound.
+(SubgroupLattice.meet, the lattice index of Gi ∩ Gj), and one meet-log
+table holds ℓ(|Gi ∩ Gj|). Positions are counted from 1, as in G1..Gn.
+Positions 1 to n-3 of a tuple are its prefix; the last three, n-2 (C),
+n-1 (D) and n (E), are evaluated together in (rows, D, E) numpy blocks,
+D = E the whole lattice. The plan holds every prefix in lexicographic
+order with its chosen indices, meets, stabilizer movers and rows, its
+surviving position n-2 subgroups, so a block is a slice of at most
+_BLOCK_CELLS cells of one task's rows, which bounds the scan's memory (a
+D x E slice above that is a block alone). A block gathers each subset's
+logs once, over only the block axes it contains: the terms without C
+per prefix at (D, E), those with C but not on both D and E per row at D
+or at E, each group summed for every inequality at once by one product
+with their coefficients, and the terms on all three axes at the full
+block. An inequality's value is then one add chain: its per-prefix sum
+taken to its prefixes' rows, then each other part added in place, a
+term on all three axes |c| times (subtracted when c < 0). Every partial
+sum is a sub-sum of one inequality's signed terms, so it stays within
+the table's bound.
 The conjugacy rule kills a (c, d, e) cell when some element x of its
 prefix's stabilizer normalizes Gc and moves Gd lower, or normalizes Gd
 too and moves Ge lower: each such mover kills the same (D, E) cells in
@@ -392,7 +393,7 @@ def _log_weights(signature: Tuple[Tuple[int, int], ...], degree: int) -> Tuple[i
     |x_p| <= e_p·degree. The proposal is w_p = round(k·log2 p), computed
     exactly as the bit length of p^2k halved, over their gcd, for
     k = 1, 2, 3, ...; the first that _signs_agree proves on that box is
-    returned, so the weights (and the log tables) are about as small as
+    returned, so the weights (and the log table) are about as small as
     the box allows. Some k proves: an error of at most 1/2 per unit of x_p
     is outgrown by k times the least nonzero |Σ_p x_p·log2 p| on the box.
     Past _LOG_WEIGHT_PROPOSALS proposals it raises ValueError instead.
@@ -489,41 +490,38 @@ class _Canon:
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(plans: Tuple[_SpecPlan, ...], n: int) -> tuple:
+def _layout(plans: Tuple[_SpecPlan, ...], n: int) -> list:
     """Where a block finds the logs of the plans' terms (cached: a
     survey's scans share it).
 
-    Returns the distinct coefficients, in the order _ScanState stacks
-    their meet-log tables, and per term group (table, column, own): the
-    group's distinct (position mask, coefficient) terms, each gathering
-    row table[t]·m + x of the stacked tables, x the lattice index in
-    column[t] of the block's `at`. For pm = low | hi << (n-3) that column
-    is low, the prefix meet, or width + low, that meet with C; table[t] is
-    k for coefficient k, or K + k, whose rows hold the G entries, for a
-    term on neither D nor E. In the first five groups own is (pick, has):
-    pick[p, t] is 1 when plan p holds term t, so that one product sums
-    every plan's terms, and has[p] is whether plan p holds any (in group
-    3, 2 when one of them is on D). In the last group own[p] lists the
-    terms plan p holds, which its value adds one by one.
+    Returns per term group (on_g, column, own): the group's distinct
+    terms by position mask, each gathering row on_g[t]·m + x of
+    log_rows, x the lattice index in column[t] of the block's `at`. For
+    pm = low | hi << (n-3) that column is low, the prefix meet, or
+    width + low, that meet with C; on_g[t] is True, for the G rows, when
+    the term is on neither D nor E. In the first five groups own is
+    (pick, has): pick[p, t] is plan p's coefficient of term t (0 when it
+    lacks it), so that one product forms every plan's Σ c·ℓ, and has[p]
+    is whether plan p holds any (in group 3, 2 when one of them is on D).
+    In the last group own[p] is (add, sub), the terms plan p adds and
+    those it subtracts, each listed |c| times.
     """
-    coeffs = sorted({c for p in plans for grp in p.groups for _, c in grp})
     width = 1 << (n - 3)
     groups = []
     for j in range(6):
-        terms = list(dict.fromkeys(t for p in plans for t in p.groups[j]))
-        table, column = [], []
-        for pm, c in terms:
-            hi, low = divmod(pm, width)
-            table.append(coeffs.index(c) + len(coeffs) * (not hi & 6))
-            column.append(low + width * (hi & 1))
+        terms = list(dict.fromkeys(pm for p in plans for pm, _ in p.groups[j]))
+        hi, low = np.divmod(np.array(terms, dtype=np.intp), width)
         if j < 5:
-            own = (np.array([[t in p.groups[j] for t in terms] for p in plans], dtype=np.int8),
+            own = (np.array([[dict(p.groups[j]).get(t, 0) for t in terms] for p in plans],
+                            dtype=np.int8),
                    [bool(p.groups[j]) + any(pm >> (n - 2) & 1 for pm, _ in p.groups[j])
                     * (j == 3) for p in plans])
         else:
-            own = [[terms.index(t) for t in p.groups[j]] for p in plans]
-        groups.append((np.array(table, dtype=np.intp), np.array(column, dtype=np.intp), own))
-    return coeffs, groups
+            own = [([terms.index(pm) for pm, c in p.groups[j] for _ in range(c)],
+                    [terms.index(pm) for pm, c in p.groups[j] for _ in range(-c)])
+                   for p in plans]
+        groups.append(((hi & 6) == 0, low + width * (hi & 1), own))
+    return groups
 
 
 class _ScanState:
@@ -534,6 +532,9 @@ class _ScanState:
 
     `restricted_order` is the subgroup order positions 1 and 2 shrink to
     under order_class (None when that rule is off or does not apply).
+    `log_rows` is the one (2m, m) meet-log table that blocks gather from:
+    row i holds ℓ(|Gi ∩ Gj|) at column j, and row m + i, a G row for the
+    terms on neither D nor E, holds ℓ(|Gi|) at every column.
     """
 
     def __init__(self, g: Group, lattice: SubgroupLattice, cfg: SearchConfig,
@@ -550,7 +551,7 @@ class _ScanState:
         self.orders = np.array([s.order for s in lattice.subgroups], dtype=np.int64)
         # Every partial sum a block forms is a sub-sum of one plan's terms:
         # its positive terms add to at most degree·ℓ(|G|) and its negative
-        # ones to at least -degree·ℓ(|G|), so the meet-log tables take the
+        # ones to at least -degree·ℓ(|G|), so the meet-log table takes the
         # narrowest signed type that holds ±degree·ℓ(|G|)
         degree = max(p.degree for p in self.plans)
         signature = tuple(sorted(prime_factors(g.order).items()))
@@ -563,17 +564,12 @@ class _ScanState:
         if dtype.kind != "i":
             raise ValueError(f"integer logs of order {g.order} at degree {degree} "
                              "do not fit in 64 bits")
-        ells = np.array([ell(s.order) for s in lattice.subgroups], dtype=np.int64)
-        coeffs, groups = _layout(tuple(self.plans), n)
-        # the meet-log tables, tables[k][i, j] = coeffs[k]·ℓ(|Gi ∩ Gj|), as
-        # the rows blocks gather: row k·m + i is row i of tables[k], and row
-        # (K + k)·m + i holds its entry at G, coeffs[k]·ℓ(|Gi|), m times over
-        tables = (np.array(coeffs)[:, None] * ells).astype(dtype)[:, self.meet]
-        self.log_rows = np.concatenate((tables, np.repeat(tables[:, :, -1:], m, axis=2))
-                                       ).reshape(-1, m)
+        ells = np.array([ell(s.order) for s in lattice.subgroups], dtype=dtype)
+        table = ells[self.meet]
+        self.log_rows = np.concatenate((table, np.repeat(table[:, -1:], m, axis=1)))
         # per term group: first rows, columns and each plan's terms (_layout)
-        self.groups = [(table * m, column, own if j == 5 else (own[0].astype(dtype), own[1]))
-                       for j, (table, column, own) in enumerate(groups)]
+        self.groups = [(on_g * m, column, own if j == 5 else (own[0].astype(dtype), own[1]))
+                       for j, (on_g, column, own) in enumerate(_layout(tuple(self.plans), n))]
         # lower[x, s]: x Gs x^-1 precedes Gs; fixes[x, s]: x normalizes Gs.
         # Rows are the elements the scan quotients by; with conjugacy off
         # that is the identity alone, which prunes nothing.
@@ -672,10 +668,10 @@ def _cut(st: _ScanState, depth: int, stabs: np.ndarray, tally: Dict[str, int],
 # arithmetic, bounds the kernel, so larger blocks run faster until their
 # arrays outgrow the CPU's cache: on a 2-vCPU box with a 2 MB L2 cache,
 # 2**16 cells beat 2**15 and 2**17 on S4 dfz. There a block holds up to
-# 72 x 30 x 30 cells, at about 18 bytes a cell at its peak: the terms on
-# all three block axes (four for dfz) and the running sum, all int16 for
+# 72 x 30 x 30 cells, at about 16 bytes a cell at its peak: the terms on
+# all three block axes (three for dfz) and the running sum, all int16 for
 # S4 and S5 (int8 for 2-groups), the live-cell mask and the bool masks,
-# near 1.1 MB in all.
+# near 1.05 MB in all.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -799,7 +795,7 @@ def _evaluate_block(st: _ScanState, pre: np.ndarray, dom_c: np.ndarray,
         # equality. Violations are rare, so one max rules most blocks
         # out, and a block with no cell at 0 or above needs no tally at all.
         # The value goes before the masks apply, which keeps the peak low
-        value = _plan_value(full_own[p], full, rd_sums[p], rd_own[1][p], re_sums[p],
+        value = _plan_value(*full_own[p], full, rd_sums[p], rd_own[1][p], re_sums[p],
                             re_own[1][p], per_prefix[p], seg)
         top = value.max()
         if top < 0:
@@ -821,18 +817,21 @@ def _evaluate_block(st: _ScanState, pre: np.ndarray, dom_c: np.ndarray,
                 cells.append((plan.spec_id, (*head, *cde)))
 
 
-def _plan_value(own: List[int], full: np.ndarray, rd: np.ndarray, rd_has: int,
-                re: np.ndarray, re_has: bool, per_prefix: np.ndarray,
+def _plan_value(add: List[int], sub: List[int], full: np.ndarray, rd: np.ndarray,
+                rd_has: int, re: np.ndarray, re_has: bool, per_prefix: np.ndarray,
                 seg: np.ndarray) -> np.ndarray:
     """A plan's sum over a (rows, D, E) block, a new array of that shape:
-    per_prefix, the sum of its terms without C at (prefixes, D, E), taken
-    to each prefix's rows (seg), plus its terms on all three axes, full[k]
-    for k in own, and the sums of its other terms with C, rd at (rows, D)
-    (at (rows,) alone when none of them is on D, rd_has 1) and re at
-    (rows, E), each added in place."""
+    per_prefix, its Σ c·ℓ over its terms without C at (prefixes, D, E),
+    taken to each prefix's rows (seg), plus its terms on all three axes,
+    full[k] added for k in `add` and subtracted for k in `sub`, and its
+    sums over its other terms with C, rd at (rows, D) (at (rows,) alone
+    when none of them is on D, rd_has 1) and re at (rows, E), each applied
+    in place."""
     value = np.take(per_prefix, seg, axis=0)
-    for k in own:
+    for k in add:
         value += full[k]
+    for k in sub:
+        value -= full[k]
     if rd_has:
         value += rd[:, :, None] if rd_has > 1 else rd[:, :1, None]
     if re_has:
@@ -841,8 +840,7 @@ def _plan_value(own: List[int], full: np.ndarray, rd: np.ndarray, rd_has: int,
 
 
 def _pick_sums(pick: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Row p is the sum of the logs[t] with pick[p, t] = 1, in the logs'
-    integer type."""
+    """Row p is Σ_t pick[p, t]·logs[t], in the logs' integer type."""
     shape = logs.shape[1:]
     return np.einsum("pt,tn->pn", pick, logs.reshape(len(logs), math.prod(shape))
                      ).reshape(len(pick), *shape)

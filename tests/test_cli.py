@@ -650,6 +650,23 @@ def test_markdown_reports(capsys, cache_dir, argv, code, lines):
     assert out_lines[-1].startswith("_timings: ")
 
 
+def test_scan_markdown_rows_read_back(capsys, cache_dir):
+    # a witness row's subgroup text, pasted into --subgroups, gives back
+    # the witness: generators of disjoint cycles must not run together,
+    # as dfz1's G3 = <(3,4), (1,2)> would read as one double transposition
+    code, doc, _ = run_json(["scan", "S4", "--ineqs", "dfz"], capsys)
+    assert code == 1
+    code, out, _ = run(["scan", "S4", "--ineqs", "dfz"], capsys)
+    assert code == 1
+    texts = [line.strip("| ").split(" | ")[3] for line in out.splitlines()
+             if line.startswith("| dfz")]
+    witnesses = doc["results"]["witnesses"]
+    assert len(texts) == len(witnesses) == 4
+    g = s4()
+    for text, w in zip(texts, witnesses):
+        assert [str(s.mask) for s in cli.parse_subgroup_text(g, text)] == w["masks"], text
+
+
 # a --cache-dir below a regular file, or that is one, cannot be made
 @pytest.mark.parametrize("argv, below", [(["scan", "S3"], "sub"), (["groups", "show", "S4"], "")],
                          ids=["scan", "groups-show"])

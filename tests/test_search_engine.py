@@ -458,8 +458,8 @@ def test_meet_table_past_eight_bits():
 
 def test_block_memory_stays_lean(cat, lattice_for):
     # an S4 dfz block holds the rows of two or three prefixes, up to
-    # 72 x 30 x 30 cells; the int16 kernel gathers the four dfz terms on
-    # all three block axes at once, and peaks near 1.14 MB traced here
+    # 72 x 30 x 30 cells; the int16 kernel gathers the three dfz terms on
+    # all three block axes at once, and peaks near 1.05 MB traced here
     g, lat = cat.realize("S4"), lattice_for("S4")
     cfg = SearchConfig.make(ineqs="dfz")
     scan_group(g, cfg, lat)   # compile and cache the plans first
@@ -540,14 +540,17 @@ def test_conjugacy_alive_matches_reference(cat, lattice_for, a5, monkeypatch, na
 
 
 @pytest.mark.parametrize("name, ineqs, prune", [("S4", "dfz", "all"),
-                                                ("A4", "ingleton", "none")],
-                         ids=["S4-dfz", "A4-ingleton-none"])
+                                                ("A4", "ingleton", "none"),
+                                                ("A4", "all", "none")],
+                         ids=["S4-dfz", "A4-ingleton-none", "A4-all-none"])
 def test_plan_value_matches_plain_sum(cat, lattice_for, monkeypatch, name, ineqs, prune):
     # every plan's value over every block of the scan, cell by cell,
     # against a plain int64 Σ_A c_A·ℓ(|G_A|), G_A the meet of the tuple's
     # subgroups at the positions in A, read from the lattice's meet table.
     # An S4 dfz block holds the rows of two or three prefixes; A4 ingleton
-    # runs in int8, where degree·ℓ(|G|) = 125
+    # runs in int8, where degree·ℓ(|G|) = 125; A4 with every inequality at
+    # arity 5 holds a plan whose value lacks the E axis (ingleton) and
+    # subsets that the plans weigh with different coefficients
     g, lat = cat.realize(name), lattice_for(name)
     st = search_engine._plan(g, SearchConfig.make(ineqs=ineqs, prune=prune), lat).state
     w = log_weights(g.order, max(p.degree for p in st.plans))
@@ -921,14 +924,14 @@ def test_log_weights_match_oracle(cat):
 def test_log_tables_are_narrow(cat, lattice_for):
     # the least k whose w_p = round(k·log2 p) passes the proof, and
     # degree·ℓ(|G|) sets the type: int16 for S4 and S5, int8 for 2-groups
-    # and for A4 ingleton, where degree·ℓ(|G|) = 5·(2·7 + 11) = 125. For
-    # the k-th distinct coefficient c, rows k·m .. k·m + m - 1
-    # of log_rows are the meet-log table, [i, j] = c·ℓ(|Gi ∩ Gj|), and row
-    # (K + k)·m + i repeats c·ℓ(|Gi|)
+    # and for A4 ingleton, where degree·ℓ(|G|) = 5·(2·7 + 11) = 125.
+    # log_rows is one (2m, m) table whatever the coefficients: row i is
+    # ℓ(|Gi ∩ Gj|) over j, and row m + i repeats ℓ(|Gi|)
     for name, ineqs, weights, dtype in (("S4", "dfz", (12, 19), np.int16),
                                         ("S5", "ingleton", (53, 84, 123), np.int16),
                                         ("S5", "dfz", (152, 241, 353), np.int16),
                                         ("A4", "ingleton", (7, 11), np.int8),
+                                        ("A4", "all", (12, 19), np.int16),
                                         ("D8", "dfz", (1,), np.int8),
                                         ("C16", "dfz", (1,), np.int8)):
         g, lat = cat.realize(name), lattice_for(name)
@@ -938,14 +941,31 @@ def test_log_tables_are_narrow(cat, lattice_for):
         assert st.log_rows.dtype == np.dtype(dtype), (name, ineqs)
         logs = [sum(e * w[p] for p, e in prime_factors(s.order).items())
                 for s in lat.subgroups]
-        coeffs = sorted({c for p in st.plans for group in p.groups for _, c in group})
         m = len(logs)
         rows = st.log_rows.tolist()
-        for k, c in enumerate(coeffs):
-            assert rows[k * m:(k + 1) * m] == [[c * logs[j] for j in row]
-                                               for row in st.meet.tolist()], (name, ineqs)
-            assert rows[(len(coeffs) + k) * m:(len(coeffs) + k + 1) * m] == [
-                [c * x] * m for x in logs], (name, ineqs)
+        assert len(rows) == 2 * m, (name, ineqs)
+        assert rows[:m] == [[logs[j] for j in row] for row in st.meet.tolist()], (name, ineqs)
+        assert rows[m:] == [[x] * m for x in logs], (name, ineqs)
+
+
+def test_layout_keys_terms_by_subset(cat, lattice_for):
+    # each term group lists a subset once, whatever coefficients the plans
+    # give it: dfz's 47 (subset, coefficient) terms are 30 subsets. The
+    # pick matrices hold each plan's coefficients, and the terms on all
+    # three block axes are listed |c| times, added for c > 0
+    st = scan_state(cat.realize("S4"), lattice_for("S4"), SearchConfig.make(ineqs="dfz"))
+    groups = search_engine._layout(tuple(st.plans), st.n)
+    assert [len(column) for _, column, _ in groups] == [7, 4, 4, 8, 4, 3]
+    for j, (_, column, own) in enumerate(groups):
+        for p, plan in enumerate(st.plans):
+            coeffs = dict(plan.groups[j])
+            if j < 5:
+                assert sum(own[0][p] != 0) == len(coeffs), (plan.spec_id, j)
+                assert sorted(own[0][p][own[0][p] != 0].tolist()) == sorted(coeffs.values())
+            else:
+                add, sub = own[p]
+                assert len(add) == sum(c for c in coeffs.values() if c > 0), plan.spec_id
+                assert len(sub) == -sum(c for c in coeffs.values() if c < 0), plan.spec_id
 
 
 @pytest.mark.parametrize("order, degree, weights", [

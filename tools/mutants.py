@@ -110,6 +110,21 @@ MUTANTS: List[Mutant] = [
            "a plan subtracts its terms on all three block axes instead of "
            "adding them"),
     Mutant(SEARCH,
+           "        value -= full[k]",
+           "        value += full[k]",
+           "a plan adds the terms on all three block axes that it should "
+           "subtract"),
+    Mutant(SEARCH,
+           "np.repeat(table[:, -1:], m, axis=1)",
+           "np.repeat(table[:, :1], m, axis=1)",
+           "the meet-log table's G rows read each subgroup at the trivial "
+           "subgroup instead of at G"),
+    Mutant(SEARCH,
+           "[[dict(p.groups[j]).get(t, 0) for t in terms]",
+           "[[np.sign(dict(p.groups[j]).get(t, 0)) for t in terms]",
+           "the pick matrices hold each coefficient's sign, so a term with "
+           "c = 2 counts once"),
+    Mutant(SEARCH,
            "    value = np.take(per_prefix, seg, axis=0)",
            "    value = np.take(per_prefix, 0 * seg, axis=0)",
            "every row of a block takes the first prefix's sum of the terms "
